@@ -279,6 +279,13 @@ def load_scenario(
                 raise ConfigError("seed is mandatory: set it in [scenario] or via --seed")
             seed = int(seed_text)
 
+        ts_error_max = parse_duration(sy["timestamp_error_max"])
+        if ts_error_max % 1000:
+            raise ConfigError(
+                f"timestamp_error_max = {sy['timestamp_error_max'].strip()!r} "
+                "is not a whole number of us"
+            )
+
         config = ScenarioConfig(
             n_nodes=int(sc["n_nodes"]),
             app_period=app_period,
@@ -301,7 +308,7 @@ def load_scenario(
             residual_mean=parse_duration(sy["residual_mean"]),
             residual_std=parse_duration(sy["residual_std"]),
             residual_max=parse_duration(sy["residual_max"]),
-            timestamp_error_max_us=parse_duration(sy["timestamp_error_max"]) // 1000,
+            timestamp_error_max_us=ts_error_max // 1000,
         )
     except (ValueError, KeyError) as exc:
         if isinstance(exc, (ConfigError, SimConfigError)):

@@ -8,30 +8,48 @@ duty-cycle enforcement, and the ACK-piggybacked synchronization loop.
 Everything is a pure function of (config, seed): event ties are broken
 by a sequence counter, every node owns an RNG stream derived from
 (seed, node_id), and no wall clock or hash order is consulted anywhere.
+
+Clock map: each node keeps ``base = initial_offset + corrections`` and
+its drift as an exact integer ratio; ``Engine._local_at`` and
+``Engine._true_at`` are the only true<->local conversions, and they
+reproduce ``timebase.local_now``/``local_to_true`` exactly.  Every
+division in them, in the drift bound and in the gateway's microsecond
+quantization rounds half away from zero by one rule: with
+``q, r = divmod(x, den)``, the result is ``q + 1`` when
+``2*r + (x >= 0) > den`` and ``q`` otherwise (the drift bound, whose
+numerator is never negative, tests ``2*r >= den``).
+
+The sync exchange runs inline in ``Engine._on_ack_event``: it keeps the
+checks of ``sync.gateway_record_rx_end`` (timestamp error within
+±20 µs) and of ``sync.SyncAck`` (timestamp fits 8 bytes of µs), each
+raising ``SyncError``.  The uncertainty bound (``Engine._uncertainty_at``)
+equals ``sync.current_uncertainty`` with the slope precomputed, and
+drives both the slot-use check and the on-demand resync decision.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from heapq import heappop, heappush
 from typing import Iterator, Optional
 
-from . import sync as sync_mod
 from .mac import MacPolicy
 from .phy import RadioProfile, time_on_air
-from .timebase import (
-    NS_PER_SEC,
-    ClockModel,
-    drift_error,
-    local_now,
-    round_half_away_div,
-)
+from .sync import MAX_RESIDUAL_ERROR_NS, MAX_TIMESTAMP_ERROR_NS, SyncError
+from .timebase import NS_PER_SEC, NS_PER_US, ClockModel
+
+# The engine fuses these into its own clock map and drift bound and no
+# longer calls them; the names stay importable from here, so a tracer
+# that wraps them sees zero calls rather than a missing attribute.
+from .timebase import drift_error, round_half_away_div  # noqa: F401
 
 DEFAULT_DC_WINDOW = 3600 * NS_PER_SEC
 DEFAULT_RX1_DELAY = 1 * NS_PER_SEC
+#: The ACK carries the gateway timestamp as 8 unsigned bytes of µs.
+_ACK_TIMESTAMP_LIMIT = 1 << 64
 
 
 class SimConfigError(ValueError):
@@ -145,9 +163,9 @@ class ScenarioConfig:
             problems.append("rx1_delay must be positive")
         if self.warmup < 0:
             problems.append("warmup must be non-negative")
-        if not 0 < self.residual_max <= sync_mod.MAX_RESIDUAL_ERROR_NS:
+        if not 0 < self.residual_max <= MAX_RESIDUAL_ERROR_NS:
             problems.append("residual_max must be in (0, 15 ms]")
-        if not 0 <= self.timestamp_error_max_us * 1000 < sync_mod.MAX_TIMESTAMP_ERROR_NS:
+        if not 0 <= self.timestamp_error_max_us * 1000 < MAX_TIMESTAMP_ERROR_NS:
             problems.append("timestamp_error_max_us must be in [0, 20)")
         if self.capture_effect:
             problems.append("capture effect modelling is a disabled hook")
@@ -223,9 +241,10 @@ def enforce_duty_cycle(
 class _Node:
     __slots__ = (
         "clock",
+        "base",
         "drift_num",
         "drift_den",
-        "corrections",
+        "inv_den",
         "rng",
         "channel",
         "phase",
@@ -235,11 +254,11 @@ class _Node:
         "uncertainty_at_sync",
         "pending_rec",
         "pending_tx_local",
-        "pending_tx_end_local",
+        "pending_end_local",
+        "pending_residual",
         "pending_use_slots",
-        "retry_shift",
-        "pending_residual_abs",
         "pending_ts_err",
+        "retry_shift",
         "duty",
         "duty_sum",
         "n_syncs",
@@ -247,8 +266,11 @@ class _Node:
         "max_mis_post_sync",
     )
 
-    def __init__(self) -> None:
-        self.corrections = 0
+    def __init__(self, clock: ClockModel) -> None:
+        self.clock = clock
+        self.base = clock.initial_offset  # plus the corrections applied so far
+        self.drift_num, self.drift_den = clock.drift_ratio
+        self.inv_den = self.drift_den + self.drift_num
         self.phase = 0
         self.synced = False
         self.last_sync_local = 0
@@ -336,10 +358,11 @@ class Engine:
         self._uplink_toa = time_on_air(config.uplink_profile)
         self._ack_toa = time_on_air(config.ack_profile)
         plan = config.policy.plan
+        self._slotted = config.policy.is_slotted
         self._slot_t = plan.t if plan is not None else 0
         self._guard = plan.t_b if plan is not None else 0
         backoff = config.policy.backoff
-        if config.policy.is_slotted:
+        if self._slotted:
             if backoff is not None:
                 self._max_phase = backoff.max_phase_slots
             else:
@@ -357,6 +380,27 @@ class Engine:
             + self._slot_t
             + NS_PER_SEC
         )
+        self._resync_guard = self._guard if self._guard else config.app_period
+        self._confirm_all = config.confirmed_mode == "all"
+        self._on_demand = config.confirmed_mode == "on-demand"
+        # Worst-case drift slope as an exact integer ratio, so that
+        # drift over `elapsed` is elapsed * num / den, rounded once.
+        num, den = float(abs(config.drift_bound_ppm)).as_integer_ratio()
+        self._bound_num = num
+        self._bound_den = den * 1_000_000
+        # An ACK lands exactly rx1_delay + ack airtime after its uplink
+        # ends, so the drift folded into every sync's bound is constant.
+        self._ack_lag = config.rx1_delay + self._ack_toa
+        self._sync_uncertainty = (
+            config.timestamp_error_max_us * NS_PER_US
+            + self._drift_bound(self._ack_lag)
+        )
+        self._budget = round(config.duty_cycle_cap * config.dc_window)
+        self._app_period = config.app_period
+        self._jitter = config.jitter
+        self._dc_window = config.dc_window
+        self._duration = config.duration
+        self._n_channels = config.n_channels
         self._active: list[list[tuple[int, int]]] = [
             [] for _ in range(config.n_channels)
         ]
@@ -365,20 +409,19 @@ class Engine:
 
     def _make_node(self, node_id: int) -> _Node:
         cfg = self.config
-        nd = _Node()
-        nd.rng = random.Random(f"{cfg.seed}:{node_id}")
+        rng = random.Random(f"{cfg.seed}:{node_id}")
         lo, hi = cfg.drift_ppm_range
-        magnitude = nd.rng.uniform(lo, hi)
-        sign = 1.0 if nd.rng.random() < 0.5 else -1.0
+        magnitude = rng.uniform(lo, hi)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
         offset = (
-            nd.rng.randint(-cfg.initial_offset_max, cfg.initial_offset_max)
+            rng.randint(-cfg.initial_offset_max, cfg.initial_offset_max)
             if cfg.initial_offset_max > 0
             else 0
         )
-        nd.clock = ClockModel(drift_ppm=sign * magnitude, initial_offset=offset)
-        nd.drift_num, nd.drift_den = nd.clock.drift_ratio
+        nd = _Node(ClockModel(drift_ppm=sign * magnitude, initial_offset=offset))
+        nd.rng = rng
         phase_true = nd.rng.randint(0, cfg.app_period - 1)
-        nd.next_ready_local = local_now(nd.clock, 0, phase_true)
+        nd.next_ready_local = self._local_at(nd, phase_true)
         if cfg.channel_selection == "fixed":
             nd.channel = nd.rng.randrange(cfg.n_channels)
         elif cfg.channel_selection == "round-robin":
@@ -389,80 +432,93 @@ class Engine:
 
     # -- clock helpers ---------------------------------------------------
 
-    def _local_at(self, nd: _Node, t: int) -> int:
-        return (
-            nd.clock.initial_offset
-            + nd.corrections
-            + t
-            + round_half_away_div(t * nd.drift_num, nd.drift_den)
-        )
+    @staticmethod
+    def _local_at(nd: _Node, t: int) -> int:
+        """Node RTC reading at true instant ``t``."""
+        x = t * nd.drift_num
+        q, r = divmod(x, nd.drift_den)
+        return nd.base + t + q + (2 * r + (x >= 0) > nd.drift_den)
 
-    def _true_at(self, nd: _Node, local: int) -> int:
-        scaled = local - nd.clock.initial_offset - nd.corrections
-        return round_half_away_div(scaled * nd.drift_den, nd.drift_den + nd.drift_num)
+    @staticmethod
+    def _true_at(nd: _Node, local: int) -> int:
+        """True instant at which the node RTC reads ``local``."""
+        x = (local - nd.base) * nd.drift_den
+        q, r = divmod(x, nd.inv_den)
+        # Return q itself unless rounding up: every uplink stores this
+        # value, and an int built by addition keeps a spare digit.
+        return q + 1 if 2 * r + (x >= 0) > nd.inv_den else q
 
     def ground_truth_misalignment(self, node_id: int, t: int) -> int:
         """Omniscient node-RTC minus gateway-time at instant ``t``."""
         return self._local_at(self.nodes[node_id], t) - t
+
+    def _drift_bound(self, elapsed: int) -> int:
+        """Worst-case drift over ``elapsed >= 0`` ns at the configured bound."""
+        q, r = divmod(elapsed * self._bound_num, self._bound_den)
+        return q + (2 * r >= self._bound_den)
 
     def _uncertainty_at(self, nd: _Node, local: int) -> int:
         """Worst-case clock error bound at a future local instant."""
         elapsed = local - nd.last_sync_local
         if elapsed < 0:
             elapsed = 0
-        return nd.uncertainty_at_sync + drift_error(
-            self.config.drift_bound_ppm, elapsed
-        )
+        return nd.uncertainty_at_sync + self._drift_bound(elapsed)
+
+    @staticmethod
+    def _gateway_timestamp_us(uplink_end: int, ts_err: int) -> int:
+        """The ACK's timestamp: the gateway's end-of-reception instant,
+        off by at most the hardware timestamping error, quantized to
+        1 µs and carried as 8 unsigned bytes of microseconds."""
+        if not -MAX_TIMESTAMP_ERROR_NS <= ts_err <= MAX_TIMESTAMP_ERROR_NS:
+            raise SyncError(
+                f"timestamp error {ts_err} ns exceeds ±{MAX_TIMESTAMP_ERROR_NS} ns"
+            )
+        observed = uplink_end + ts_err
+        q, r = divmod(observed, NS_PER_US)
+        us = q + (2 * r + (observed >= 0) > NS_PER_US)
+        if not 0 <= us < _ACK_TIMESTAMP_LIMIT:
+            raise SyncError(f"timestamp {us} not representable in 8 bytes")
+        return us
 
     # -- scheduling ------------------------------------------------------
 
     def _push(self, t: int, kind: int, node_id: int) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, node_id))
+        heappush(self._heap, (t, self._seq, kind, node_id))
 
     def _wants_ack(self, nd: _Node, tx_local: int) -> bool:
-        cfg = self.config
-        if cfg.confirmed_mode == "all":
+        if self._confirm_all:
             return True
-        if cfg.confirmed_mode == "none":
+        if not self._on_demand:
             return False
         if not nd.synced:
             return True
+        # Resync once the bound at the next opportunity reaches the
+        # guard (threshold inclusive).
         horizon = tx_local + self._resync_lookahead
-        return sync_mod.needs_resync(
-            sync_mod.SyncState(
-                drift_bound_ppm=cfg.drift_bound_ppm,
-                synced=True,
-                last_sync_local=nd.last_sync_local,
-                uncertainty_at_sync=nd.uncertainty_at_sync,
-            ),
-            horizon,
-            self._guard if self._guard else cfg.app_period,
-        )
+        return self._uncertainty_at(nd, horizon) >= self._resync_guard
 
-    def _schedule_next_tx(self, node_id: int, now_true: int) -> None:
-        cfg = self.config
-        nd = self.nodes[node_id]
+    def _schedule_next_tx(
+        self, node_id: int, nd: _Node, now_true: int, now_local: int
+    ) -> None:
         ready = nd.next_ready_local
-        nd.next_ready_local = ready + cfg.app_period
-        if cfg.jitter > 0:
-            ready += nd.rng.randint(-cfg.jitter, cfg.jitter)
+        nd.next_ready_local = ready + self._app_period
+        if self._jitter > 0:
+            ready += nd.rng.randint(-self._jitter, self._jitter)
         if nd.retry_shift:
             # Shift the whole ready grid, not just this attempt, so two
             # nodes that booted in lockstep stay decorrelated.
             ready += nd.retry_shift
             nd.next_ready_local += nd.retry_shift
             nd.retry_shift = 0
-        now_local = self._local_at(nd, now_true)
         if ready < now_local:
             ready = now_local
         use_slots = (
-            cfg.policy.is_slotted
-            and nd.synced
-            and self._uncertainty_at(nd, ready) < self._guard
+            self._slotted and nd.synced and self._uncertainty_at(nd, ready) < self._guard
         )
         dur = self._uplink_toa
-        budget = round(cfg.duty_cycle_cap * cfg.dc_window)
+        window = self._dc_window
+        duty = nd.duty
         while True:
             if use_slots:
                 t = self._slot_t
@@ -475,20 +531,19 @@ class Engine:
             # Fast path: duty_sum counts whole durations of entries that
             # still touch the window, so it only over-estimates; the
             # precise sliding-window check runs only near the cap.
-            win_start = tx_true + dur - cfg.dc_window
-            duty = nd.duty
+            win_start = tx_true + dur - window
             while duty and duty[0][0] + duty[0][1] <= win_start:
                 _s, d = duty.popleft()
                 nd.duty_sum -= d
-            if nd.duty_sum + dur <= budget:
+            if nd.duty_sum + dur <= self._budget:
                 break
             defer = enforce_duty_cycle(
-                list(duty), tx_true, dur, cfg.duty_cycle_cap, cfg.dc_window
+                list(duty), tx_true, dur, self.config.duty_cycle_cap, window
             )
             if defer is None:
                 break
             ready = self._local_at(nd, defer)
-        if tx_true > cfg.duration:
+        if tx_true > self._duration:
             return
         nd.pending_tx_local = tx_local
         nd.pending_use_slots = use_slots
@@ -500,18 +555,20 @@ class Engine:
         if self._ran:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
-        cfg = self.config
-        for node_id in range(cfg.n_nodes):
-            self._schedule_next_tx(node_id, 0)
+        for node_id, nd in enumerate(self.nodes):
+            self._schedule_next_tx(node_id, nd, 0, self._local_at(nd, 0))
         heap = self._heap
-        trace = self.trace
+        pop = heappop
+        on_tx_start = self._on_tx_start
+        on_ack_event = self._on_ack_event
+        tx_start = self._TX_START
         while heap:
-            now, _seq, kind, node_id = heapq.heappop(heap)
-            if kind == self._TX_START:
-                self._on_tx_start(node_id, now)
+            now, _seq, kind, node_id = pop(heap)
+            if kind == tx_start:
+                on_tx_start(node_id, now)
             else:
-                self._on_ack_event(node_id, now)
-        return trace, self.metrics()
+                on_ack_event(node_id, now)
+        return self.trace, self.metrics()
 
     def _on_tx_start(self, node_id: int, now: int) -> None:
         cfg = self.config
@@ -521,10 +578,10 @@ class Engine:
         end = now + dur
         tx_local = nd.pending_tx_local
         use_slots = nd.pending_use_slots
-        confirmed = self._wants_ack(nd, tx_local)
+        confirmed = self._confirm_all or self._wants_ack(nd, tx_local)
         channel = nd.channel
         if channel < 0:
-            channel = nd.rng.randrange(cfg.n_channels)
+            channel = nd.rng.randrange(self._n_channels)
 
         rec = len(trace.node_id)
         active = self._active[channel]
@@ -553,38 +610,38 @@ class Engine:
         trace.acked.append(0)
         trace.confirmed.append(1 if confirmed else 0)
 
-        nd.duty.append((now, dur))
-        nd.duty_sum += dur
-        win_start = end - cfg.dc_window
         duty = nd.duty
+        duty.append((now, dur))
+        nd.duty_sum += dur
+        win_start = end - self._dc_window
         while duty and duty[0][0] + duty[0][1] <= win_start:
             s, d = duty.popleft()
             nd.duty_sum -= d
 
         if confirmed:
             nd.pending_rec = rec
-            # Node-side end-of-transmission RTC reading, including the
-            # measured execution-time jitter of the sync procedure.
+            # Node-side end-of-transmission RTC reading, kept apart from
+            # the measured execution-time jitter of the sync procedure
+            # that the node's timestamp carries on top of it.
             residual = min(
                 cfg.residual_max,
                 max(0, round(nd.rng.gauss(cfg.residual_mean, cfg.residual_std))),
             )
-            signed_residual = residual if nd.rng.random() < 0.5 else -residual
-            nd.pending_residual_abs = abs(signed_residual)
-            nd.pending_tx_end_local = self._local_at(nd, end) + signed_residual
+            nd.pending_residual = residual if nd.rng.random() < 0.5 else -residual
+            nd.pending_end_local = self._local_at(nd, end)
             nd.pending_ts_err = (
                 nd.rng.randint(-cfg.timestamp_error_max_us, cfg.timestamp_error_max_us)
-                * 1000
+                * NS_PER_US
             )
-            self._push(end + cfg.rx1_delay + self._ack_toa, self._ACK_EVENT, node_id)
+            self._push(end + self._ack_lag, self._ACK_EVENT, node_id)
         else:
-            self._schedule_next_tx(node_id, now)
+            self._schedule_next_tx(node_id, nd, now, self._local_at(nd, now))
 
     def _on_ack_event(self, node_id: int, now: int) -> None:
-        cfg = self.config
         nd = self.nodes[node_id]
         rec = nd.pending_rec
         nd.pending_rec = -1
+        now_local = self._local_at(nd, now)
         if self.trace.collided[rec]:
             # ACK never sent: uplink was lost.  Slotted senders pick a
             # new slot phase so persistent same-slot pairs break up;
@@ -594,36 +651,31 @@ class Engine:
             if nd.pending_use_slots and self._max_phase > 1:
                 nd.phase = nd.rng.randrange(self._max_phase)
             elif not nd.pending_use_slots:
-                nd.retry_shift = nd.rng.randint(0, cfg.app_period)
+                nd.retry_shift = nd.rng.randint(0, self._app_period)
         else:
-            uplink_end = now - cfg.rx1_delay - self._ack_toa
-            gw_ts = sync_mod.gateway_record_rx_end(uplink_end, nd.pending_ts_err)
-            ack = sync_mod.SyncAck(gw_ts // 1000)
-            offset = sync_mod.compute_offset(
-                nd.pending_tx_end_local, ack.gateway_timestamp_ns
-            )
-            mis = self._local_at(nd, now) - now
-            if abs(mis) > nd.max_mis_pre_sync and nd.synced:
-                nd.max_mis_pre_sync = abs(mis)
-            nd.corrections += offset
+            uplink_end = now - self._ack_lag
+            gw_us = self._gateway_timestamp_us(uplink_end, nd.pending_ts_err)
+            residual = nd.pending_residual
+            offset = gw_us * NS_PER_US - (nd.pending_end_local + residual)
+            mis = abs(now_local - now)
+            if mis > nd.max_mis_pre_sync and nd.synced:
+                nd.max_mis_pre_sync = mis
+            nd.base += offset
+            now_local += offset
             nd.synced = True
-            nd.last_sync_local = self._local_at(nd, now)
+            nd.last_sync_local = now_local
             # The correction is referenced to the uplink-end timestamp
             # exchange; its error budget is the execution residual plus
             # the gateway timestamping error, and the drift accrued over
             # the RX1 window until the ACK lands is folded in up front.
-            nd.uncertainty_at_sync = (
-                nd.pending_residual_abs
-                + cfg.timestamp_error_max_us * 1000
-                + drift_error(cfg.drift_bound_ppm, now - uplink_end)
-            )
+            nd.uncertainty_at_sync = abs(residual) + self._sync_uncertainty
             nd.n_syncs += 1
-            mis = self._local_at(nd, uplink_end) - uplink_end
-            if abs(mis) > nd.max_mis_post_sync:
-                nd.max_mis_post_sync = abs(mis)
+            mis = abs(nd.pending_end_local + offset - uplink_end)
+            if mis > nd.max_mis_post_sync:
+                nd.max_mis_post_sync = mis
             self.trace.acked[rec] = 1
             self.gateway_airtime += self._ack_toa
-        self._schedule_next_tx(node_id, now)
+        self._schedule_next_tx(node_id, nd, now, now_local)
 
     # -- reporting -------------------------------------------------------
 

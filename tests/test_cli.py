@@ -56,6 +56,25 @@ def test_missing_seed_is_config_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_fractional_timestamp_error_bound_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[sync]\ntimestamp_error_max = 19.9 us\n")
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "1",
+            "--duration", "60 s",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "timestamp_error_max" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -108,6 +108,16 @@ class TestLoadScenario:
         with pytest.raises(ConfigError):
             load_scenario("[scenario]\nn_nodes = many\n", seed=1)
 
+    def test_fractional_timestamp_error_bound_is_rejected(self):
+        # 19.9 us used to be truncated to 19 us without a word.
+        with pytest.raises(ConfigError, match="timestamp_error_max"):
+            load_scenario("[sync]\ntimestamp_error_max = 19.9 us\n", seed=1)
+
+    def test_whole_microsecond_timestamp_error_bound_is_kept(self):
+        assert load_scenario("", seed=1).timestamp_error_max_us == 19
+        cfg = load_scenario("[sync]\ntimestamp_error_max = 0.012 ms\n", seed=1)
+        assert cfg.timestamp_error_max_us == 12
+
     def test_slot_plan_geometry_for_default_profile(self):
         # SF7 uplink (172.288 ms) + 1 s RX1 + ACK + 400 ms guard, rounded
         # up to the next 100 ms.

@@ -1,6 +1,12 @@
-"""Event engine: collision semantics, duty enforcement, determinism."""
+"""Event engine: collision semantics, duty enforcement, determinism,
+and the engine's fused clock and sync arithmetic against the library
+oracles in ``timebase`` and ``sync``."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saloha.config import load_scenario
 from saloha.engine import (
@@ -8,13 +14,33 @@ from saloha.engine import (
     ScenarioConfig,
     SimConfigError,
     Transmission,
+    _Node,
     channel_arbitrate,
     enforce_duty_cycle,
 )
 from saloha.mac import MacPolicy, plan_slot
 from saloha.phy import RadioProfile, time_on_air
 from saloha.report import scan_duty_cycle
-from saloha.timebase import NS_PER_MS, NS_PER_SEC
+from saloha.sync import (
+    MAX_TIMESTAMP_ERROR_NS,
+    SyncAck,
+    SyncError,
+    SyncState,
+    current_uncertainty,
+    gateway_record_rx_end,
+    needs_resync,
+)
+from saloha.timebase import (
+    MAX_ABS_DRIFT_PPM,
+    NS_PER_MS,
+    NS_PER_SEC,
+    NS_PER_US,
+    ClockModel,
+    drift_error,
+    local_now,
+    local_to_true,
+    round_half_away_div,
+)
 
 UPLINK = RadioProfile(
     spreading_factor=7,
@@ -215,6 +241,16 @@ class TestSlottedRun:
             # RTC grid position stays within the guard of the true start
             assert abs(trace.true_start[i] - trace.local_start[i]) < plan.t_b
 
+    def test_sync_leaves_the_clock_within_the_sync_error_budget(self):
+        cfg = load_scenario("", seed=4, duration=3600 * NS_PER_SEC)
+        engine = Engine(cfg)
+        engine.run()
+        budget = cfg.residual_max + MAX_TIMESTAMP_ERROR_NS
+        for nd in engine.nodes:
+            assert nd.n_syncs > 0
+            assert 0 < nd.max_mis_post_sync <= budget
+            assert nd.max_mis_pre_sync < cfg.policy.plan.t_b
+
     def test_validation_rejects_unconfirmable_slotted(self):
         plan = plan_slot(UPLINK, ACK, NS_PER_SEC, 400 * NS_PER_MS)
         with pytest.raises(SimConfigError):
@@ -237,3 +273,182 @@ class TestSlottedRun:
         msg = str(exc.value)
         for fragment in ("n_nodes", "duration", "n_channels", "channel_selection"):
             assert fragment in msg
+
+
+DAY = 86400 * NS_PER_SEC
+PPM = st.floats(-MAX_ABS_DRIFT_PPM, MAX_ABS_DRIFT_PPM, allow_nan=False)
+OFFSET = st.integers(-10 * NS_PER_SEC, 10 * NS_PER_SEC)
+
+
+def clock_node(ppm: float, offset: int, corrections: int) -> _Node:
+    nd = _Node(ClockModel(drift_ppm=ppm, initial_offset=offset))
+    nd.base += corrections
+    return nd
+
+
+class TestClockMapOracle:
+    """``Engine._local_at``/``_true_at`` against ``timebase``."""
+
+    @given(PPM, OFFSET, OFFSET, st.integers(0, 30 * DAY))
+    @settings(max_examples=500)
+    def test_local_at_equals_local_now(self, ppm, offset, corrections, t):
+        nd = clock_node(ppm, offset, corrections)
+        assert Engine._local_at(nd, t) == local_now(nd.clock, corrections, t)
+
+    @given(PPM, OFFSET, OFFSET, st.integers(0, 31 * DAY))
+    @settings(max_examples=500)
+    def test_true_at_equals_local_to_true(self, ppm, offset, corrections, elapsed):
+        nd = clock_node(ppm, offset, corrections)
+        local = offset + corrections + elapsed
+        assert Engine._true_at(nd, local) == local_to_true(nd.clock, corrections, local)
+
+    @given(PPM, OFFSET, st.integers(-30 * DAY, 30 * DAY))
+    @settings(max_examples=500)
+    def test_rounding_matches_for_both_signs(self, ppm, offset, x):
+        # Negative instants never occur in a run; they reach the other
+        # sign of the rounded numerator.
+        nd = clock_node(ppm, offset, 0)
+        num, den = nd.clock.drift_ratio
+        assert Engine._local_at(nd, x) == offset + x + round_half_away_div(x * num, den)
+        assert Engine._true_at(nd, offset + x) == round_half_away_div(
+            x * den, den + num
+        )
+
+    @pytest.mark.parametrize("num,den", [(1, 2), (-1, 2), (3, 4), (-3, 4), (1, 3), (5, 10)])
+    def test_rounding_ties_go_away_from_zero(self, num, den):
+        nd = clock_node(0.0, 0, 0)
+        nd.drift_num, nd.drift_den, nd.inv_den = num, den, den + num
+        for x in range(-3 * den, 3 * den + 1):
+            assert Engine._local_at(nd, x) == x + round_half_away_div(x * num, den)
+            assert Engine._true_at(nd, x) == round_half_away_div(x * den, den + num)
+
+
+class TestSyncOracle:
+    """The engine's inline sync arithmetic against ``sync``."""
+
+    @given(
+        st.floats(-MAX_ABS_DRIFT_PPM, MAX_ABS_DRIFT_PPM, allow_nan=False),
+        st.integers(-DAY, DAY),
+        st.integers(0, 20 * NS_PER_MS),
+        st.integers(-DAY, 30 * DAY),
+    )
+    @settings(max_examples=300)
+    def test_uncertainty_equals_current_uncertainty(self, ppm, last, u0, local):
+        engine = Engine(pure_config(drift_bound_ppm=ppm))
+        nd = engine.nodes[0]
+        nd.synced, nd.last_sync_local, nd.uncertainty_at_sync = True, last, u0
+        state = SyncState(
+            drift_bound_ppm=ppm, synced=True, last_sync_local=last, uncertainty_at_sync=u0
+        )
+        assert engine._uncertainty_at(nd, local) == current_uncertainty(state, local)
+
+    @pytest.mark.parametrize("ppm,elapsed", [(80.0, 6250), (80.0, 18750), (20.0, 25_000)])
+    def test_uncertainty_rounds_ties_up(self, ppm, elapsed):
+        # elapsed * ppm * 1e-6 lands exactly on half a nanosecond.
+        engine = Engine(pure_config(drift_bound_ppm=ppm))
+        nd = engine.nodes[0]
+        nd.synced, nd.last_sync_local, nd.uncertainty_at_sync = True, 0, 0
+        state = SyncState(drift_bound_ppm=ppm, synced=True)
+        got = engine._uncertainty_at(nd, elapsed)
+        assert got == current_uncertainty(state, elapsed) == elapsed * int(ppm) // 10**6 + 1
+
+    def test_on_demand_resync_threshold_is_inclusive(self):
+        cfg = load_scenario(
+            "[scenario]\nconfirmed_uplinks = on-demand\n", seed=1, duration=NS_PER_SEC
+        )
+        engine = Engine(cfg)
+        nd = engine.nodes[0]
+        guard = cfg.policy.plan.t_b
+        elapsed = 600 * NS_PER_SEC
+        tx_local = 10**12
+        nd.synced = True
+        nd.last_sync_local = tx_local + engine._resync_lookahead - elapsed
+        at_guard = guard - drift_error(cfg.drift_bound_ppm, elapsed)
+        nd.uncertainty_at_sync = at_guard
+        assert engine._wants_ack(nd, tx_local)
+        nd.uncertainty_at_sync = at_guard - 1
+        assert not engine._wants_ack(nd, tx_local)
+
+    @given(
+        st.floats(0.0, MAX_ABS_DRIFT_PPM, allow_nan=False),
+        st.integers(0, 19),
+        st.integers(NS_PER_MS, 5 * NS_PER_SEC),
+    )
+    @settings(max_examples=100)
+    def test_sync_bound_folds_in_the_ack_window_drift(self, ppm, ts_us, rx1):
+        engine = Engine(
+            pure_config(drift_bound_ppm=ppm, timestamp_error_max_us=ts_us, rx1_delay=rx1)
+        )
+        ack_lag = rx1 + time_on_air(ACK)
+        assert engine._sync_uncertainty == ts_us * NS_PER_US + drift_error(ppm, ack_lag)
+
+    @given(
+        st.integers(-DAY, DAY),
+        st.integers(0, 3 * NS_PER_SEC),
+        st.integers(0, 400 * NS_PER_MS),
+        st.integers(0, DAY),
+    )
+    @settings(max_examples=300)
+    def test_on_demand_resync_equals_needs_resync(self, last, u0, guard_extra, tx_local):
+        cfg = load_scenario(
+            "[scenario]\nconfirmed_uplinks = on-demand\n", seed=1, duration=NS_PER_SEC
+        )
+        engine = Engine(cfg)
+        nd = engine.nodes[0]
+        assert engine._wants_ack(nd, tx_local)  # unsynced nodes always ask
+        nd.synced, nd.last_sync_local, nd.uncertainty_at_sync = True, last, u0
+        state = SyncState(
+            drift_bound_ppm=cfg.drift_bound_ppm,
+            synced=True,
+            last_sync_local=last,
+            uncertainty_at_sync=u0,
+        )
+        horizon = tx_local + engine._resync_lookahead
+        expected = needs_resync(state, horizon, cfg.policy.plan.t_b)
+        assert engine._wants_ack(nd, tx_local) == expected
+
+    @given(
+        st.integers(-NS_PER_SEC, 10**16),
+        st.integers(-MAX_TIMESTAMP_ERROR_NS, MAX_TIMESTAMP_ERROR_NS),
+    )
+    @settings(max_examples=500)
+    def test_gateway_timestamp_equals_library_path(self, t, err):
+        gw_ns = gateway_record_rx_end(t, err)
+        try:
+            expected = SyncAck(gw_ns // NS_PER_US).gateway_timestamp_us
+        except SyncError:
+            with pytest.raises(SyncError, match="8 bytes"):
+                Engine._gateway_timestamp_us(t, err)
+        else:
+            assert Engine._gateway_timestamp_us(t, err) == expected
+
+    @pytest.mark.parametrize(
+        "t,err", [(-500, 0), (-499, 0), (-1500, 0), (1500, 0), (499, 0), (500, 0), (0, 1)]
+    )
+    def test_gateway_timestamp_ties_and_negative_instants(self, t, err):
+        gw_ns = gateway_record_rx_end(t, err)
+        if gw_ns < 0:
+            with pytest.raises(SyncError):
+                Engine._gateway_timestamp_us(t, err)
+        else:
+            assert Engine._gateway_timestamp_us(t, err) * NS_PER_US == gw_ns
+
+    def test_gateway_timestamp_rejects_unrepresentable_instants(self):
+        with pytest.raises(SyncError, match="8 bytes"):
+            Engine._gateway_timestamp_us((1 << 64) * NS_PER_US, 0)
+
+    @pytest.mark.parametrize("err", [MAX_TIMESTAMP_ERROR_NS + 1, -MAX_TIMESTAMP_ERROR_NS - 1])
+    def test_gateway_timestamp_rejects_out_of_spec_error(self, err):
+        with pytest.raises(SyncError, match="timestamp error"):
+            Engine._gateway_timestamp_us(NS_PER_SEC, err)
+
+    def test_out_of_spec_timestamp_error_raises_from_a_run(self, monkeypatch):
+        # Validation keeps the configured bound under 20 us; skip it so
+        # the drawn gateway errors reach up to 1 ms.
+        cfg = replace(
+            load_scenario("", seed=1, duration=600 * NS_PER_SEC),
+            timestamp_error_max_us=1000,
+        )
+        monkeypatch.setattr(ScenarioConfig, "validate", lambda self: None)
+        with pytest.raises(SyncError, match="timestamp error"):
+            Engine(cfg).run()
