@@ -11,16 +11,13 @@ from .engine import (
     ScenarioConfig,
     SimConfigError,
     Trace,
-    Transmission,
-    TransmissionRecord,
-    channel_arbitrate,
     enforce_duty_cycle,
     run,
 )
 from .mac import BackoffPolicy, MacPolicy, SlotPlan, plan_slot, required_guard
 from .phy import RadioProfile, duty_cycle, min_period_for_dc, symbol_time, time_on_air
 from .sync import SyncAck, SyncState
-from .timebase import ClockModel, apply_correction, drift_error, local_now
+from .timebase import ClockModel, drift_error, local_now
 
 __all__ = [
     "BackoffPolicy",
@@ -35,10 +32,6 @@ __all__ = [
     "SyncAck",
     "SyncState",
     "Trace",
-    "Transmission",
-    "TransmissionRecord",
-    "apply_correction",
-    "channel_arbitrate",
     "drift_error",
     "duty_cycle",
     "enforce_duty_cycle",

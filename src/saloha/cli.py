@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import report
@@ -22,6 +23,7 @@ from .config import (
     parse_coding_rate,
     parse_duration,
     parse_fraction,
+    pure_baseline,
 )
 from .engine import Engine, ScenarioConfig, SimConfigError
 from .mac import plan_slot
@@ -151,26 +153,13 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
     seeds = [int(s) for s in ns.seeds.split(",")] if ns.seeds else None
-    base = _load_config(ns)
+    base = _load_config(ns, policy="slotted")
     if seeds is None:
         seeds = [base.seed]
     rows = []
     for seed in seeds:
-        pure_cfg = _load_config(
-            argparse.Namespace(
-                config=ns.config, seed=seed, duration=ns.duration, warmup=ns.warmup
-            ),
-            policy="pure",
-        )
-        # The pure baseline models an unmodified deployment: no sync
-        # service, so no ACK-requesting traffic.
-        pure_cfg = _replace_confirmed(pure_cfg, "none")
-        slotted_cfg = _load_config(
-            argparse.Namespace(
-                config=ns.config, seed=seed, duration=ns.duration, warmup=ns.warmup
-            ),
-            policy="slotted",
-        )
+        slotted_cfg = replace(base, seed=seed)
+        pure_cfg = pure_baseline(slotted_cfg)
         _, pure_metrics = Engine(pure_cfg).run()
         _, slotted_metrics = Engine(slotted_cfg).run()
         ratio = report.steady_ratio(pure_metrics, slotted_metrics)
@@ -196,12 +185,6 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
             )
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _replace_confirmed(config: ScenarioConfig, mode: str) -> ScenarioConfig:
-    from dataclasses import replace
-
-    return replace(config, confirmed_mode=mode)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import io
 import re
+from dataclasses import replace
 from typing import Optional
 
 from .engine import ScenarioConfig, SimConfigError
@@ -341,6 +342,12 @@ def _radio_profile_from_dict(values: dict) -> RadioProfile:
 def load_scenario_file(path: str, **overrides) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return load_scenario(fh.read(), **overrides)
+
+
+def pure_baseline(config: ScenarioConfig) -> ScenarioConfig:
+    """The unmodified deployment a slotted scenario is compared with:
+    pure ALOHA and no sync service, hence no ACK-requesting uplinks."""
+    return replace(config, policy=MacPolicy("pure"), confirmed_mode="none")
 
 
 def config_digest(config: ScenarioConfig) -> str:

@@ -25,6 +25,11 @@ checks of ``sync.gateway_record_rx_end`` (timestamp error within
 raising ``SyncError``.  The uncertainty bound (``Engine._uncertainty_at``)
 equals ``sync.current_uncertainty`` with the slope precomputed, and
 drives both the slot-use check and the on-demand resync decision.
+
+Slot alignment: a node that may use the grid transmits at
+``mac.slot_start(ready, T, phase)``, the one implementation of the
+global-grid rule; every other uplink starts when it is ready, unless the
+duty cycle defers it.
 """
 
 from __future__ import annotations
@@ -32,14 +37,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import IntEnum
 from heapq import heappop, heappush
-from typing import Iterator, Optional
+from typing import Optional
 
-from .mac import MacPolicy
+from .mac import MacPolicy, slot_start
 from .phy import RadioProfile, time_on_air
 from .sync import MAX_RESIDUAL_ERROR_NS, MAX_TIMESTAMP_ERROR_NS, SyncError
-from .timebase import NS_PER_SEC, NS_PER_US, ClockModel
+from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC, NS_PER_US, ClockModel
 
 # The engine fuses these into its own clock map and drift bound and no
 # longer calls them; the names stay importable from here, so a tracer
@@ -54,53 +58,6 @@ _ACK_TIMESTAMP_LIMIT = 1 << 64
 
 class SimConfigError(ValueError):
     """Scenario validation failure; message lists every offending field."""
-
-
-class EventKind(IntEnum):
-    NODE_DATA_READY = 0
-    TX_START = 1
-    TX_END = 2
-    RX1_OPEN = 3
-    ACK_TX_START = 4
-    ACK_RX = 5
-    ACK_TIMEOUT = 6
-
-
-@dataclass(frozen=True)
-class Event:
-    """One scheduled occurrence; equal fire times resolve by sequence."""
-
-    fire_at: int
-    sequence: int
-    kind: EventKind
-    subject: int
-
-
-@dataclass(frozen=True)
-class Transmission:
-    """An uplink occupying one channel for a half-open interval."""
-
-    node_id: int
-    channel: int
-    start: int
-    duration: int
-    confirmed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise SimConfigError("transmission duration must be positive")
-
-
-@dataclass(frozen=True)
-class TransmissionRecord:
-    index: int
-    node_id: int
-    true_start: int
-    local_start: int
-    slot_index: Optional[int]
-    channel: int
-    collided: bool
-    acked: bool
 
 
 @dataclass(frozen=True)
@@ -163,6 +120,11 @@ class ScenarioConfig:
             problems.append("rx1_delay must be positive")
         if self.warmup < 0:
             problems.append("warmup must be non-negative")
+        # NaN fails both comparisons, so it lands here too.
+        if not 0 <= self.drift_bound_ppm <= MAX_ABS_DRIFT_PPM:
+            problems.append(
+                f"drift_bound_ppm must be a finite value in [0, {MAX_ABS_DRIFT_PPM:g}]"
+            )
         if not 0 < self.residual_max <= MAX_RESIDUAL_ERROR_NS:
             problems.append("residual_max must be in (0, 15 ms]")
         if not 0 <= self.timestamp_error_max_us * 1000 < MAX_TIMESTAMP_ERROR_NS:
@@ -171,28 +133,6 @@ class ScenarioConfig:
             problems.append("capture effect modelling is a disabled hook")
         if problems:
             raise SimConfigError("; ".join(problems))
-
-
-def channel_arbitrate(active: list[Transmission]) -> list[bool]:
-    """Collision flags for a set of transmissions.
-
-    Two transmissions conflict iff their half-open intervals
-    [start, start+duration) intersect and they share a channel; every
-    party to a conflict loses (no capture).
-    """
-    flags = [False] * len(active)
-    order = sorted(range(len(active)), key=lambda i: (active[i].start, i))
-    last_by_channel: dict[int, list[int]] = {}
-    for i in order:
-        tx = active[i]
-        peers = last_by_channel.setdefault(tx.channel, [])
-        peers[:] = [j for j in peers if active[j].start + active[j].duration > tx.start]
-        if peers:
-            flags[i] = True
-            for j in peers:
-                flags[j] = True
-        peers.append(i)
-    return flags
 
 
 def enforce_duty_cycle(
@@ -286,7 +226,8 @@ class _Node:
 
 
 class Trace:
-    """Column-oriented transmission log, materialized lazily."""
+    """Column-oriented transmission log: one entry per uplink in every
+    column, appended in transmission-start order as the run proceeds."""
 
     def __init__(self) -> None:
         self.node_id: list[int] = []
@@ -301,21 +242,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.node_id)
-
-    def record(self, i: int) -> TransmissionRecord:
-        return TransmissionRecord(
-            index=i,
-            node_id=self.node_id[i],
-            true_start=self.true_start[i],
-            local_start=self.local_start[i],
-            slot_index=None if self.slot_index[i] < 0 else self.slot_index[i],
-            channel=self.channel[i],
-            collided=bool(self.collided[i]),
-            acked=bool(self.acked[i]),
-        )
-
-    def __iter__(self) -> Iterator[TransmissionRecord]:
-        return (self.record(i) for i in range(len(self)))
 
 
 @dataclass
@@ -361,14 +287,7 @@ class Engine:
         self._slotted = config.policy.is_slotted
         self._slot_t = plan.t if plan is not None else 0
         self._guard = plan.t_b if plan is not None else 0
-        backoff = config.policy.backoff
-        if self._slotted:
-            if backoff is not None:
-                self._max_phase = backoff.max_phase_slots
-            else:
-                self._max_phase = max(1, config.app_period // self._slot_t)
-        else:
-            self._max_phase = 1
+        self._max_phase = config.policy.backoff.max_phase_slots if self._slotted else 1
         # Headroom used when deciding whether the *next* opportunity
         # would already breach the guard: one period plus the time for
         # the sync round itself.
@@ -385,7 +304,7 @@ class Engine:
         self._on_demand = config.confirmed_mode == "on-demand"
         # Worst-case drift slope as an exact integer ratio, so that
         # drift over `elapsed` is elapsed * num / den, rounded once.
-        num, den = float(abs(config.drift_bound_ppm)).as_integer_ratio()
+        num, den = float(config.drift_bound_ppm).as_integer_ratio()
         self._bound_num = num
         self._bound_den = den * 1_000_000
         # An ACK lands exactly rx1_delay + ack airtime after its uplink
@@ -487,6 +406,7 @@ class Engine:
         heappush(self._heap, (t, self._seq, kind, node_id))
 
     def _wants_ack(self, nd: _Node, tx_local: int) -> bool:
+        """Whether the uplink starting at ``tx_local`` requests an ACK."""
         if self._confirm_all:
             return True
         if not self._on_demand:
@@ -520,11 +440,7 @@ class Engine:
         window = self._dc_window
         duty = nd.duty
         while True:
-            if use_slots:
-                t = self._slot_t
-                tx_local = (-(-ready // t) + nd.phase) * t
-            else:
-                tx_local = ready
+            tx_local = slot_start(ready, self._slot_t, nd.phase) if use_slots else ready
             tx_true = self._true_at(nd, tx_local)
             if tx_true < now_true:
                 tx_true = now_true
@@ -578,7 +494,7 @@ class Engine:
         end = now + dur
         tx_local = nd.pending_tx_local
         use_slots = nd.pending_use_slots
-        confirmed = self._confirm_all or self._wants_ack(nd, tx_local)
+        confirmed = self._wants_ack(nd, tx_local)
         channel = nd.channel
         if channel < 0:
             channel = nd.rng.randrange(self._n_channels)
@@ -610,13 +526,10 @@ class Engine:
         trace.acked.append(0)
         trace.confirmed.append(1 if confirmed else 0)
 
-        duty = nd.duty
-        duty.append((now, dur))
+        # The window trim waits for the next _schedule_next_tx, whose
+        # window starts no earlier than this uplink's would.
+        nd.duty.append((now, dur))
         nd.duty_sum += dur
-        win_start = end - self._dc_window
-        while duty and duty[0][0] + duty[0][1] <= win_start:
-            s, d = duty.popleft()
-            nd.duty_sum -= d
 
         if confirmed:
             nd.pending_rec = rec

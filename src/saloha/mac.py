@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .phy import RadioProfile, time_on_air
-from .sync import UnsynchronizedError
 from .timebase import drift_error
 
 #: Peak channel utilization of the two access schemes: G·e^(-2G) tops
@@ -57,7 +56,8 @@ class BackoffPolicy:
 
 @dataclass(frozen=True)
 class MacPolicy:
-    """Either pure ALOHA or the slotted overlay with its geometry."""
+    """Either pure ALOHA or the slotted overlay with its geometry and
+    backoff."""
 
     variant: str  # "pure" | "slotted"
     plan: Optional[SlotPlan] = None
@@ -68,6 +68,8 @@ class MacPolicy:
             raise MacError(f"unknown MAC variant {self.variant!r}")
         if self.variant == "slotted" and self.plan is None:
             raise MacError("slotted policy requires a SlotPlan")
+        if self.variant == "slotted" and self.backoff is None:
+            raise MacError("slotted policy requires a BackoffPolicy")
 
     @property
     def is_slotted(self) -> bool:
@@ -104,22 +106,12 @@ def required_guard(
     return initial_uncertainty + drift_error(drift_bound_ppm, resync_interval)
 
 
-def next_tx_time(
-    policy: MacPolicy, ready_at_local: int, phase: int = 0, *, synced: bool = True
-) -> int:
-    """Earliest permitted transmission start for data ready at
-    ``ready_at_local`` (node-local time).
-
-    Pure ALOHA transmits at will.  The slotted overlay aligns to the
-    next grid boundary, shifted forward by the node's backoff phase in
-    whole slots; it is only usable once the clock is synchronized.
-    """
-    if not policy.is_slotted:
-        return ready_at_local
-    if not synced:
-        raise UnsynchronizedError("slotted access requires a synchronized clock")
-    t = policy.plan.t
-    return (-(-ready_at_local // t) + phase) * t
+def slot_start(ready_local: int, t: int, phase: int = 0) -> int:
+    """Slotted transmission start for data ready at ``ready_local``
+    (node-local time): the next boundary of the global grid of slot
+    width ``t``, shifted forward by the node's backoff phase in whole
+    slots."""
+    return (-(-ready_local // t) + phase) * t
 
 
 def throughput(policy_kind: str, offered_load_g: float) -> float:

@@ -19,14 +19,8 @@ from .timebase import NS_PER_MS, NS_PER_SEC, drift_error
 
 
 class ReportError(RuntimeError):
-    """I/O or empty-input failure while emitting results."""
-
-
-def collision_probability(trace: Trace) -> float:
-    """Fraction of transmissions that collided."""
-    if len(trace) == 0:
-        raise ReportError("no data: trace is empty")
-    return sum(trace.collided) / len(trace)
+    """I/O failure while emitting results.  Malformed arguments raise
+    ``ValueError`` before any file is opened."""
 
 
 def emit_conflict_series(trace: Trace, path: str) -> None:
@@ -55,7 +49,7 @@ def emit_dc_curve(
         for policy in policies:
             rows.append((n, policy, max_node_dc(policy, n, cap)))
     if not rows:
-        raise ReportError("empty n_range for duty-cycle curve")
+        raise ValueError("empty n_range for duty-cycle curve")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("n_nodes,policy,max_dc\n")
@@ -71,7 +65,9 @@ def emit_drift_curve(
     """Accumulated clock error versus elapsed time, one column triple
     per row: elapsed seconds, ppm, error in milliseconds."""
     if horizon <= 0 or step <= 0:
-        raise ReportError("horizon and step must be positive")
+        raise ValueError("horizon and step must be positive")
+    if not all(math.isfinite(ppm) for ppm in ppm_values):
+        raise ValueError(f"ppm values must be finite, got {list(ppm_values)}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("elapsed_s,ppm,error_ms\n")

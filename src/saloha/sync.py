@@ -16,7 +16,7 @@ node-side residual from variable execution timing (milliseconds).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .timebase import NS_PER_US, drift_error
 
@@ -78,11 +78,6 @@ class SyncAck:
         return cls(_ACK_STRUCT.unpack(data)[0])
 
 
-def node_record_tx_end(local_clock_reading: int) -> int:
-    """Save the node's RTC reading at end of transmission for later use."""
-    return local_clock_reading
-
-
 def gateway_record_rx_end(t: int, timestamp_error: int) -> int:
     """Gateway-observed end-of-reception instant, quantized to 1 µs.
 
@@ -103,27 +98,6 @@ def gateway_record_rx_end(t: int, timestamp_error: int) -> int:
 def compute_offset(node_tx_timestamp: int, gateway_timestamp: int) -> int:
     """Clock offset implied by the two end-of-transmission timestamps."""
     return gateway_timestamp - node_tx_timestamp
-
-
-def apply_sync(
-    state: SyncState, offset: int, residual_error: int, now_local: int
-) -> tuple[SyncState, int]:
-    """Apply an offset correction and reset the uncertainty bookkeeping.
-
-    Returns the new state and the correction delta the caller must fold
-    into its accumulated corrections (see ``timebase.apply_correction``).
-    """
-    if not 0 <= residual_error <= MAX_RESIDUAL_ERROR_NS:
-        raise SyncError(
-            f"residual error {residual_error} ns outside [0, {MAX_RESIDUAL_ERROR_NS}]"
-        )
-    new_state = replace(
-        state,
-        synced=True,
-        last_sync_local=now_local + offset,
-        uncertainty_at_sync=residual_error,
-    )
-    return new_state, offset
 
 
 def current_uncertainty(state: SyncState, now_local: int) -> int:

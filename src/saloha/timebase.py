@@ -109,7 +109,3 @@ def drift_error(drift_ppm: float, elapsed: int) -> int:
     num, den = float(abs(drift_ppm)).as_integer_ratio()
     return round_half_away_div(elapsed * num, den * 1_000_000)
 
-
-def apply_correction(corrections: int, delta: int) -> int:
-    """Fold a new offset correction into the accumulated correction sum."""
-    return corrections + delta

@@ -14,7 +14,7 @@ import pytest
 
 from saloha import report
 from saloha.cli import EXIT_OK, main
-from saloha.config import load_scenario
+from saloha.config import load_scenario, pure_baseline
 from saloha.engine import Engine
 from saloha.mac import plan_slot, required_guard, throughput
 from saloha.sync import max_resync_interval
@@ -43,11 +43,8 @@ def paired_runs():
     results = []
     duty_violations = []
     for seed in SEEDS:
-        pure_cfg = replace(
-            load_scenario("", seed=seed, duration=7 * DAY, policy="pure"),
-            confirmed_mode="none",
-        )
         slotted_cfg = load_scenario("", seed=seed, duration=7 * DAY, policy="slotted")
+        pure_cfg = pure_baseline(slotted_cfg)
         for cfg in (pure_cfg, slotted_cfg):
             trace, metrics = Engine(cfg).run()
             duty_violations.extend(

@@ -75,6 +75,46 @@ def test_fractional_timestamp_error_bound_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_drift_bound_out_of_range_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[sync]\ndrift_bound_ppm = inf\n")
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "1",
+            "--duration", "60 s",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "drift_bound_ppm" in err
+
+
+def test_drift_curve_non_finite_ppm_is_config_error(tmp_path, capsys):
+    out = tmp_path / "drift.csv"
+    assert main(["drift-curve", "--ppm", "20,inf", "--out", str(out)]) == EXIT_CONFIG
+    assert "ppm values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_drift_curve_zero_step_is_config_error(tmp_path, capsys):
+    out = tmp_path / "drift.csv"
+    assert main(["drift-curve", "--step", "0 s", "--out", str(out)]) == EXIT_CONFIG
+    assert "step must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dc_curve_empty_node_range_is_config_error(tmp_path, capsys):
+    out = tmp_path / "dc.csv"
+    code = main(["dc-curve", "--n-min", "5", "--n-max", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "empty n_range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -1,5 +1,7 @@
 """Scenario parsing: units, defaults, strict key checking."""
 
+from dataclasses import replace
+
 import pytest
 
 from saloha.config import (
@@ -12,8 +14,10 @@ from saloha.config import (
     parse_duration,
     parse_fraction,
     parse_range,
+    pure_baseline,
 )
-from saloha.timebase import NS_PER_SEC
+from saloha.engine import SimConfigError
+from saloha.timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC
 
 
 class TestParsers:
@@ -117,6 +121,29 @@ class TestLoadScenario:
         assert load_scenario("", seed=1).timestamp_error_max_us == 19
         cfg = load_scenario("[sync]\ntimestamp_error_max = 0.012 ms\n", seed=1)
         assert cfg.timestamp_error_max_us == 12
+
+    @pytest.mark.parametrize("text", ["inf", "1e400", "nan", "-80", "500.5"])
+    def test_drift_bound_outside_its_range_is_rejected(self, text):
+        # inf used to overflow in the engine and -80 was taken as 80.
+        with pytest.raises(SimConfigError, match="drift_bound_ppm"):
+            load_scenario(f"[sync]\ndrift_bound_ppm = {text}\n", seed=1)
+
+    @pytest.mark.parametrize("value", [0.0, 80.0, MAX_ABS_DRIFT_PPM])
+    def test_drift_bound_within_its_range_is_kept(self, value):
+        cfg = load_scenario(f"[sync]\ndrift_bound_ppm = {value}\n", seed=1)
+        assert cfg.drift_bound_ppm == value
+
+    def test_auto_phase_slots_fill_the_period(self):
+        # 30 s period over 1.7 s slots: 17 whole slots.
+        assert load_scenario("", seed=1).policy.backoff.max_phase_slots == 17
+        cfg = load_scenario("[mac]\nmax_phase_slots = 4\n", seed=1)
+        assert cfg.policy.backoff.max_phase_slots == 4
+
+    def test_pure_baseline_is_pure_without_confirmed_uplinks(self):
+        slotted = load_scenario("", seed=3)
+        loaded_pure = load_scenario("", seed=3, policy="pure")
+        assert pure_baseline(slotted) == replace(loaded_pure, confirmed_mode="none")
+        assert config_digest(pure_baseline(slotted)) != config_digest(slotted)
 
     def test_slot_plan_geometry_for_default_profile(self):
         # SF7 uplink (172.288 ms) + 1 s RX1 + ACK + 400 ms guard, rounded

@@ -1,7 +1,9 @@
 """Event engine: collision semantics, duty enforcement, determinism,
-and the engine's fused clock and sync arithmetic against the library
-oracles in ``timebase`` and ``sync``."""
+whole-run invariants against independent trace checks, and the
+engine's fused clock and sync arithmetic against the library oracles in
+``timebase`` and ``sync``."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -13,12 +15,10 @@ from saloha.engine import (
     Engine,
     ScenarioConfig,
     SimConfigError,
-    Transmission,
     _Node,
-    channel_arbitrate,
     enforce_duty_cycle,
 )
-from saloha.mac import MacPolicy, plan_slot
+from saloha.mac import BackoffPolicy, MacPolicy, plan_slot
 from saloha.phy import RadioProfile, time_on_air
 from saloha.report import scan_duty_cycle
 from saloha.sync import (
@@ -41,6 +41,8 @@ from saloha.timebase import (
     local_to_true,
     round_half_away_div,
 )
+
+from oracles import channel_arbitrate
 
 UPLINK = RadioProfile(
     spreading_factor=7,
@@ -75,35 +77,22 @@ def pure_config(**overrides) -> ScenarioConfig:
 
 
 class TestChannelArbitrate:
+    """The test-side arbitration oracle; transmissions are
+    ``(start, duration, channel)``."""
+
     def test_touching_intervals_do_not_collide(self):
         # [0, 10) and [10, 20): half-open, no shared instant.
-        flags = channel_arbitrate(
-            [Transmission(0, 0, 0, 10), Transmission(1, 0, 10, 10)]
-        )
-        assert flags == [False, False]
+        assert channel_arbitrate([(0, 10, 0), (10, 10, 0)]) == [False, False]
 
     def test_one_ns_overlap_collides_all_parties(self):
-        flags = channel_arbitrate(
-            [Transmission(0, 0, 0, 10), Transmission(1, 0, 9, 10)]
-        )
-        assert flags == [True, True]
+        assert channel_arbitrate([(0, 10, 0), (9, 10, 0)]) == [True, True]
 
     def test_channels_are_isolated(self):
-        flags = channel_arbitrate(
-            [Transmission(0, 0, 0, 10), Transmission(1, 1, 0, 10)]
-        )
-        assert flags == [False, False]
+        assert channel_arbitrate([(0, 10, 0), (0, 10, 1)]) == [False, False]
 
     def test_three_way_pileup(self):
-        flags = channel_arbitrate(
-            [
-                Transmission(0, 0, 0, 100),
-                Transmission(1, 0, 50, 100),
-                Transmission(2, 0, 120, 100),
-                Transmission(3, 0, 500, 10),
-            ]
-        )
-        assert flags == [True, True, True, False]
+        txs = [(0, 100, 0), (50, 100, 0), (120, 100, 0), (500, 10, 0)]
+        assert channel_arbitrate(txs) == [True, True, True, False]
 
 
 class TestEnforceDutyCycle:
@@ -259,7 +248,7 @@ class TestSlottedRun:
                 app_period=30 * NS_PER_SEC,
                 uplink_profile=UPLINK,
                 ack_profile=ACK,
-                policy=MacPolicy("slotted", plan=plan),
+                policy=MacPolicy("slotted", plan=plan, backoff=BackoffPolicy()),
                 duration=NS_PER_SEC,
                 seed=1,
                 confirmed_mode="none",
@@ -273,6 +262,73 @@ class TestSlottedRun:
         msg = str(exc.value)
         for fragment in ("n_nodes", "duration", "n_channels", "channel_selection"):
             assert fragment in msg
+
+
+@st.composite
+def short_scenarios(draw) -> ScenarioConfig:
+    """Short valid scenarios, pure and slotted, with offered duty
+    ``toa / app_period`` at or below the cap.
+
+    An unslotted duty deferral can map its instant to local time and
+    back 1 ns early and retry it forever.  Pure periods therefore leave
+    room in every window for the window edge and the jitter, so pure
+    uplinks never defer; slotted ones defer to a later slot."""
+    cap = draw(st.sampled_from([0.01, 0.05]))
+    window = draw(st.sampled_from([60, 300, 3600])) * NS_PER_SEC
+    jitter = draw(st.sampled_from([0, 500 * NS_PER_MS, 3 * NS_PER_SEC]))
+    toa = time_on_air(UPLINK)
+    slotted = draw(st.booleans())
+    if slotted:
+        min_period = math.ceil(toa / cap)
+        plan = plan_slot(UPLINK, ACK, NS_PER_SEC, 400 * NS_PER_MS)
+        phases = draw(st.integers(1, 20))
+        policy = MacPolicy("slotted", plan=plan, backoff=BackoffPolicy(phases))
+        modes = ["all", "on-demand"]
+    else:
+        # At most (window + 2 * jitter) / period + 2 uplinks touch a window.
+        min_period = math.ceil((window + 2 * jitter) / (cap * window / toa - 2))
+        policy = MacPolicy("pure")
+        modes = ["all", "on-demand", "none"]
+    duration = draw(st.integers(5, 30)) * 60 * NS_PER_SEC
+    return pure_config(
+        policy=policy,
+        n_nodes=draw(st.integers(1, 20)),
+        app_period=draw(st.integers(min_period, 3 * min_period)),
+        jitter=jitter,
+        n_channels=draw(st.integers(1, 6)),
+        channel_selection=draw(
+            st.sampled_from(["fixed", "round-robin", "uniform-random"])
+        ),
+        confirmed_mode=draw(st.sampled_from(modes)),
+        duty_cycle_cap=cap,
+        dc_window=window,
+        duration=duration,
+        warmup=draw(st.integers(0, duration)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestWholeRunOracle:
+    """Whole-run invariants of random short scenarios, each against an
+    independent check of the finished trace."""
+
+    # Derandomized: the same 150 scenarios run every time.
+    @given(short_scenarios())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_trace_invariants(self, cfg):
+        trace, metrics = Engine(cfg).run()
+        n = len(trace)
+        expected = channel_arbitrate(
+            list(zip(trace.true_start, trace.duration, trace.channel))
+        )
+        assert [bool(c) for c in trace.collided] == expected
+        cap, window = cfg.duty_cycle_cap, cfg.dc_window
+        assert scan_duty_cycle(trace, cfg.n_nodes, cap, window) == []
+        for i in range(n):
+            if trace.acked[i]:
+                assert trace.confirmed[i] and not trace.collided[i]
+        assert sum(tx for tx, _ in metrics.per_node) == n
+        assert metrics.transmissions == n
 
 
 DAY = 86400 * NS_PER_SEC
@@ -327,7 +383,8 @@ class TestSyncOracle:
     """The engine's inline sync arithmetic against ``sync``."""
 
     @given(
-        st.floats(-MAX_ABS_DRIFT_PPM, MAX_ABS_DRIFT_PPM, allow_nan=False),
+        # Validation admits bounds in [0, MAX_ABS_DRIFT_PPM] only.
+        st.floats(0.0, MAX_ABS_DRIFT_PPM, allow_nan=False),
         st.integers(-DAY, DAY),
         st.integers(0, 20 * NS_PER_MS),
         st.integers(-DAY, 30 * DAY),

@@ -14,13 +14,15 @@ from saloha.mac import (
     MacPolicy,
     SlotPlan,
     max_node_dc,
-    next_tx_time,
     plan_slot,
     required_guard,
+    slot_start,
     throughput,
 )
+from saloha.config import load_scenario
+from saloha.engine import Engine
 from saloha.phy import RadioProfile
-from saloha.sync import UnsynchronizedError, max_resync_interval
+from saloha.sync import max_resync_interval
 from saloha.timebase import NS_PER_MS, NS_PER_SEC
 
 UPLINK = RadioProfile(
@@ -96,6 +98,12 @@ class TestPolicies:
         with pytest.raises(MacError):
             MacPolicy("slotted")
 
+    def test_slotted_requires_backoff(self):
+        plan = SlotPlan(t_r=1_600_000_000, t_b=400_000_000, t=2_000_000_000)
+        with pytest.raises(MacError, match="BackoffPolicy"):
+            MacPolicy("slotted", plan=plan)
+        assert MacPolicy("slotted", plan=plan, backoff=BackoffPolicy()).is_slotted
+
     def test_unknown_variant(self):
         with pytest.raises(MacError):
             MacPolicy("csma")
@@ -110,31 +118,51 @@ class TestPolicies:
 
 
 class TestNextTxTime:
+    """When an uplink starts: ``slot_start`` on the grid, and the
+    engine's use of it (pure and unsynced uplinks start when ready)."""
+
     PLAN = SlotPlan(t_r=1_600_000_000, t_b=400_000_000, t=2_000_000_000)
-    SLOTTED = MacPolicy("slotted", plan=PLAN)
-    PURE = MacPolicy("pure")
 
     def test_pure_transmits_immediately(self):
-        assert next_tx_time(self.PURE, 12345) == 12345
+        cfg = load_scenario(
+            "[scenario]\nn_nodes = 1\nconfirmed_uplinks = none\n",
+            seed=1,
+            duration=3600 * NS_PER_SEC,
+            policy="pure",
+        )
+        trace, _ = Engine(cfg).run()
+        assert len(trace) > 100
+        assert set(trace.slot_index) == {-1}
+        gaps = {b - a for a, b in zip(trace.local_start, trace.local_start[1:])}
+        assert gaps == {cfg.app_period}
 
     def test_slotted_aligns_to_next_boundary(self):
         t = self.PLAN.t
-        assert next_tx_time(self.SLOTTED, 1) == t
-        assert next_tx_time(self.SLOTTED, t) == t  # already on the grid
-        assert next_tx_time(self.SLOTTED, t + 1) == 2 * t
+        assert slot_start(1, t) == t
+        assert slot_start(t, t) == t  # already on the grid
+        assert slot_start(t + 1, t) == 2 * t
 
     def test_phase_shifts_whole_slots(self):
         t = self.PLAN.t
-        assert next_tx_time(self.SLOTTED, 1, phase=3) == 4 * t
+        assert slot_start(1, t, phase=3) == 4 * t
 
     def test_unsynced_cannot_use_slots(self):
-        with pytest.raises(UnsynchronizedError):
-            next_tx_time(self.SLOTTED, 0, synced=False)
+        cfg = load_scenario("", seed=2, duration=3600 * NS_PER_SEC)
+        trace, _ = Engine(cfg).run()
+        synced = set()
+        for i in range(len(trace)):
+            node = trace.node_id[i]
+            if node not in synced:
+                assert trace.slot_index[i] == -1
+            if trace.acked[i]:
+                synced.add(node)
+        assert synced == set(range(cfg.n_nodes))
+        assert max(trace.slot_index) >= 0
 
     @given(st.integers(0, 10**15), st.integers(0, 100))
     @settings(max_examples=300)
     def test_grid_membership_and_causality(self, ready, phase):
-        tx = next_tx_time(self.SLOTTED, ready, phase)
+        tx = slot_start(ready, self.PLAN.t, phase)
         assert tx % self.PLAN.t == 0
         assert tx >= ready
 

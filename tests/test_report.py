@@ -6,8 +6,6 @@ import pytest
 
 from saloha.engine import Engine, Metrics, Trace
 from saloha.report import (
-    ReportError,
-    collision_probability,
     emit_conflict_series,
     scan_duty_cycle,
     steady_ratio,
@@ -82,8 +80,11 @@ class TestRatiosAndSeries:
         assert steady_ratio(self.metrics(0.0), self.metrics(0.0)) == 1.0
 
     def test_collision_probability_empty_trace(self):
-        with pytest.raises(ReportError):
-            collision_probability(Trace())
+        # The first uplink is drawn within one period, after a 1 ns run.
+        cfg = load_scenario("", seed=9, duration=1, warmup=0)
+        trace, metrics = Engine(cfg).run()
+        assert len(trace) == 0
+        assert metrics.collision_probability == 0.0
 
     def test_conflict_series_format(self, tmp_path):
         trace = synthetic_trace([(0, 10, 5, 1), (1, 20, 5, 0)])

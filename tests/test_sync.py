@@ -5,19 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saloha.sync import (
-    MAX_RESIDUAL_ERROR_NS,
     MAX_TIMESTAMP_ERROR_NS,
     SyncAck,
     SyncError,
     SyncState,
     UnsynchronizedError,
-    apply_sync,
     compute_offset,
     current_uncertainty,
     gateway_record_rx_end,
     max_resync_interval,
     needs_resync,
-    node_record_tx_end,
 )
 from saloha.timebase import NS_PER_MS, NS_PER_SEC, NS_PER_US
 
@@ -51,9 +48,6 @@ class TestSyncAck:
 
 
 class TestTimestamps:
-    def test_node_record_is_identity(self):
-        assert node_record_tx_end(42) == 42
-
     def test_gateway_quantizes_to_microsecond(self):
         assert gateway_record_rx_end(1_000_499, 0) == 1_000_000
         assert gateway_record_rx_end(1_000_500, 0) == 1_001_000
@@ -80,21 +74,6 @@ class TestOffsetAndState:
     def test_compute_offset_sign(self):
         # Node clock ahead of gateway: correction must be negative.
         assert compute_offset(node_tx_timestamp=1_500, gateway_timestamp=1_000) == -500
-
-    def test_apply_sync_returns_delta_and_rebased_state(self):
-        state = SyncState(drift_bound_ppm=80.0)
-        new, delta = apply_sync(state, offset=-700, residual_error=5, now_local=10_000)
-        assert delta == -700
-        assert new.synced
-        assert new.last_sync_local == 9_300  # corrected reading
-        assert new.uncertainty_at_sync == 5
-
-    def test_apply_sync_rejects_out_of_spec_residual(self):
-        state = SyncState(drift_bound_ppm=80.0)
-        with pytest.raises(SyncError):
-            apply_sync(state, 0, MAX_RESIDUAL_ERROR_NS + 1, 0)
-        with pytest.raises(SyncError):
-            apply_sync(state, 0, -1, 0)
 
     def test_uncertainty_requires_sync(self):
         state = SyncState(drift_bound_ppm=80.0)

@@ -10,7 +10,6 @@ from saloha.timebase import (
     NS_PER_SEC,
     ClockModel,
     TimebaseError,
-    apply_correction,
     drift_error,
     local_now,
     local_to_true,
@@ -111,9 +110,3 @@ class TestDriftError:
     def test_negative_elapsed_rejected(self):
         with pytest.raises(TimebaseError):
             drift_error(80.0, -1)
-
-
-def test_apply_correction_accumulates():
-    c = apply_correction(0, 150)
-    c = apply_correction(c, -30)
-    assert c == 120
