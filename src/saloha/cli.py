@@ -153,6 +153,9 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
     seeds = [int(s) for s in ns.seeds.split(",")] if ns.seeds else None
+    if seeds and ns.seed is None:
+        # Every run takes its seed from --seeds, so the base needs none.
+        ns.seed = seeds[0]
     base = _load_config(ns, policy="slotted")
     if seeds is None:
         seeds = [base.seed]

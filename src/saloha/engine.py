@@ -38,7 +38,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Iterable, Optional
 
 from .mac import MacPolicy, slot_start
 from .phy import RadioProfile, time_on_air
@@ -136,44 +136,45 @@ class ScenarioConfig:
 
 
 def enforce_duty_cycle(
-    history: list[tuple[int, int]],
+    history: Iterable[tuple[int, int]],
+    airtime: int,
     proposed_start: int,
     duration: int,
-    cap: float,
+    budget: int,
     window: int,
 ) -> Optional[int]:
     """Sliding-window duty-cycle check for one node.
 
-    ``history`` holds past (start, duration) pairs, non-overlapping and
-    sorted by start.  Returns None when the proposal is legal, else the
-    earliest start instant at which it becomes legal.
+    ``history`` holds the node's past (start, duration) pairs sorted by
+    start, and ``airtime`` is the sum of their durations; ``budget`` is
+    the airtime the cap allows in one ``window``.  Precondition: every
+    entry ends after the window start ``proposed_start + duration -
+    window`` and no later than the window end ``proposed_start +
+    duration``.  Only the entries that start before the window start
+    then lie partly outside it, so the cost is O(entries leaving the
+    window), not O(len(history)).
+
+    Returns None when the proposal is legal, else the earliest start
+    instant at which it becomes legal.
     """
-    budget = round(cap * window) - duration
-    if budget < 0:
+    if budget < duration:
         raise SimConfigError("transmission longer than the duty-cycle budget")
-
-    def occupancy(win_start: int, win_end: int) -> int:
-        total = 0
-        for s, d in history:
-            total += max(0, min(s + d, win_end) - max(s, win_start))
-        return total
-
-    win_end = proposed_start + duration
-    excess = occupancy(win_end - window, win_end) - budget
+    win_start = proposed_start + duration - window
+    excess = airtime + duration - budget
+    for s, _d in history:
+        if s >= win_start:
+            break
+        excess -= win_start - s
     if excess <= 0:
         return None
     # Slide the window start forward until `excess` ns of old airtime
     # have left it; removal grows linearly while the window edge crosses
     # an entry and pauses in the gaps.
-    s0 = win_end - window
     for s, d in history:
-        if s + d <= s0:
-            continue
-        lo = max(s, s0)
+        lo = s if s > win_start else win_start
         avail = s + d - lo
         if avail >= excess:
-            edge = lo + excess
-            return edge + window - duration
+            return lo + excess + window - duration
         excess -= avail
     raise AssertionError("unreachable: budget check bounds the walk")
 
@@ -445,8 +446,10 @@ class Engine:
             if tx_true < now_true:
                 tx_true = now_true
             # Fast path: duty_sum counts whole durations of entries that
-            # still touch the window, so it only over-estimates; the
-            # precise sliding-window check runs only near the cap.
+            # still touch the window, so it only over-estimates.  Near
+            # the cap, enforce_duty_cycle takes duty_sum and clips only
+            # the head entries that straddle the window start: O(k) in
+            # the entries leaving the window, with no copy of the deque.
             win_start = tx_true + dur - window
             while duty and duty[0][0] + duty[0][1] <= win_start:
                 _s, d = duty.popleft()
@@ -454,7 +457,7 @@ class Engine:
             if nd.duty_sum + dur <= self._budget:
                 break
             defer = enforce_duty_cycle(
-                list(duty), tx_true, dur, self.config.duty_cycle_cap, window
+                duty, nd.duty_sum, tx_true, dur, self._budget, window
             )
             if defer is None:
                 break

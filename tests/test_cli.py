@@ -166,3 +166,20 @@ def test_compare_writes_paired_results(tmp_path):
     lines = open(os.path.join(out, "compare.csv")).read().splitlines()
     assert lines[0].startswith("seed,pure_steady")
     assert len(lines) == 3
+
+
+def test_compare_seeds_alone_name_every_seed(tmp_path):
+    # Neither --seed nor the (default) scenario gives a seed; --seeds does.
+    out = str(tmp_path / "cmp")
+    code = main(
+        [
+            "compare",
+            "--seeds", "3,4",
+            "--duration", "30 min",
+            "--warmup", "5 min",
+            "--out", out,
+        ]
+    )
+    assert code == EXIT_OK
+    lines = open(os.path.join(out, "compare.csv")).read().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]

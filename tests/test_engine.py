@@ -4,12 +4,14 @@ engine's fused clock and sync arithmetic against the library oracles in
 ``timebase`` and ``sync``."""
 
 import math
+from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from saloha import engine as engine_module
 from saloha.config import load_scenario
 from saloha.engine import (
     Engine,
@@ -42,7 +44,8 @@ from saloha.timebase import (
     round_half_away_div,
 )
 
-from oracles import channel_arbitrate
+from oracles import channel_arbitrate, enforce_duty_cycle_oracle
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 UPLINK = RadioProfile(
     spreading_factor=7,
@@ -95,15 +98,44 @@ class TestChannelArbitrate:
         assert channel_arbitrate(txs) == [True, True, True, False]
 
 
+@st.composite
+def duty_cases(draw):
+    """Sorted, non-overlapping, equal-duration histories that start no
+    later than the proposal, with the window start drawn directly: on an
+    entry's start or end, or anywhere up to the proposal."""
+    duration = draw(st.integers(1, 50))
+    t = draw(st.integers(-1000, 1000))
+    starts = []
+    for _ in range(draw(st.integers(0, 30))):
+        starts.append(t)
+        t += duration + draw(st.integers(0, 3 * duration))
+    proposed = (starts[-1] if starts else t) + draw(st.integers(0, 200))
+    edges = [e for s in starts for e in (s, s + duration) if e <= proposed]
+    if edges and draw(st.booleans()):
+        win_start = draw(st.sampled_from(edges))
+    else:
+        win_start = draw(st.integers(proposed - 2000, proposed))
+    window = proposed + duration - win_start
+    budget = draw(st.integers(duration, window))
+    return starts, duration, proposed, window, budget
+
+
 class TestEnforceDutyCycle:
+    """``enforce_duty_cycle`` takes the trimmed history, its airtime sum
+    and the budget; every history here meets its precondition."""
+
     WINDOW = 3600 * NS_PER_SEC
+    BUDGET = round(0.01 * WINDOW)  # 36 s per hour
+
+    def check(self, history, proposed, duration):
+        airtime = sum(d for _s, d in history)
+        return enforce_duty_cycle(
+            deque(history), airtime, proposed, duration, self.BUDGET, self.WINDOW
+        )
 
     def test_legal_proposal_passes(self):
         history = [(0, 10 * NS_PER_SEC)]
-        assert (
-            enforce_duty_cycle(history, 2 * self.WINDOW, NS_PER_SEC, 0.01, self.WINDOW)
-            is None
-        )
+        assert self.check(history, self.WINDOW // 2, NS_PER_SEC) is None
 
     def test_defers_to_earliest_legal_start(self):
         # 36 s of budget per hour; 30 s already spent at t=0, so a 10 s
@@ -111,24 +143,78 @@ class TestEnforceDutyCycle:
         # the window.
         history = [(0, 30 * NS_PER_SEC)]
         proposed = 30 * NS_PER_SEC
-        deferred = enforce_duty_cycle(
-            history, proposed, 10 * NS_PER_SEC, 0.01, self.WINDOW
-        )
+        deferred = self.check(history, proposed, 10 * NS_PER_SEC)
         assert deferred is not None and deferred > proposed
-        assert (
-            enforce_duty_cycle(history, deferred, 10 * NS_PER_SEC, 0.01, self.WINDOW)
-            is None
-        )
-        assert (
-            enforce_duty_cycle(
-                history, deferred - 1, 10 * NS_PER_SEC, 0.01, self.WINDOW
-            )
-            is not None
-        )
+        assert self.check(history, deferred, 10 * NS_PER_SEC) is None
+        assert self.check(history, deferred - 1, 10 * NS_PER_SEC) is not None
 
     def test_oversized_transmission_rejected(self):
         with pytest.raises(SimConfigError):
-            enforce_duty_cycle([], 0, self.WINDOW, 0.01, self.WINDOW)
+            enforce_duty_cycle(deque(), 0, 0, self.WINDOW, self.BUDGET, self.WINDOW)
+        with pytest.raises(SimConfigError):
+            enforce_duty_cycle_oracle([], 0, self.WINDOW, 0.01, self.WINDOW)
+        # One nanosecond over a 20 ns budget, as the oracle also rules.
+        with pytest.raises(SimConfigError):
+            enforce_duty_cycle(deque(), 0, 0, 21, 20, 100)
+        with pytest.raises(SimConfigError):
+            enforce_duty_cycle_oracle([], 0, 21, 0.2, 100)
+
+    @given(duty_cases())
+    # Four 10 ns uplinks, window 100: with budget 20 the window start
+    # walks across three entries (deferral 140); then window starts on
+    # an entry's start and on an entry's end.
+    @example(([0, 20, 40, 60], 10, 70, 100, 20))
+    @example(([0, 20, 40, 60], 10, 70, 60, 20))
+    @example(([0, 20, 40, 60], 10, 70, 50, 20))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_equals_oracle(self, case):
+        starts, duration, proposed, window, budget = case
+        cap = budget / window
+        assert round(cap * window) == budget
+
+        def both(at):
+            # The engine's trim: only entries that end after the window
+            # start are passed.
+            win_start = at + duration - window
+            history = [(s, duration) for s in starts if s + duration > win_start]
+            airtime = duration * len(history)
+            got = enforce_duty_cycle(
+                deque(history), airtime, at, duration, budget, window
+            )
+            assert got == enforce_duty_cycle_oracle(
+                history, at, duration, cap, window
+            )
+            return got
+
+        deferred = both(proposed)
+        if deferred is not None:
+            # The deferral is an exact fit: legal there, not 1 ns before.
+            assert deferred > proposed
+            assert both(deferred) is None
+            assert both(deferred - 1) is not None
+
+    def test_equals_oracle_on_every_engine_call(self, monkeypatch):
+        # The capped golden scenario defers thousands of times within its
+        # 10 min window; every call sees the engine's real deque.
+        text, seed = GOLDEN_SCENARIOS["capped-60-nodes"]
+        cfg = load_scenario(text, seed=seed)
+        real = engine_module.enforce_duty_cycle
+        deferrals = []
+
+        def checked(history, airtime, proposed_start, duration, budget, window):
+            entries = list(history)
+            assert airtime == sum(d for _s, d in entries)
+            got = real(history, airtime, proposed_start, duration, budget, window)
+            assert got == enforce_duty_cycle_oracle(
+                entries, proposed_start, duration, cfg.duty_cycle_cap, window
+            )
+            if got is not None:
+                deferrals.append(got)
+            return got
+
+        monkeypatch.setattr(engine_module, "enforce_duty_cycle", checked)
+        Engine(cfg).run()
+        assert deferrals
 
 
 class TestEngineBasics:
