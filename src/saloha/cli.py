@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from . import report
 from .config import (
-    ConfigError,
     load_scenario,
     load_scenario_file,
     parse_bandwidth,
@@ -25,9 +24,9 @@ from .config import (
     parse_fraction,
     pure_baseline,
 )
-from .engine import Engine, ScenarioConfig, SimConfigError
+from .engine import Engine, ScenarioConfig
 from .mac import plan_slot
-from .phy import RadioProfile, RadioProfileError, duty_cycle, time_on_air
+from .phy import RadioProfile, duty_cycle, time_on_air
 from .timebase import NS_PER_MS, NS_PER_SEC
 
 EXIT_OK = 0
@@ -35,31 +34,27 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _profile_args(parser: argparse.ArgumentParser, prefix: str = "") -> None:
-    p = f"--{prefix}" if prefix else "--"
-    parser.add_argument(f"{p}sf", type=int, default=7, help="spreading factor 6-12")
-    parser.add_argument(f"{p}bw", default="125 kHz", help="bandwidth (125/250/500 kHz)")
-    parser.add_argument(f"{p}cr", default="4/5", help="coding rate 4/5..4/8")
-    parser.add_argument(f"{p}preamble", type=int, default=8, help="preamble symbols")
-    parser.add_argument(f"{p}payload", type=int, default=0, help="payload bytes")
-    parser.add_argument(f"{p}implicit-header", action="store_true")
-    parser.add_argument(f"{p}no-crc", action="store_true")
-    parser.add_argument(f"{p}ldro", action="store_true", help="low data rate optimize")
+def _profile_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sf", type=int, default=7, help="spreading factor 6-12")
+    parser.add_argument("--bw", default="125 kHz", help="bandwidth (125/250/500 kHz)")
+    parser.add_argument("--cr", default="4/5", help="coding rate 4/5..4/8")
+    parser.add_argument("--preamble", type=int, default=8, help="preamble symbols")
+    parser.add_argument("--payload", type=int, default=0, help="payload bytes")
+    parser.add_argument("--implicit-header", action="store_true")
+    parser.add_argument("--no-crc", action="store_true")
+    parser.add_argument("--ldro", action="store_true", help="low data rate optimize")
 
 
-def _profile_from(ns: argparse.Namespace, prefix: str = "") -> RadioProfile:
-    def get(name: str):
-        return getattr(ns, f"{prefix}{name}" if prefix else name)
-
+def _profile_from(ns: argparse.Namespace) -> RadioProfile:
     return RadioProfile(
-        spreading_factor=get("sf"),
-        bandwidth_hz=parse_bandwidth(get("bw")),
-        coding_rate_index=parse_coding_rate(get("cr")),
-        preamble_symbols=get("preamble"),
-        payload_bytes=get("payload"),
-        explicit_header=not get("implicit_header"),
-        crc_enabled=not get("no_crc"),
-        low_data_rate_optimize=get("ldro"),
+        spreading_factor=ns.sf,
+        bandwidth_hz=parse_bandwidth(ns.bw),
+        coding_rate_index=parse_coding_rate(ns.cr),
+        preamble_symbols=ns.preamble,
+        payload_bytes=ns.payload,
+        explicit_header=not ns.implicit_header,
+        crc_enabled=not ns.no_crc,
+        low_data_rate_optimize=ns.ldro,
     )
 
 
@@ -76,16 +71,7 @@ def _cmd_airtime(ns: argparse.Namespace) -> int:
 
 def _cmd_plan_slot(ns: argparse.Namespace) -> int:
     uplink = _profile_from(ns)
-    ack = RadioProfile(
-        spreading_factor=uplink.spreading_factor,
-        bandwidth_hz=uplink.bandwidth_hz,
-        coding_rate_index=uplink.coding_rate_index,
-        preamble_symbols=uplink.preamble_symbols,
-        payload_bytes=ns.ack_payload,
-        explicit_header=uplink.explicit_header,
-        crc_enabled=uplink.crc_enabled,
-        low_data_rate_optimize=uplink.low_data_rate_optimize,
-    )
+    ack = replace(uplink, payload_bytes=ns.ack_payload)
     plan = plan_slot(
         uplink,
         ack,
@@ -244,7 +230,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ConfigError, SimConfigError, RadioProfileError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, SimConfigError, RadioProfileError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (report.ReportError, OSError) as exc:

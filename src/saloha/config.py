@@ -108,47 +108,6 @@ def parse_coding_rate(text: str) -> int:
     return index
 
 
-_SCENARIO_KEYS = {
-    "n_nodes",
-    "app_period",
-    "jitter",
-    "n_channels",
-    "channel_selection",
-    "drift_ppm",
-    "initial_offset",
-    "confirmed_uplinks",
-    "duty_cycle_cap",
-    "dc_window",
-    "duration",
-    "warmup",
-    "seed",
-}
-_RADIO_KEYS = {
-    "spreading_factor",
-    "bandwidth",
-    "coding_rate",
-    "preamble_symbols",
-    "payload_bytes",
-    "explicit_header",
-    "crc",
-    "low_data_rate_optimize",
-}
-_MAC_KEYS = {"policy", "rx1_delay", "guard", "slot_rounding", "max_phase_slots"}
-_SYNC_KEYS = {
-    "drift_bound_ppm",
-    "residual_mean",
-    "residual_std",
-    "residual_max",
-    "timestamp_error_max",
-}
-_SECTIONS = {
-    "scenario": _SCENARIO_KEYS,
-    "uplink": _RADIO_KEYS,
-    "ack": _RADIO_KEYS,
-    "mac": _MAC_KEYS,
-    "sync": _SYNC_KEYS,
-}
-
 DEFAULT_SCENARIO = """\
 [scenario]
 n_nodes = 20
@@ -211,6 +170,13 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
+# Parsed once and never mutated: the one list of sections, keys and
+# default values.  ``seed`` has no default but is accepted in [scenario].
+_DEFAULTS = _read_ini(DEFAULT_SCENARIO)
+_SECTIONS = {section: set(_DEFAULTS[section]) for section in _DEFAULTS.sections()}
+_SECTIONS["scenario"].add("seed")
+
+
 def _check_keys(parser: configparser.ConfigParser) -> None:
     problems = []
     for section in parser.sections():
@@ -237,12 +203,11 @@ def load_scenario(
     Missing keys take the documented defaults; the seed must come from
     either the file or the override.
     """
-    defaults = _read_ini(DEFAULT_SCENARIO)
     parser = _read_ini(text)
     _check_keys(parser)
     merged = {}
-    for section, keys in _SECTIONS.items():
-        merged[section] = dict(defaults[section]) if defaults.has_section(section) else {}
+    for section in _SECTIONS:
+        merged[section] = dict(_DEFAULTS[section])
         if parser.has_section(section):
             merged[section].update(parser[section])
 

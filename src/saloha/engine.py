@@ -50,8 +50,6 @@ from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC, NS_PER_US, ClockModel
 # that wraps them sees zero calls rather than a missing attribute.
 from .timebase import drift_error, round_half_away_div  # noqa: F401
 
-DEFAULT_DC_WINDOW = 3600 * NS_PER_SEC
-DEFAULT_RX1_DELAY = 1 * NS_PER_SEC
 #: The ACK carries the gateway timestamp as 8 unsigned bytes of µs.
 _ACK_TIMESTAMP_LIMIT = 1 << 64
 
@@ -63,7 +61,9 @@ class SimConfigError(ValueError):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one simulation run.  Durations are integer
-    nanoseconds; the seed is mandatory (no ambient entropy)."""
+    nanoseconds; the seed is mandatory (no ambient entropy).  The class
+    has no defaults of its own: ``config.load_scenario("", seed=...)``
+    fills every field from ``config.DEFAULT_SCENARIO``."""
 
     n_nodes: int
     app_period: int
@@ -72,21 +72,21 @@ class ScenarioConfig:
     policy: MacPolicy
     duration: int
     seed: int
-    jitter: int = 0
-    n_channels: int = 1
-    channel_selection: str = "fixed"  # fixed | round-robin | uniform-random
-    drift_ppm_range: tuple[float, float] = (20.0, 80.0)
-    initial_offset_max: int = 5 * NS_PER_SEC
-    confirmed_mode: str = "all"  # all | on-demand | none
-    duty_cycle_cap: float = 0.01
-    dc_window: int = DEFAULT_DC_WINDOW
-    rx1_delay: int = DEFAULT_RX1_DELAY
-    warmup: int = 3600 * NS_PER_SEC
-    drift_bound_ppm: float = 80.0
-    residual_mean: int = 10_000_000
-    residual_std: int = 2_500_000
-    residual_max: int = 15_000_000
-    timestamp_error_max_us: int = 19
+    jitter: int
+    n_channels: int
+    channel_selection: str  # fixed | round-robin | uniform-random
+    drift_ppm_range: tuple[float, float]
+    initial_offset_max: int
+    confirmed_mode: str  # all | on-demand | none
+    duty_cycle_cap: float
+    dc_window: int
+    rx1_delay: int
+    warmup: int
+    drift_bound_ppm: float
+    residual_mean: int
+    residual_std: int
+    residual_max: int
+    timestamp_error_max_us: int
     capture_effect: bool = False
 
     def validate(self) -> None:
@@ -104,8 +104,13 @@ class ScenarioConfig:
         if self.channel_selection not in ("fixed", "round-robin", "uniform-random"):
             problems.append(f"unknown channel_selection {self.channel_selection!r}")
         lo, hi = self.drift_ppm_range
-        if not 0 <= lo <= hi:
-            problems.append("drift_ppm_range must satisfy 0 <= low <= high")
+        # Checked here, not per node, so validity cannot depend on the
+        # drifts the seed happens to draw; NaN and inf fail it too.
+        if not 0 <= lo <= hi <= MAX_ABS_DRIFT_PPM:
+            problems.append(
+                "drift_ppm_range must satisfy "
+                f"0 <= low <= high <= {MAX_ABS_DRIFT_PPM:g}"
+            )
         if self.confirmed_mode not in ("all", "on-demand", "none"):
             problems.append(f"unknown confirmed_mode {self.confirmed_mode!r}")
         if self.policy.is_slotted and self.confirmed_mode == "none":
@@ -195,10 +200,7 @@ class _Node:
         "uncertainty_at_sync",
         "pending_rec",
         "pending_tx_local",
-        "pending_end_local",
-        "pending_residual",
         "pending_use_slots",
-        "pending_ts_err",
         "retry_shift",
         "duty",
         "duty_sum",
@@ -216,7 +218,6 @@ class _Node:
         self.synced = False
         self.last_sync_local = 0
         self.uncertainty_at_sync = 0
-        self.pending_rec = -1
         self.pending_use_slots = False
         self.retry_shift = 0
         self.duty: deque = deque()
@@ -490,7 +491,6 @@ class Engine:
         return self.trace, self.metrics()
 
     def _on_tx_start(self, node_id: int, now: int) -> None:
-        cfg = self.config
         nd = self.nodes[node_id]
         trace = self.trace
         dur = self._uplink_toa
@@ -536,27 +536,28 @@ class Engine:
 
         if confirmed:
             nd.pending_rec = rec
-            # Node-side end-of-transmission RTC reading, kept apart from
-            # the measured execution-time jitter of the sync procedure
-            # that the node's timestamp carries on top of it.
-            residual = min(
-                cfg.residual_max,
-                max(0, round(nd.rng.gauss(cfg.residual_mean, cfg.residual_std))),
-            )
-            nd.pending_residual = residual if nd.rng.random() < 0.5 else -residual
-            nd.pending_end_local = self._local_at(nd, end)
-            nd.pending_ts_err = (
-                nd.rng.randint(-cfg.timestamp_error_max_us, cfg.timestamp_error_max_us)
-                * NS_PER_US
-            )
             self._push(end + self._ack_lag, self._ACK_EVENT, node_id)
         else:
             self._schedule_next_tx(node_id, nd, now, self._local_at(nd, now))
 
     def _on_ack_event(self, node_id: int, now: int) -> None:
+        cfg = self.config
         nd = self.nodes[node_id]
         rec = nd.pending_rec
-        nd.pending_rec = -1
+        # Drawn whether or not the uplink collided, and here rather than
+        # at its start: nothing else draws from the node's RNG or
+        # corrects its clock in between.  The residual is the measured
+        # execution-time jitter of the sync procedure, which the node's
+        # end-of-transmission timestamp carries on top of its RTC.
+        residual = min(
+            cfg.residual_max,
+            max(0, round(nd.rng.gauss(cfg.residual_mean, cfg.residual_std))),
+        )
+        residual = residual if nd.rng.random() < 0.5 else -residual
+        ts_err = (
+            nd.rng.randint(-cfg.timestamp_error_max_us, cfg.timestamp_error_max_us)
+            * NS_PER_US
+        )
         now_local = self._local_at(nd, now)
         if self.trace.collided[rec]:
             # ACK never sent: uplink was lost.  Slotted senders pick a
@@ -570,9 +571,9 @@ class Engine:
                 nd.retry_shift = nd.rng.randint(0, self._app_period)
         else:
             uplink_end = now - self._ack_lag
-            gw_us = self._gateway_timestamp_us(uplink_end, nd.pending_ts_err)
-            residual = nd.pending_residual
-            offset = gw_us * NS_PER_US - (nd.pending_end_local + residual)
+            end_local = self._local_at(nd, uplink_end)
+            gw_us = self._gateway_timestamp_us(uplink_end, ts_err)
+            offset = gw_us * NS_PER_US - (end_local + residual)
             mis = abs(now_local - now)
             if mis > nd.max_mis_pre_sync and nd.synced:
                 nd.max_mis_pre_sync = mis
@@ -586,7 +587,7 @@ class Engine:
             # the RX1 window until the ACK lands is folded in up front.
             nd.uncertainty_at_sync = abs(residual) + self._sync_uncertainty
             nd.n_syncs += 1
-            mis = abs(nd.pending_end_local + offset - uplink_end)
+            mis = abs(end_local + offset - uplink_end)
             if mis > nd.max_mis_post_sync:
                 nd.max_mis_post_sync = mis
             self.trace.acked[rec] = 1

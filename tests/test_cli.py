@@ -2,8 +2,10 @@
 
 import filecmp
 import os
+from pathlib import Path
 
 from saloha.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from saloha.phy import RadioProfile, time_on_air
 
 
 def test_airtime_reference_value(capsys):
@@ -43,6 +45,21 @@ def test_plan_slot_reference_geometry(capsys):
     out = capsys.readouterr().out
     assert "t_r_ns: 1576512000" in out
     assert "t_ns: 2000000000" in out
+
+
+def _plan_slot_t_r(capsys, *args: str) -> int:
+    assert main(["plan-slot", *args]) == EXIT_OK
+    return int(capsys.readouterr().out.split("t_r_ns:")[1].split()[0])
+
+
+def test_plan_slot_ack_payload_sizes_the_ack(capsys):
+    # The ACK is the uplink profile (SF7, 125 kHz, 8 preamble symbols)
+    # with its own payload, so only its airtime moves t_r.
+    grown = _plan_slot_t_r(capsys, "--ack-payload", "50") - _plan_slot_t_r(capsys)
+    ack_toa = [
+        time_on_air(RadioProfile(7, 125_000, payload_bytes=n)) for n in (13, 50)
+    ]
+    assert grown == ack_toa[1] - ack_toa[0] > 0
 
 
 def test_invalid_profile_is_config_error(capsys):
@@ -91,6 +108,25 @@ def test_drift_bound_out_of_range_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "drift_bound_ppm" in err
+
+
+def test_drift_range_beyond_the_clock_limit_is_config_error(tmp_path, capsys):
+    # Seed 2 draws only drifts within ±500 ppm from 400 .. 600 (seed 1
+    # does not); the range is rejected whatever the seed.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[scenario]\nn_nodes = 1\ndrift_ppm = 400 .. 600\n")
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "2",
+            "--duration", "60 s",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "drift_ppm_range" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_drift_curve_non_finite_ppm_is_config_error(tmp_path, capsys):
@@ -163,7 +199,7 @@ def test_compare_writes_paired_results(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    lines = open(os.path.join(out, "compare.csv")).read().splitlines()
+    lines = Path(out, "compare.csv").read_text().splitlines()
     assert lines[0].startswith("seed,pure_steady")
     assert len(lines) == 3
 
@@ -181,5 +217,5 @@ def test_compare_seeds_alone_name_every_seed(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    lines = open(os.path.join(out, "compare.csv")).read().splitlines()
+    lines = Path(out, "compare.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]

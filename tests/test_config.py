@@ -1,10 +1,13 @@
 """Scenario parsing: units, defaults, strict key checking."""
 
+import configparser
 from dataclasses import replace
 
 import pytest
 
+from saloha import config as config_module
 from saloha.config import (
+    DEFAULT_SCENARIO,
     ConfigError,
     config_digest,
     load_scenario,
@@ -16,8 +19,62 @@ from saloha.config import (
     parse_range,
     pure_baseline,
 )
-from saloha.engine import SimConfigError
+from saloha.engine import Engine, SimConfigError
 from saloha.timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC
+
+_RADIO_NON_DEFAULT = {
+    "spreading_factor": "8",
+    "bandwidth": "250 kHz",
+    "coding_rate": "4/6",
+    "preamble_symbols": "8",
+    "payload_bytes": "20",
+    "explicit_header": "false",
+    "crc": "false",
+    "low_data_rate_optimize": "true",
+}
+#: A valid value other than the default for every key of DEFAULT_SCENARIO.
+NON_DEFAULT = {
+    "scenario": {
+        "n_nodes": "5",
+        "app_period": "40 s",
+        "jitter": "1 s",
+        "n_channels": "2",
+        "channel_selection": "round-robin",
+        "drift_ppm": "10 .. 40",
+        "initial_offset": "2 s",
+        "confirmed_uplinks": "on-demand",
+        "duty_cycle_cap": "2 %",
+        "dc_window": "30 min",
+        "duration": "2 d",
+        "warmup": "2 h",
+    },
+    "uplink": _RADIO_NON_DEFAULT,
+    "ack": _RADIO_NON_DEFAULT,
+    "mac": {
+        "policy": "pure",
+        "rx1_delay": "2 s",
+        "guard": "200 ms",
+        "slot_rounding": "50 ms",
+        "max_phase_slots": "4",
+    },
+    "sync": {
+        "drift_bound_ppm": "100",
+        "residual_mean": "5 ms",
+        "residual_std": "1 ms",
+        "residual_max": "12 ms",
+        "timestamp_error_max": "10 us",
+    },
+}
+
+
+_parser = configparser.ConfigParser(interpolation=None)
+_parser.read_string(DEFAULT_SCENARIO)
+#: Every (section, key, default value) written in DEFAULT_SCENARIO.
+DEFAULT_PAIRS = [
+    (section, key, value)
+    for section in _parser.sections()
+    for key, value in _parser[section].items()
+]
 
 
 class TestParsers:
@@ -159,3 +216,37 @@ class TestLoadScenario:
         assert a == b
         assert a != c
         assert len(a) == 16
+
+    @pytest.mark.parametrize(
+        "section,key,default",
+        DEFAULT_PAIRS,
+        ids=[f"{sec}.{key}" for sec, key, _ in DEFAULT_PAIRS],
+    )
+    def test_no_key_is_accepted_and_ignored(self, section, key, default):
+        value = NON_DEFAULT[section][key]
+        assert value != default
+        cfg = load_scenario(f"[{section}]\n{key} = {value}\n", seed=1)
+        assert cfg != load_scenario("", seed=1)
+
+    def test_accepted_keys_are_the_default_keys_plus_seed(self):
+        defaults = {}
+        for section, key, _ in DEFAULT_PAIRS:
+            defaults.setdefault(section, set()).add(key)
+        assert defaults == {sec: set(keys) for sec, keys in NON_DEFAULT.items()}
+        defaults["scenario"].add("seed")
+        assert config_module._SECTIONS == defaults
+        assert load_scenario("[scenario]\nseed = 2\n").seed == 2
+        with pytest.raises(ConfigError, match="unknown key 'seed' in \\[mac\\]"):
+            load_scenario("[mac]\nseed = 2\n")
+
+    @pytest.mark.parametrize("text", ["400 .. 600", "20 .. inf", "nan .. 80"])
+    def test_drift_range_beyond_the_clock_limit_is_rejected(self, text):
+        # 400 .. 600 used to pass or fail by the drifts each seed drew.
+        with pytest.raises(SimConfigError, match="drift_ppm_range"):
+            load_scenario(f"[scenario]\ndrift_ppm = {text}\n", seed=1)
+
+    def test_drift_range_up_to_the_clock_limit_is_kept(self):
+        text = f"[scenario]\ndrift_ppm = 400 .. {MAX_ABS_DRIFT_PPM}\n"
+        cfg = load_scenario(text, seed=1)
+        assert cfg.drift_ppm_range == (400.0, MAX_ABS_DRIFT_PPM)
+        Engine(cfg)  # every node's clock accepts its drawn drift

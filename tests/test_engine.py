@@ -63,20 +63,16 @@ ACK = RadioProfile(
 )
 
 
+PURE_SCENARIO = (
+    "[scenario]\nn_nodes = 1\nn_channels = 1\nconfirmed_uplinks = none\n"
+    "duration = 1 h\nwarmup = 0 s\n[mac]\npolicy = pure\n"
+)
+
+
 def pure_config(**overrides) -> ScenarioConfig:
-    base = dict(
-        n_nodes=1,
-        app_period=30 * NS_PER_SEC,
-        uplink_profile=UPLINK,
-        ack_profile=ACK,
-        policy=MacPolicy("pure"),
-        duration=3600 * NS_PER_SEC,
-        seed=1,
-        confirmed_mode="none",
-        warmup=0,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    """One unconfirmed pure-ALOHA node for an hour, on one channel and
+    otherwise the scenario defaults; ``overrides`` are not validated."""
+    return replace(load_scenario(PURE_SCENARIO, seed=1), **overrides)
 
 
 class TestChannelArbitrate:
@@ -328,16 +324,10 @@ class TestSlottedRun:
 
     def test_validation_rejects_unconfirmable_slotted(self):
         plan = plan_slot(UPLINK, ACK, NS_PER_SEC, 400 * NS_PER_MS)
-        with pytest.raises(SimConfigError):
-            ScenarioConfig(
-                n_nodes=1,
-                app_period=30 * NS_PER_SEC,
-                uplink_profile=UPLINK,
-                ack_profile=ACK,
+        with pytest.raises(SimConfigError, match="confirmed uplinks"):
+            pure_config(
                 policy=MacPolicy("slotted", plan=plan, backoff=BackoffPolicy()),
                 duration=NS_PER_SEC,
-                seed=1,
-                confirmed_mode="none",
             ).validate()
 
     def test_validation_collects_problems(self):
