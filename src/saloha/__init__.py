@@ -17,11 +17,10 @@ from .engine import (
 from .mac import BackoffPolicy, MacPolicy, SlotPlan, plan_slot, required_guard
 from .phy import RadioProfile, duty_cycle, min_period_for_dc, symbol_time, time_on_air
 from .sync import SyncAck, SyncState
-from .timebase import ClockModel, drift_error, local_now
+from .timebase import drift_error
 
 __all__ = [
     "BackoffPolicy",
-    "ClockModel",
     "Engine",
     "MacPolicy",
     "Metrics",
@@ -35,7 +34,6 @@ __all__ = [
     "drift_error",
     "duty_cycle",
     "enforce_duty_cycle",
-    "local_now",
     "min_period_for_dc",
     "plan_slot",
     "required_guard",

@@ -8,7 +8,6 @@ I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -16,6 +15,7 @@ from typing import Optional, Sequence
 
 from . import report
 from .config import (
+    ConfigError,
     load_scenario,
     load_scenario_file,
     parse_bandwidth,
@@ -116,8 +116,17 @@ def _load_config(ns: argparse.Namespace, policy: Optional[str] = None) -> Scenar
         policy=policy,
     )
     if ns.config:
-        return load_scenario_file(ns.config, **overrides)
-    return load_scenario("", **overrides)
+        config = load_scenario_file(ns.config, **overrides)
+    else:
+        config = load_scenario("", **overrides)
+    # The engine accepts such a run, but its steady-state figures would
+    # come from no uplinks at all.
+    if config.warmup >= config.duration:
+        raise ConfigError(
+            f"warmup ({config.warmup} ns) must end before the run does "
+            f"(duration {config.duration} ns)"
+        )
+    return config
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
@@ -169,8 +178,7 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
         for seed, pm, sm, ratio in rows:
             fh.write(
                 f"{seed},{pm.steady_state_collision_probability!r},"
-                f"{sm.steady_state_collision_probability!r},"
-                f"{'inf' if math.isinf(ratio) else repr(ratio)}\n"
+                f"{sm.steady_state_collision_probability!r},{ratio!r}\n"
             )
     print(f"wrote {path}")
     return EXIT_OK

@@ -11,8 +11,9 @@ by a sequence counter, every node owns an RNG stream derived from
 
 Clock map: each node keeps ``base = initial_offset + corrections`` and
 its drift as an exact integer ratio; ``Engine._local_at`` and
-``Engine._true_at`` are the only true<->local conversions, and they
-reproduce ``timebase.local_now``/``local_to_true`` exactly.  Every
+``Engine._true_at`` are the only true<->local conversions.  The tests
+check them against ``local = base + t * (1 + ppm * 1e-6)`` and its
+inverse, evaluated as exact fractions (``tests/oracles.py``).  Every
 division in them, in the drift bound and in the gateway's microsecond
 quantization rounds half away from zero by one rule: with
 ``q, r = divmod(x, den)``, the result is ``q + 1`` when
@@ -35,15 +36,17 @@ duty cycle defers it.
 from __future__ import annotations
 
 import random
-from collections import deque
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Iterable, Optional
 
 from .mac import MacPolicy, slot_start
 from .phy import RadioProfile, time_on_air
 from .sync import MAX_RESIDUAL_ERROR_NS, MAX_TIMESTAMP_ERROR_NS, SyncError
-from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC, NS_PER_US, ClockModel
+from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC, NS_PER_US
 
 # The engine fuses these into its own clock map and drift bound and no
 # longer calls them; the names stay importable from here, so a tracer
@@ -132,6 +135,12 @@ class ScenarioConfig:
             )
         if not 0 < self.residual_max <= MAX_RESIDUAL_ERROR_NS:
             problems.append("residual_max must be in (0, 15 ms]")
+        # Checked here, or the engine's clamp would silently turn every
+        # drawn residual into residual_max (or 0).
+        if not 0 <= self.residual_mean <= self.residual_max:
+            problems.append("residual_mean must be in [0, residual_max]")
+        if self.residual_std < 0:
+            problems.append("residual_std must be non-negative")
         if not 0 <= self.timestamp_error_max_us * 1000 < MAX_TIMESTAMP_ERROR_NS:
             problems.append("timestamp_error_max_us must be in [0, 20)")
         if self.capture_effect:
@@ -186,7 +195,6 @@ def enforce_duty_cycle(
 
 class _Node:
     __slots__ = (
-        "clock",
         "base",
         "drift_num",
         "drift_den",
@@ -209,11 +217,14 @@ class _Node:
         "max_mis_post_sync",
     )
 
-    def __init__(self, clock: ClockModel) -> None:
-        self.clock = clock
-        self.base = clock.initial_offset  # plus the corrections applied so far
-        self.drift_num, self.drift_den = clock.drift_ratio
-        self.inv_den = self.drift_den + self.drift_num
+    def __init__(self, drift_ppm: float, offset: int) -> None:
+        self.base = offset  # plus the corrections applied so far
+        # Exact integer ratio of the ppm value, scaled so that the drift
+        # over `t` is t * drift_num / drift_den with drift_den > 0.
+        num, den = float(drift_ppm).as_integer_ratio()
+        self.drift_num = num
+        self.drift_den = den * 1_000_000
+        self.inv_den = self.drift_den + num
         self.phase = 0
         self.synced = False
         self.last_sync_local = 0
@@ -339,7 +350,7 @@ class Engine:
             if cfg.initial_offset_max > 0
             else 0
         )
-        nd = _Node(ClockModel(drift_ppm=sign * magnitude, initial_offset=offset))
+        nd = _Node(sign * magnitude, offset)
         nd.rng = rng
         phase_true = nd.rng.randint(0, cfg.app_period - 1)
         nd.next_ready_local = self._local_at(nd, phase_true)
@@ -503,21 +514,12 @@ class Engine:
             channel = nd.rng.randrange(self._n_channels)
 
         rec = len(trace.node_id)
-        active = self._active[channel]
-        if active:
-            live = [e for e in active if e[0] > now]
-            if live:
-                for _end, idx in live:
-                    trace.collided[idx] = 1
-                live.append((end, rec))
-                self._active[channel] = live
-                collided = 1
-            else:
-                self._active[channel] = [(end, rec)]
-                collided = 0
-        else:
-            active.append((end, rec))
-            collided = 0
+        live = [e for e in self._active[channel] if e[0] > now]
+        collided = 1 if live else 0
+        for _end, idx in live:
+            trace.collided[idx] = 1
+        live.append((end, rec))
+        self._active[channel] = live
 
         trace.node_id.append(node_id)
         trace.true_start.append(now)
@@ -600,21 +602,15 @@ class Engine:
         cfg = self.config
         trace = self.trace
         n = len(trace)
-        conflicts = sum(trace.collided)
-        per_node = [[0, 0] for _ in range(cfg.n_nodes)]
-        steady_n = steady_c = 0
-        success_airtime = 0
-        warmup = cfg.warmup
-        for i in range(n):
-            node = trace.node_id[i]
-            hit = trace.collided[i]
-            per_node[node][0] += 1
-            per_node[node][1] += hit
-            if trace.true_start[i] >= warmup:
-                steady_n += 1
-                steady_c += hit
-            if not hit:
-                success_airtime += trace.duration[i]
+        collided = trace.collided
+        conflicts = collided.count(1)
+        # Uplinks are logged in start order: the steady ones are a suffix.
+        first_steady = bisect_left(trace.true_start, cfg.warmup)
+        steady_n = n - first_steady
+        steady_c = collided.count(1, first_steady)
+        sent = Counter(trace.node_id)
+        lost = Counter(compress(trace.node_id, collided))
+        success_airtime = sum(trace.duration) - sum(compress(trace.duration, collided))
         return Metrics(
             transmissions=n,
             conflicts=conflicts,
@@ -627,9 +623,9 @@ class Engine:
             else 0.0,
             warmup_transmissions=n - steady_n,
             warmup_conflicts=conflicts - steady_c,
-            warmup_ns=warmup,
+            warmup_ns=cfg.warmup,
             duration_ns=cfg.duration,
-            per_node=[tuple(x) for x in per_node],
+            per_node=[(sent[i], lost[i]) for i in range(cfg.n_nodes)],
         )
 
 

@@ -54,7 +54,7 @@ class SyncState:
 @dataclass(frozen=True)
 class SyncAck:
     """Gateway timestamp carried in the ACK: 8 bytes, little-endian,
-    unsigned microseconds since the gateway epoch."""
+    unsigned microseconds of gateway (true) time since the run began."""
 
     gateway_timestamp_us: int
 

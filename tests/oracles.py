@@ -4,9 +4,32 @@ They restate a rule from its definition, with none of the engine's
 incremental bookkeeping, and exist only for the tests.
 """
 
+import math
+from fractions import Fraction
 from typing import Optional
 
-from saloha.engine import SimConfigError
+from saloha.engine import Metrics, SimConfigError, Trace
+
+
+def _round_half_away(x: Fraction) -> int:
+    q = math.floor(abs(x) + Fraction(1, 2))
+    return q if x >= 0 else -q
+
+
+def local_now(ppm: float, base: int, t: int) -> int:
+    """Node RTC reading at true instant ``t``.
+
+    ``base`` is the initial offset plus the corrections applied so far;
+    the drift term ``t * ppm * 1e-6`` is evaluated exactly and rounded
+    half away from zero.
+    """
+    return base + t + _round_half_away(t * Fraction(ppm) / 1_000_000)
+
+
+def local_to_true(ppm: float, base: int, local: int) -> int:
+    """True instant at which the RTC reads ``local``: the exact inverse
+    ``(local - base) / (1 + ppm * 1e-6)``, rounded half away from zero."""
+    return _round_half_away((local - base) / (1 + Fraction(ppm) / 1_000_000))
 
 
 def channel_arbitrate(transmissions: list[tuple[int, int, int]]) -> list[bool]:
@@ -74,3 +97,37 @@ def enforce_duty_cycle_oracle(
             return edge + window - duration
         excess -= avail
     raise AssertionError("unreachable: budget check bounds the walk")
+
+
+def metrics_oracle(trace: Trace, n_nodes: int, warmup: int, duration: int) -> Metrics:
+    """Run summary folded one uplink at a time; the steady window is
+    every uplink that starts at or after ``warmup``."""
+    n = len(trace)
+    conflicts = sum(trace.collided)
+    per_node = [[0, 0] for _ in range(n_nodes)]
+    steady_n = steady_c = 0
+    success_airtime = 0
+    for i in range(n):
+        node = trace.node_id[i]
+        hit = trace.collided[i]
+        per_node[node][0] += 1
+        per_node[node][1] += hit
+        if trace.true_start[i] >= warmup:
+            steady_n += 1
+            steady_c += hit
+        if not hit:
+            success_airtime += trace.duration[i]
+    return Metrics(
+        transmissions=n,
+        conflicts=conflicts,
+        collision_probability=(conflicts / n) if n else 0.0,
+        throughput_fraction=success_airtime / duration,
+        steady_transmissions=steady_n,
+        steady_conflicts=steady_c,
+        steady_state_collision_probability=(steady_c / steady_n) if steady_n else 0.0,
+        warmup_transmissions=n - steady_n,
+        warmup_conflicts=conflicts - steady_c,
+        warmup_ns=warmup,
+        duration_ns=duration,
+        per_node=[tuple(x) for x in per_node],
+    )

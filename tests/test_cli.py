@@ -4,6 +4,8 @@ import filecmp
 import os
 from pathlib import Path
 
+import pytest
+
 from saloha.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from saloha.phy import RadioProfile, time_on_air
 
@@ -127,6 +129,43 @@ def test_drift_range_beyond_the_clock_limit_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "drift_ppm_range" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_residual_mean_beyond_the_clamp_is_config_error(tmp_path, capsys):
+    # Used to exit 0, with every drawn residual clamped to residual_max.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[sync]\nresidual_mean = 1 h\n")
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "1",
+            "--duration", "60 s",
+            "--warmup", "0 s",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "residual_mean" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_warmup_not_before_the_end_is_config_error(tmp_path, capsys, command):
+    # Used to exit 0 and print steady-state figures from no uplinks.
+    out = tmp_path / "o"
+    code = main(
+        [
+            command,
+            "--seed", "1",
+            "--duration", "10 min",
+            "--warmup", "1 h",
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "warmup" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_drift_curve_non_finite_ppm_is_config_error(tmp_path, capsys):

@@ -190,6 +190,32 @@ class TestLoadScenario:
         cfg = load_scenario(f"[sync]\ndrift_bound_ppm = {value}\n", seed=1)
         assert cfg.drift_bound_ppm == value
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "residual_mean = 1 h",
+            "residual_mean = 16 ms",
+            "residual_mean = 5 ms\nresidual_max = 4 ms",
+        ],
+        ids=["1 h", "over the default max", "over a lowered max"],
+    )
+    def test_residual_mean_beyond_the_clamp_is_rejected(self, text):
+        # 1 h used to run, with every drawn residual clamped to residual_max.
+        with pytest.raises(SimConfigError, match="residual_mean"):
+            load_scenario(f"[sync]\n{text}\n", seed=1)
+
+    @pytest.mark.parametrize("field", ["residual_mean", "residual_std"])
+    def test_negative_residual_parameters_are_rejected(self, field):
+        cfg = replace(load_scenario("", seed=1), **{field: -1})
+        with pytest.raises(SimConfigError, match=field):
+            cfg.validate()
+
+    def test_residual_mean_at_the_clamp_is_kept(self):
+        text = "[sync]\nresidual_mean = 12 ms\nresidual_std = 0 ms\nresidual_max = 12 ms\n"
+        cfg = load_scenario(text, seed=1)
+        assert cfg.residual_mean == cfg.residual_max == 12 * 10**6
+        assert cfg.residual_std == 0
+
     def test_auto_phase_slots_fill_the_period(self):
         # 30 s period over 1.7 s slots: 17 whole slots.
         assert load_scenario("", seed=1).policy.backoff.max_phase_slots == 17

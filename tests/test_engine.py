@@ -1,7 +1,7 @@
 """Event engine: collision semantics, duty enforcement, determinism,
 whole-run invariants against independent trace checks, and the
-engine's fused clock and sync arithmetic against the library oracles in
-``timebase`` and ``sync``."""
+engine's fused clock and sync arithmetic against the oracles in
+``oracles`` and ``sync``."""
 
 import math
 from collections import deque
@@ -37,14 +37,17 @@ from saloha.timebase import (
     NS_PER_MS,
     NS_PER_SEC,
     NS_PER_US,
-    ClockModel,
     drift_error,
-    local_now,
-    local_to_true,
     round_half_away_div,
 )
 
-from oracles import channel_arbitrate, enforce_duty_cycle_oracle
+from oracles import (
+    channel_arbitrate,
+    enforce_duty_cycle_oracle,
+    local_now,
+    local_to_true,
+    metrics_oracle,
+)
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 UPLINK = RadioProfile(
@@ -398,6 +401,9 @@ class TestWholeRunOracle:
             list(zip(trace.true_start, trace.duration, trace.channel))
         )
         assert [bool(c) for c in trace.collided] == expected
+        # The metrics fold relies on the log being in start order.
+        assert all(a <= b for a, b in zip(trace.true_start, trace.true_start[1:]))
+        assert metrics == metrics_oracle(trace, cfg.n_nodes, cfg.warmup, cfg.duration)
         cap, window = cfg.duty_cycle_cap, cfg.dc_window
         assert scan_duty_cycle(trace, cfg.n_nodes, cap, window) == []
         for i in range(n):
@@ -413,38 +419,46 @@ OFFSET = st.integers(-10 * NS_PER_SEC, 10 * NS_PER_SEC)
 
 
 def clock_node(ppm: float, offset: int, corrections: int) -> _Node:
-    nd = _Node(ClockModel(drift_ppm=ppm, initial_offset=offset))
+    nd = _Node(ppm, offset)
     nd.base += corrections
     return nd
 
 
 class TestClockMapOracle:
-    """``Engine._local_at``/``_true_at`` against ``timebase``."""
+    """``Engine._local_at``/``_true_at`` against the exact-fraction
+    clock map in ``oracles``."""
 
     @given(PPM, OFFSET, OFFSET, st.integers(0, 30 * DAY))
+    # 500 ppm over 1000 ns is a drift of exactly +-0.5 ns.
+    @example(500.0, 0, 0, 1000)
+    @example(-500.0, 0, 0, 1000)
     @settings(max_examples=500)
     def test_local_at_equals_local_now(self, ppm, offset, corrections, t):
         nd = clock_node(ppm, offset, corrections)
-        assert Engine._local_at(nd, t) == local_now(nd.clock, corrections, t)
+        assert Engine._local_at(nd, t) == local_now(ppm, offset + corrections, t)
 
     @given(PPM, OFFSET, OFFSET, st.integers(0, 31 * DAY))
     @settings(max_examples=500)
     def test_true_at_equals_local_to_true(self, ppm, offset, corrections, elapsed):
         nd = clock_node(ppm, offset, corrections)
-        local = offset + corrections + elapsed
-        assert Engine._true_at(nd, local) == local_to_true(nd.clock, corrections, local)
+        base = offset + corrections
+        local = base + elapsed
+        assert Engine._true_at(nd, local) == local_to_true(ppm, base, local)
 
     @given(PPM, OFFSET, st.integers(-30 * DAY, 30 * DAY))
+    @example(500.0, 0, -1000)
+    @example(-500.0, 0, -1000)
+    # At 64 ppm the inverse slope is 15625/15626: 7813 local ns map to
+    # exactly 7812.5 true ns.
+    @example(64.0, 0, 7813)
+    @example(64.0, 0, -7813)
     @settings(max_examples=500)
     def test_rounding_matches_for_both_signs(self, ppm, offset, x):
         # Negative instants never occur in a run; they reach the other
         # sign of the rounded numerator.
         nd = clock_node(ppm, offset, 0)
-        num, den = nd.clock.drift_ratio
-        assert Engine._local_at(nd, x) == offset + x + round_half_away_div(x * num, den)
-        assert Engine._true_at(nd, offset + x) == round_half_away_div(
-            x * den, den + num
-        )
+        assert Engine._local_at(nd, x) == local_now(ppm, offset, x)
+        assert Engine._true_at(nd, offset + x) == local_to_true(ppm, offset, offset + x)
 
     @pytest.mark.parametrize("num,den", [(1, 2), (-1, 2), (3, 4), (-3, 4), (1, 3), (5, 10)])
     def test_rounding_ties_go_away_from_zero(self, num, den):

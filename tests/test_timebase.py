@@ -1,18 +1,16 @@
-"""Clock arithmetic: exactness, inversion, monotonicity."""
+"""Clock arithmetic: exactness, inversion, monotonicity.  The clock
+map under test is the engine's, ``Engine._local_at``/``_true_at``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saloha.engine import Engine, _Node
 from saloha.timebase import (
-    MAX_ABS_DRIFT_PPM,
     NS_PER_MS,
     NS_PER_SEC,
-    ClockModel,
     TimebaseError,
     drift_error,
-    local_now,
-    local_to_true,
     round_half_away_div,
 )
 
@@ -41,30 +39,17 @@ class TestRoundHalfAwayDiv:
 
 class TestClockModel:
     def test_zero_drift_is_identity_plus_offset(self):
-        clock = ClockModel(drift_ppm=0.0, initial_offset=123)
-        assert local_now(clock, 0, 10**12) == 10**12 + 123
-
-    def test_drift_sanity_bound(self):
-        with pytest.raises(TimebaseError):
-            ClockModel(drift_ppm=MAX_ABS_DRIFT_PPM + 1)
-        ClockModel(drift_ppm=MAX_ABS_DRIFT_PPM)  # boundary is allowed
+        assert Engine._local_at(_Node(0.0, 123), 10**12) == 10**12 + 123
 
     def test_drift_ratio_reconstructs_ppm(self):
-        clock = ClockModel(drift_ppm=42.7)
-        num, den = clock.drift_ratio
-        assert num / den == pytest.approx(42.7e-6, rel=0, abs=1e-18)
+        nd = _Node(42.7, 0)
+        assert nd.drift_num / nd.drift_den == pytest.approx(42.7e-6, rel=0, abs=1e-18)
 
     def test_eighty_ppm_forty_minutes(self):
         # 80 ppm over 40 min accrues 192 ms.
         elapsed = 40 * 60 * NS_PER_SEC
-        clock = ClockModel(drift_ppm=80.0)
-        assert local_now(clock, 0, elapsed) - elapsed == 192 * NS_PER_MS
+        assert Engine._local_at(_Node(80.0, 0), elapsed) - elapsed == 192 * NS_PER_MS
         assert drift_error(80.0, elapsed) == 192 * NS_PER_MS
-
-    def test_epoch_precondition(self):
-        clock = ClockModel(epoch=100)
-        with pytest.raises(TimebaseError):
-            local_now(clock, 0, 99)
 
 
 class TestInversion:
@@ -75,9 +60,8 @@ class TestInversion:
     )
     @settings(max_examples=300)
     def test_roundtrip_within_one_ns(self, ppm, offset, t):
-        clock = ClockModel(drift_ppm=ppm, initial_offset=offset)
-        local = local_now(clock, 0, t)
-        back = local_to_true(clock, 0, local)
+        nd = _Node(ppm, offset)
+        back = Engine._true_at(nd, Engine._local_at(nd, t))
         assert abs(back - t) <= 1
 
     @given(
@@ -89,13 +73,13 @@ class TestInversion:
     def test_local_now_strictly_increases_for_two_ns_steps(self, ppm, t, step):
         # With negative drift two distinct true instants 1 ns apart can
         # map to the same RTC reading; from 2 ns on the order is strict.
-        clock = ClockModel(drift_ppm=ppm)
-        assert local_now(clock, 0, t + step) > local_now(clock, 0, t)
+        nd = _Node(ppm, 0)
+        assert Engine._local_at(nd, t + step) > Engine._local_at(nd, t)
 
     @given(st.floats(-200.0, 200.0, allow_nan=False), st.integers(0, 86400 * NS_PER_SEC))
     def test_local_now_never_decreases(self, ppm, t):
-        clock = ClockModel(drift_ppm=ppm)
-        assert local_now(clock, 0, t + 1) >= local_now(clock, 0, t)
+        nd = _Node(ppm, 0)
+        assert Engine._local_at(nd, t + 1) >= Engine._local_at(nd, t)
 
 
 class TestDriftError:
