@@ -10,6 +10,8 @@ a reuse of the enforcement path.
 from __future__ import annotations
 
 import math
+from collections import deque
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import config_digest
@@ -29,12 +31,16 @@ def emit_conflict_series(trace: Trace, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("index,node_id,true_start_ns,slot_index,channel,conflict\n")
-            for i in range(len(trace)):
-                slot = trace.slot_index[i]
+            rows = zip(
+                trace.node_id,
+                trace.true_start,
+                trace.slot_index,
+                trace.channel,
+                trace.collided,
+            )
+            for i, (node, start, slot, channel, hit) in enumerate(rows):
                 fh.write(
-                    f"{i},{trace.node_id[i]},{trace.true_start[i]},"
-                    f"{'' if slot < 0 else slot},{trace.channel[i]},"
-                    f"{trace.collided[i]}\n"
+                    f"{i},{node},{start},{'' if slot < 0 else slot},{channel},{hit}\n"
                 )
     except OSError as exc:
         raise ReportError(f"cannot write conflict series to {path}: {exc}") from exc
@@ -86,33 +92,49 @@ def scan_duty_cycle(
 ) -> list[tuple[int, int, float]]:
     """Post-hoc sliding-window duty-cycle audit.
 
-    Returns (node_id, window_end_ns, fraction) for every violation; an
-    empty list means every node stayed within the cap in every window.
-    The maximum over all window placements is attained with the window
-    ending at a transmission end, so those anchors suffice.
+    Returns (node_id, window_end_ns, fraction) for every violation,
+    grouped by node and in start order within a node; an empty list
+    means every node stayed within the cap in every window.  The maximum
+    over all window placements is attained with the window ending at a
+    transmission end, so those anchors suffice.
+
+    One pass over the trace columns: each node keeps only the entries
+    still inside its window.  A node's uplinks must appear in
+    (start, duration) order, as the engine writes them.
     """
-    by_node: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for i in range(len(trace)):
-        by_node[trace.node_id[i]].append((trace.true_start[i], trace.duration[i]))
+    if window <= 0:
+        raise ValueError(f"duty-cycle window must be positive, got {window}")
+    if len(trace) and (min(trace.node_id) < 0 or max(trace.node_id) >= n_nodes):
+        raise ValueError(f"trace has a node_id outside [0, {n_nodes})")
+    in_window: list[deque[tuple[int, int]]] = [deque() for _ in range(n_nodes)]
+    running = [0] * n_nodes
     violations = []
-    for node, txs in enumerate(by_node):
-        txs.sort()
-        lo = 0
-        running = 0
-        for start, dur in txs:
-            end = start + dur
-            running += dur
-            win_start = end - window
-            while lo < len(txs) and txs[lo][0] + txs[lo][1] <= win_start:
-                running -= txs[lo][1]
-                lo += 1
-            # subtract the clipped part of the oldest partially-covered entry
-            airtime = running
-            if lo < len(txs) and txs[lo][0] < win_start:
-                airtime -= win_start - txs[lo][0]
-            fraction = airtime / window
-            if fraction > cap:
-                violations.append((node, end, fraction))
+    for node, start, dur in zip(trace.node_id, trace.true_start, trace.duration):
+        txs = in_window[node]
+        entry = (start, dur)
+        # The newest entry never leaves its own window, so txs[-1] is
+        # always this node's previous uplink.
+        if txs and entry < txs[-1]:
+            raise ValueError(
+                f"node {node}: uplink {entry} precedes {txs[-1]} in the trace"
+            )
+        txs.append(entry)
+        airtime = running[node] + dur
+        end = start + dur
+        win_start = end - window
+        head_start, head_dur = txs[0]
+        while head_start + head_dur <= win_start:
+            airtime -= head_dur
+            txs.popleft()
+            head_start, head_dur = txs[0]
+        running[node] = airtime
+        # subtract the clipped part of the oldest partially-covered entry
+        if head_start < win_start:
+            airtime -= win_start - head_start
+        fraction = airtime / window
+        if fraction > cap:
+            violations.append((node, end, fraction))
+    violations.sort(key=itemgetter(0))
     return violations
 
 

@@ -131,3 +131,34 @@ def metrics_oracle(trace: Trace, n_nodes: int, warmup: int, duration: int) -> Me
         duration_ns=duration,
         per_node=[tuple(x) for x in per_node],
     )
+
+
+def scan_duty_cycle_oracle(
+    trace: Trace, n_nodes: int, cap: float, window: int
+) -> list[tuple[int, int, float]]:
+    """Sliding-window duty-cycle audit over per-node copies of the
+    trace, each sorted by (start, duration); violations are
+    (node_id, window_end_ns, fraction), grouped by node."""
+    by_node: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for i in range(len(trace)):
+        by_node[trace.node_id[i]].append((trace.true_start[i], trace.duration[i]))
+    violations = []
+    for node, txs in enumerate(by_node):
+        txs.sort()
+        lo = 0
+        running = 0
+        for start, dur in txs:
+            end = start + dur
+            running += dur
+            win_start = end - window
+            while lo < len(txs) and txs[lo][0] + txs[lo][1] <= win_start:
+                running -= txs[lo][1]
+                lo += 1
+            # subtract the clipped part of the oldest partially-covered entry
+            airtime = running
+            if lo < len(txs) and txs[lo][0] < win_start:
+                airtime -= win_start - txs[lo][0]
+            fraction = airtime / window
+            if fraction > cap:
+                violations.append((node, end, fraction))
+    return violations

@@ -47,6 +47,7 @@ from oracles import (
     local_now,
     local_to_true,
     metrics_oracle,
+    scan_duty_cycle_oracle,
 )
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
@@ -405,7 +406,9 @@ class TestWholeRunOracle:
         assert all(a <= b for a, b in zip(trace.true_start, trace.true_start[1:]))
         assert metrics == metrics_oracle(trace, cfg.n_nodes, cfg.warmup, cfg.duration)
         cap, window = cfg.duty_cycle_cap, cfg.dc_window
-        assert scan_duty_cycle(trace, cfg.n_nodes, cap, window) == []
+        violations = scan_duty_cycle(trace, cfg.n_nodes, cap, window)
+        assert violations == []
+        assert violations == scan_duty_cycle_oracle(trace, cfg.n_nodes, cap, window)
         for i in range(n):
             if trace.acked[i]:
                 assert trace.confirmed[i] and not trace.collided[i]

@@ -1,8 +1,11 @@
 """Reporting: independent duty-cycle audit, ratios, CSV emitters."""
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saloha.engine import Engine, Metrics, Trace
 from saloha.report import (
@@ -13,6 +16,8 @@ from saloha.report import (
 )
 from saloha.config import load_scenario
 from saloha.timebase import NS_PER_SEC
+
+from oracles import scan_duty_cycle_oracle
 
 
 def synthetic_trace(entries):
@@ -56,6 +61,88 @@ class TestScanDutyCycle:
         entries += [(1, i * 200 * NS_PER_SEC + 50, 2 * NS_PER_SEC, 0) for i in range(5)]
         violations = scan_duty_cycle(synthetic_trace(entries), 2, 0.01, self.WINDOW)
         assert violations and all(node == 0 for node, _, _ in violations)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rejects_non_positive_window(self, window):
+        trace = synthetic_trace([(0, 0, 5, 0)])
+        with pytest.raises(ValueError, match="window"):
+            scan_duty_cycle(trace, 1, 0.01, window)
+
+    @pytest.mark.parametrize("node", [-1, 2])
+    def test_rejects_node_outside_range(self, node):
+        trace = synthetic_trace([(0, 0, 5, 0), (node, 10, 5, 0)])
+        with pytest.raises(ValueError, match="node_id"):
+            scan_duty_cycle(trace, 2, 0.01, self.WINDOW)
+
+    @pytest.mark.parametrize("second", [(50, 5), (100, 4)])
+    def test_rejects_uplinks_out_of_order(self, second):
+        entries = [(0, 100, 5, 0), (1, 60, 5, 0), (0, *second, 0)]
+        with pytest.raises(ValueError, match="precedes"):
+            scan_duty_cycle(synthetic_trace(entries), 2, 0.01, self.WINDOW)
+
+    def test_memory_bounded_by_window(self):
+        # 4 nodes, a 0.5 s uplink per node every 100 s: 0.5 % of each
+        # hour, so about 36 entries per node are live at once.
+        entries = [
+            (i % 4, (i // 4) * 100 * NS_PER_SEC + i % 4, NS_PER_SEC // 2, 0)
+            for i in range(100_000)
+        ]
+        trace = synthetic_trace(entries)
+        tracemalloc.start()
+        try:
+            violations = scan_duty_cycle(trace, 4, 0.01, self.WINDOW)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert violations == []
+        assert peak < 1_000_000
+
+
+@st.composite
+def audit_cases(draw):
+    """Traces of 1-5 nodes, each node's uplinks in (start, duration)
+    order but interleaved at random across nodes, over a window short
+    enough for own-uplink overlaps, equal starts and violations."""
+    n_nodes = draw(st.integers(1, 5))
+    per_node = [
+        sorted(
+            draw(
+                st.lists(
+                    st.tuples(st.integers(0, 400), st.integers(0, 60)), max_size=15
+                )
+            )
+        )
+        for _ in range(n_nodes)
+    ]
+    order = draw(
+        st.permutations([node for node, txs in enumerate(per_node) for _ in txs])
+    )
+    nexts = [iter(txs) for txs in per_node]
+    entries = [(node, *next(nexts[node]), 0) for node in order]
+    cap = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    window = draw(st.integers(1, 200))
+    return synthetic_trace(entries), n_nodes, cap, window
+
+
+class TestScanDutyCycleOracle:
+    """The streaming audit against the sort-then-scan oracle."""
+
+    @given(audit_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_oracle(self, case):
+        trace, n_nodes, cap, window = case
+        assert scan_duty_cycle(trace, n_nodes, cap, window) == scan_duty_cycle_oracle(
+            trace, n_nodes, cap, window
+        )
+
+    def test_violations_grouped_by_node(self):
+        # Node 0 overlaps itself and repeats a start; node 1's violation
+        # comes between node 0's in the trace but after them in the list.
+        entries = [(0, 0, 30, 0), (1, 5, 15, 0), (0, 0, 40, 0), (0, 20, 5, 0)]
+        trace = synthetic_trace(entries)
+        violations = scan_duty_cycle(trace, 2, 0.1, 100)
+        assert [node for node, _, _ in violations] == [0, 0, 0, 1]
+        assert violations == scan_duty_cycle_oracle(trace, 2, 0.1, 100)
 
 
 class TestRatiosAndSeries:
