@@ -36,6 +36,7 @@ duty cycle defers it.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -55,6 +56,15 @@ from .timebase import drift_error, round_half_away_div  # noqa: F401
 
 #: The ACK carries the gateway timestamp as 8 unsigned bytes of µs.
 _ACK_TIMESTAMP_LIMIT = 1 << 64
+
+#: Every stored instant must fit the trace's ``array('q')`` columns.
+_INT64_LIMIT = 1 << 63
+
+#: Rows the engine buffers in plain lists before packing them into the
+#: trace's ``array('q')`` columns.  A list append is several times
+#: cheaper than an array append of a large int; ``array.fromlist`` then
+#: converts a whole block at once.
+_TRACE_BLOCK = 4096
 
 
 class SimConfigError(ValueError):
@@ -102,6 +112,8 @@ class ScenarioConfig:
             problems.append("duration must be positive")
         if self.jitter < 0:
             problems.append("jitter must be non-negative")
+        if self.initial_offset_max < 0:
+            problems.append("initial_offset_max must be non-negative")
         if self.n_channels < 1:
             problems.append("n_channels must be >= 1")
         if self.channel_selection not in ("fixed", "round-robin", "uniform-random"):
@@ -143,6 +155,18 @@ class ScenarioConfig:
             problems.append("residual_std must be non-negative")
         if not 0 <= self.timestamp_error_max_us * 1000 < MAX_TIMESTAMP_ERROR_NS:
             problems.append("timestamp_error_max_us must be in [0, 20)")
+        # Every instant the trace stores, a node's clock reading included,
+        # must fit int64 even on the fastest clock the drift limit allows.
+        horizon = (
+            self.initial_offset_max + self.duration + self.app_period + self.jitter
+        )
+        ppm_num, ppm_den = MAX_ABS_DRIFT_PPM.as_integer_ratio()
+        scale = ppm_den * 1_000_000
+        if horizon * (scale + ppm_num) >= _INT64_LIMIT * scale:
+            problems.append(
+                "initial_offset_max + duration + app_period + jitter, at the "
+                f"±{MAX_ABS_DRIFT_PPM:g} ppm clock limit, must stay below 2^63 ns"
+            )
         if self.capture_effect:
             problems.append("capture effect modelling is a disabled hook")
         if problems:
@@ -240,21 +264,27 @@ class _Node:
 
 class Trace:
     """Column-oriented transmission log: one entry per uplink in every
-    column, appended in transmission-start order as the run proceeds."""
+    column, in transmission-start order.
+
+    The six int columns are ``array('q')`` and the three flags are
+    ``bytearray``; compare a column with a list through ``list(col)``.
+    During a run the engine packs the int columns in blocks, so they
+    are complete once ``Engine.run`` returns; the flag columns, and so
+    ``len``, are current throughout."""
 
     def __init__(self) -> None:
-        self.node_id: list[int] = []
-        self.true_start: list[int] = []
-        self.local_start: list[int] = []
-        self.slot_index: list[int] = []  # -1 when not applicable
-        self.channel: list[int] = []
-        self.duration: list[int] = []
+        self.node_id = array("q")
+        self.true_start = array("q")
+        self.local_start = array("q")
+        self.slot_index = array("q")  # -1 when not applicable
+        self.channel = array("q")
+        self.duration = array("q")
         self.collided = bytearray()
         self.acked = bytearray()
         self.confirmed = bytearray()
 
     def __len__(self) -> int:
-        return len(self.node_id)
+        return len(self.collided)
 
 
 @dataclass
@@ -333,9 +363,13 @@ class Engine:
         self._dc_window = config.dc_window
         self._duration = config.duration
         self._n_channels = config.n_channels
-        self._active: list[list[tuple[int, int]]] = [
-            [] for _ in range(config.n_channels)
+        # (end, rec) of the uplinks on air, per channel, in end order.
+        self._active: list[deque[tuple[int, int]]] = [
+            deque() for _ in range(config.n_channels)
         ]
+        # Rows not yet packed into the trace's int columns, in the order
+        # node_id, true_start, local_start, slot_index, channel, duration.
+        self._rows: tuple[list[int], ...] = ([], [], [], [], [], [])
         self.nodes = [self._make_node(i) for i in range(config.n_nodes)]
         self._ran = False
 
@@ -414,10 +448,6 @@ class Engine:
 
     # -- scheduling ------------------------------------------------------
 
-    def _push(self, t: int, kind: int, node_id: int) -> None:
-        self._seq += 1
-        heappush(self._heap, (t, self._seq, kind, node_id))
-
     def _wants_ack(self, nd: _Node, tx_local: int) -> bool:
         """Whether the uplink starting at ``tx_local`` requests an ACK."""
         if self._confirm_all:
@@ -478,7 +508,8 @@ class Engine:
             return
         nd.pending_tx_local = tx_local
         nd.pending_use_slots = use_slots
-        self._push(tx_true, self._TX_START, node_id)
+        self._seq += 1
+        heappush(self._heap, (tx_true, self._seq, self._TX_START, node_id))
 
     # -- event handlers --------------------------------------------------
 
@@ -499,7 +530,23 @@ class Engine:
                 on_tx_start(node_id, now)
             else:
                 on_ack_event(node_id, now)
+        self._pack_rows()
         return self.trace, self.metrics()
+
+    def _pack_rows(self) -> None:
+        """Move the buffered rows into the trace's int columns."""
+        t = self.trace
+        columns = (
+            t.node_id,
+            t.true_start,
+            t.local_start,
+            t.slot_index,
+            t.channel,
+            t.duration,
+        )
+        for column, rows in zip(columns, self._rows):
+            column.fromlist(rows)
+            rows.clear()
 
     def _on_tx_start(self, node_id: int, now: int) -> None:
         nd = self.nodes[node_id]
@@ -513,20 +560,28 @@ class Engine:
         if channel < 0:
             channel = nd.rng.randrange(self._n_channels)
 
-        rec = len(trace.node_id)
-        live = [e for e in self._active[channel] if e[0] > now]
-        collided = 1 if live else 0
-        for _end, idx in live:
+        rec = len(trace.collided)
+        # Every uplink lasts _uplink_toa and starts in time order, so
+        # each channel's ends are sorted and the expired ones are a head.
+        active = self._active[channel]
+        while active and active[0][0] <= now:
+            active.popleft()
+        collided = 1 if active else 0
+        for _end, idx in active:
             trace.collided[idx] = 1
-        live.append((end, rec))
-        self._active[channel] = live
+        active.append((end, rec))
 
-        trace.node_id.append(node_id)
-        trace.true_start.append(now)
-        trace.local_start.append(tx_local)
-        trace.slot_index.append((tx_local // self._slot_t) if use_slots else -1)
-        trace.channel.append(channel)
-        trace.duration.append(dur)
+        node_ids, true_starts, local_starts, slot_indices, channels, durations = (
+            self._rows
+        )
+        node_ids.append(node_id)
+        true_starts.append(now)
+        local_starts.append(tx_local)
+        slot_indices.append((tx_local // self._slot_t) if use_slots else -1)
+        channels.append(channel)
+        durations.append(dur)
+        if len(node_ids) >= _TRACE_BLOCK:
+            self._pack_rows()
         trace.collided.append(collided)
         trace.acked.append(0)
         trace.confirmed.append(1 if confirmed else 0)
@@ -538,7 +593,10 @@ class Engine:
 
         if confirmed:
             nd.pending_rec = rec
-            self._push(end + self._ack_lag, self._ACK_EVENT, node_id)
+            self._seq += 1
+            heappush(
+                self._heap, (end + self._ack_lag, self._seq, self._ACK_EVENT, node_id)
+            )
         else:
             self._schedule_next_tx(node_id, nd, now, self._local_at(nd, now))
 

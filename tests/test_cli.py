@@ -8,6 +8,7 @@ import pytest
 
 from saloha.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from saloha.phy import RadioProfile, time_on_air
+from test_config import INT64_HORIZON, int64_edge_scenario
 
 
 def test_airtime_reference_value(capsys):
@@ -148,6 +149,36 @@ def test_residual_mean_beyond_the_clamp_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "residual_mean" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n_nodes = 1\napp_period = 100000 d\nduration = 200000 d",
+        "initial_offset = 200000 d",
+    ],
+    ids=["duration", "initial_offset"],
+)
+def test_instants_beyond_int64_are_config_error(tmp_path, capsys, text):
+    # Used to exit 0 with true_start or local_start above 2^63 - 1.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(f"[scenario]\n{text}\n")
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(scenario), "--seed", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "2^63" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_instants_just_inside_int64_run(tmp_path):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(int64_edge_scenario(INT64_HORIZON))
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(scenario), "--seed", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    starts = [int(row.split(",")[2]) for row in rows]
+    assert starts and max(starts) < 2**63
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -276,3 +276,46 @@ class TestLoadScenario:
         cfg = load_scenario(text, seed=1)
         assert cfg.drift_ppm_range == (400.0, MAX_ABS_DRIFT_PPM)
         Engine(cfg)  # every node's clock accepts its drawn drift
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n_nodes = 1\napp_period = 100000 d\nduration = 200000 d",
+            "initial_offset = 200000 d",
+        ],
+        ids=["duration", "initial_offset"],
+    )
+    def test_instants_beyond_int64_are_rejected(self, text):
+        # Both used to run and write instants above 2^63 - 1 to trace.csv.
+        with pytest.raises(SimConfigError, match="2\\^63"):
+            load_scenario(f"[scenario]\n{text}\n", seed=1)
+
+    def test_negative_initial_offset_is_rejected(self):
+        # Used to validate, and the engine then ran as if it were 0.
+        cfg = replace(load_scenario("", seed=1), initial_offset_max=-1)
+        with pytest.raises(SimConfigError, match="initial_offset_max must be"):
+            cfg.validate()
+
+    def test_instants_just_inside_int64_are_kept(self):
+        text = int64_edge_scenario(INT64_HORIZON)
+        cfg = load_scenario(text, seed=1)
+        horizon = cfg.initial_offset_max + cfg.duration + cfg.app_period + cfg.jitter
+        assert horizon == INT64_HORIZON
+        with pytest.raises(SimConfigError, match="2\\^63"):
+            load_scenario(int64_edge_scenario(INT64_HORIZON + 1), seed=1)
+
+
+#: The largest initial_offset + duration + app_period + jitter that stays
+#: below 2^63 ns on a clock running 500 ppm fast.
+INT64_HORIZON = (2**63 * 10**6 - 1) // (10**6 + 500)
+
+
+def int64_edge_scenario(horizon: int) -> str:
+    """A one-node scenario whose validated horizon is ``horizon`` ns."""
+    app_period = 50_000 * 86_400 * NS_PER_SEC
+    offset = 5 * NS_PER_SEC
+    return (
+        "[scenario]\nn_nodes = 1\njitter = 0 s\n"
+        f"app_period = {app_period} ns\ninitial_offset = {offset} ns\n"
+        f"duration = {horizon - app_period - offset} ns\n"
+    )

@@ -4,6 +4,8 @@ engine's fused clock and sync arithmetic against the oracles in
 ``oracles`` and ``sync``."""
 
 import math
+import tracemalloc
+from array import array
 from collections import deque
 from dataclasses import replace
 
@@ -49,6 +51,7 @@ from oracles import (
     metrics_oracle,
     scan_duty_cycle_oracle,
 )
+from test_golden import GOLDEN, run_digests
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 UPLINK = RadioProfile(
@@ -602,3 +605,58 @@ class TestSyncOracle:
         monkeypatch.setattr(ScenarioConfig, "validate", lambda self: None)
         with pytest.raises(SyncError, match="timestamp error"):
             Engine(cfg).run()
+
+
+INT_COLUMNS = ("node_id", "true_start", "local_start", "slot_index", "channel",
+               "duration")
+FLAG_COLUMNS = ("collided", "acked", "confirmed")
+
+
+def assert_columns_complete(trace) -> None:
+    for name in INT_COLUMNS + FLAG_COLUMNS:
+        assert len(getattr(trace, name)) == len(trace), name
+
+
+class TestCompactTrace:
+    def test_int_columns_are_int64_arrays(self):
+        trace, _ = Engine(pure_config(n_nodes=3)).run()
+        for name in INT_COLUMNS:
+            column = getattr(trace, name)
+            assert isinstance(column, array) and column.typecode == "q", name
+        for name in FLAG_COLUMNS:
+            assert isinstance(getattr(trace, name), bytearray), name
+        assert_columns_complete(trace)
+
+    @pytest.mark.parametrize("block", [1, 3, engine_module._TRACE_BLOCK])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_block_size_leaves_every_golden_digest(self, monkeypatch, name, block):
+        # The trace digest covers every column's length and content.
+        monkeypatch.setattr(engine_module, "_TRACE_BLOCK", block)
+        assert run_digests(name) == GOLDEN[name]
+
+    def test_a_run_ending_on_a_block_boundary_is_complete(self, monkeypatch):
+        cfg = pure_config(n_nodes=3)
+        reference, _ = Engine(cfg).run()
+        assert len(reference) > 0
+        # One full block packed inside the loop, then an empty final pack.
+        monkeypatch.setattr(engine_module, "_TRACE_BLOCK", len(reference))
+        trace, _ = Engine(cfg).run()
+        assert_columns_complete(trace)
+        for name in INT_COLUMNS + FLAG_COLUMNS:
+            assert getattr(trace, name) == getattr(reference, name), name
+
+    def test_a_run_without_uplinks_has_empty_columns(self):
+        trace, metrics = Engine(pure_config(duration=1)).run()
+        assert len(trace) == metrics.transmissions == 0
+        assert_columns_complete(trace)
+
+    def test_trace_costs_at_most_80_bytes_per_uplink(self):
+        # Columns as lists of boxed ints peaked at about 157 B per uplink.
+        cfg = load_scenario("", seed=1, duration=86_400 * NS_PER_SEC)
+        tracemalloc.start()
+        try:
+            trace, _ = Engine(cfg).run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace) <= 80
