@@ -41,8 +41,9 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import compress
-from typing import Iterable, Optional
+from itertools import chain, compress
+from operator import eq
+from typing import Iterable, Iterator, Optional
 
 from .mac import MacPolicy, slot_start
 from .phy import RadioProfile, time_on_air
@@ -57,13 +58,13 @@ from .timebase import drift_error, round_half_away_div  # noqa: F401
 #: The ACK carries the gateway timestamp as 8 unsigned bytes of µs.
 _ACK_TIMESTAMP_LIMIT = 1 << 64
 
-#: Every stored instant must fit the trace's ``array('q')`` columns.
+#: Every stored instant must fit the trace's int64 columns.
 _INT64_LIMIT = 1 << 63
 
-#: Rows the engine buffers in plain lists before packing them into the
-#: trace's ``array('q')`` columns.  A list append is several times
-#: cheaper than an array append of a large int; ``array.fromlist`` then
-#: converts a whole block at once.
+#: Rows per ``array('q')`` block of a trace column.  The engine buffers
+#: this many rows in plain lists, since a list append is several times
+#: cheaper than an array append of a large int, and then packs each
+#: column's rows into one new block.
 _TRACE_BLOCK = 4096
 
 
@@ -262,23 +263,84 @@ class _Node:
         self.max_mis_post_sync = 0
 
 
+class Column:
+    """One int64 trace column: ``array('q')`` blocks of exactly
+    ``block`` rows, of which only the last may be shorter.
+
+    A block is never resized.  A growing run allocates equal blocks one
+    by one instead of reallocating one large buffer, which would leave
+    holes in the heap that stay resident.  Indexing and item assignment
+    take an integer and follow list semantics; there is no slicing."""
+
+    __slots__ = ("block", "blocks")
+
+    def __init__(self) -> None:
+        # Read once, so a column keeps one layout for its whole life.
+        self.block = _TRACE_BLOCK
+        self.blocks: list[array] = []
+
+    def __len__(self) -> int:
+        blocks = self.blocks
+        return (len(blocks) - 1) * self.block + len(blocks[-1]) if blocks else 0
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.blocks)
+
+    def _locate(self, index: int) -> tuple[array, int]:
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("trace column index out of range")
+        b, i = divmod(index, self.block)
+        return self.blocks[b], i
+
+    def __getitem__(self, index: int) -> int:
+        block, i = self._locate(index)
+        return block[i]
+
+    def __setitem__(self, index: int, value: int) -> None:
+        block, i = self._locate(index)
+        block[i] = value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def count(self, value: int) -> int:
+        return sum(block.count(value) for block in self.blocks)
+
+    def extend(self, values: Iterable[int]) -> None:
+        """Append ``values`` as new blocks; a short last block is
+        replaced by a merged one, never resized."""
+        new = array("q", values)
+        blocks, size = self.blocks, self.block
+        if blocks and len(blocks[-1]) < size:
+            new = blocks.pop() + new
+        if 0 < len(new) <= size:
+            blocks.append(new)  # the engine's case: one block, no copy
+        else:
+            blocks.extend(new[i : i + size] for i in range(0, len(new), size))
+
+
 class Trace:
     """Column-oriented transmission log: one entry per uplink in every
     column, in transmission-start order.
 
-    The six int columns are ``array('q')`` and the three flags are
-    ``bytearray``; compare a column with a list through ``list(col)``.
-    During a run the engine packs the int columns in blocks, so they
-    are complete once ``Engine.run`` returns; the flag columns, and so
-    ``len``, are current throughout."""
+    The six int columns are ``Column`` objects of int64 blocks and the
+    three flags are ``bytearray``; compare a column with a list through
+    ``list(col)``.  During a run the engine packs the int columns a
+    block at a time, so they are complete once ``Engine.run`` returns;
+    the flag columns, and so ``len``, are current throughout."""
 
     def __init__(self) -> None:
-        self.node_id = array("q")
-        self.true_start = array("q")
-        self.local_start = array("q")
-        self.slot_index = array("q")  # -1 when not applicable
-        self.channel = array("q")
-        self.duration = array("q")
+        self.node_id = Column()
+        self.true_start = Column()
+        self.local_start = Column()
+        self.slot_index = Column()  # -1 when not applicable
+        self.channel = Column()
+        self.duration = Column()
         self.collided = bytearray()
         self.acked = bytearray()
         self.confirmed = bytearray()
@@ -534,7 +596,8 @@ class Engine:
         return self.trace, self.metrics()
 
     def _pack_rows(self) -> None:
-        """Move the buffered rows into the trace's int columns."""
+        """Move the buffered rows into the trace's int columns: one new
+        block per column."""
         t = self.trace
         columns = (
             t.node_id,
@@ -545,7 +608,7 @@ class Engine:
             t.duration,
         )
         for column, rows in zip(columns, self._rows):
-            column.fromlist(rows)
+            column.extend(rows)
             rows.clear()
 
     def _on_tx_start(self, node_id: int, now: int) -> None:

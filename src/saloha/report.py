@@ -50,6 +50,8 @@ def emit_dc_curve(
     policies: Sequence[str], n_range: Iterable[int], cap: float, path: str
 ) -> None:
     """Maximum per-node duty cycle versus network size, per policy."""
+    if not policies:
+        raise ValueError("empty policies for duty-cycle curve")
     rows = []
     for n in n_range:
         for policy in policies:
@@ -72,6 +74,8 @@ def emit_drift_curve(
     per row: elapsed seconds, ppm, error in milliseconds."""
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
+    if not ppm_values:
+        raise ValueError("empty ppm values for drift curve")
     if not all(math.isfinite(ppm) for ppm in ppm_values):
         raise ValueError(f"ppm values must be finite, got {list(ppm_values)}")
     try:

@@ -221,6 +221,20 @@ def test_dc_curve_empty_node_range_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dc_curve_empty_policies_is_config_error(tmp_path, capsys):
+    out = tmp_path / "dc.csv"
+    assert main(["dc-curve", "--policies", "", "--out", str(out)]) == EXIT_CONFIG
+    assert "empty policies" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_drift_curve_empty_ppm_is_config_error(tmp_path, capsys):
+    out = tmp_path / "drift.csv"
+    assert main(["drift-curve", "--ppm", "", "--out", str(out)]) == EXIT_CONFIG
+    assert "empty ppm values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -406,7 +406,8 @@ class TestWholeRunOracle:
         )
         assert [bool(c) for c in trace.collided] == expected
         # The metrics fold relies on the log being in start order.
-        assert all(a <= b for a, b in zip(trace.true_start, trace.true_start[1:]))
+        starts = list(trace.true_start)
+        assert all(a <= b for a, b in zip(starts, starts[1:]))
         assert metrics == metrics_oracle(trace, cfg.n_nodes, cfg.warmup, cfg.duration)
         cap, window = cfg.duty_cycle_cap, cfg.dc_window
         violations = scan_duty_cycle(trace, cfg.n_nodes, cap, window)
@@ -621,8 +622,10 @@ class TestCompactTrace:
     def test_int_columns_are_int64_arrays(self):
         trace, _ = Engine(pure_config(n_nodes=3)).run()
         for name in INT_COLUMNS:
-            column = getattr(trace, name)
-            assert isinstance(column, array) and column.typecode == "q", name
+            blocks = getattr(trace, name).blocks
+            assert blocks, name
+            for block in blocks:
+                assert isinstance(block, array) and block.typecode == "q", name
         for name in FLAG_COLUMNS:
             assert isinstance(getattr(trace, name), bytearray), name
         assert_columns_complete(trace)

@@ -133,7 +133,8 @@ class TestNextTxTime:
         trace, _ = Engine(cfg).run()
         assert len(trace) > 100
         assert set(trace.slot_index) == {-1}
-        gaps = {b - a for a, b in zip(trace.local_start, trace.local_start[1:])}
+        starts = list(trace.local_start)
+        gaps = {b - a for a, b in zip(starts, starts[1:])}
         assert gaps == {cfg.app_period}
 
     def test_slotted_aligns_to_next_boundary(self):

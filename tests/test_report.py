@@ -22,17 +22,19 @@ from oracles import scan_duty_cycle_oracle
 
 def synthetic_trace(entries):
     """entries: (node_id, true_start, duration, collided) tuples."""
+    entries = list(entries)
+    n = len(entries)
+    nodes, starts, durations, hits = ([e[k] for e in entries] for k in range(4))
     trace = Trace()
-    for node, start, dur, hit in entries:
-        trace.node_id.append(node)
-        trace.true_start.append(start)
-        trace.local_start.append(start)
-        trace.slot_index.append(-1)
-        trace.channel.append(0)
-        trace.duration.append(dur)
-        trace.collided.append(hit)
-        trace.acked.append(0)
-        trace.confirmed.append(0)
+    trace.node_id.extend(nodes)
+    trace.true_start.extend(starts)
+    trace.local_start.extend(starts)
+    trace.slot_index.extend([-1] * n)
+    trace.channel.extend([0] * n)
+    trace.duration.extend(durations)
+    trace.collided.extend(hits)
+    trace.acked.extend(bytes(n))
+    trace.confirmed.extend(bytes(n))
     return trace
 
 
