@@ -16,8 +16,6 @@ from .engine import (
 )
 from .mac import BackoffPolicy, MacPolicy, SlotPlan, plan_slot, required_guard
 from .phy import RadioProfile, duty_cycle, min_period_for_dc, symbol_time, time_on_air
-from .sync import SyncAck, SyncState
-from .timebase import drift_error
 
 __all__ = [
     "BackoffPolicy",
@@ -28,10 +26,7 @@ __all__ = [
     "ScenarioConfig",
     "SimConfigError",
     "SlotPlan",
-    "SyncAck",
-    "SyncState",
     "Trace",
-    "drift_error",
     "duty_cycle",
     "enforce_duty_cycle",
     "min_period_for_dc",

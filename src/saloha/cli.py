@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: airtime, plan-slot, dc-curve, drift-curve, simulate,
-compare.  Exit codes: 0 success, 2 configuration error, 3 runtime or
-I/O error.
+compare.  The radio and slot flags of airtime and plan-slot default to
+the default scenario's values (``config.DEFAULT_SCENARIO``).  Exit
+codes: 0 success, 2 configuration error, 3 I/O error (an ``OSError``,
+whose message names the path).
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from typing import Optional, Sequence
 
 from . import report
 from .config import (
+    DEFAULTS,
     ConfigError,
     load_scenario,
-    load_scenario_file,
-    parse_bandwidth,
-    parse_coding_rate,
     parse_duration,
     parse_fraction,
     pure_baseline,
+    radio_profile,
 )
 from .engine import Engine, ScenarioConfig
 from .mac import plan_slot
@@ -35,27 +36,30 @@ EXIT_RUNTIME = 3
 
 
 def _profile_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sf", type=int, default=7, help="spreading factor 6-12")
-    parser.add_argument("--bw", default="125 kHz", help="bandwidth (125/250/500 kHz)")
-    parser.add_argument("--cr", default="4/5", help="coding rate 4/5..4/8")
-    parser.add_argument("--preamble", type=int, default=8, help="preamble symbols")
-    parser.add_argument("--payload", type=int, default=0, help="payload bytes")
-    parser.add_argument("--implicit-header", action="store_true")
-    parser.add_argument("--no-crc", action="store_true")
-    parser.add_argument("--ldro", action="store_true", help="low data rate optimize")
-
-
-def _profile_from(ns: argparse.Namespace) -> RadioProfile:
-    return RadioProfile(
-        spreading_factor=ns.sf,
-        bandwidth_hz=parse_bandwidth(ns.bw),
-        coding_rate_index=parse_coding_rate(ns.cr),
-        preamble_symbols=ns.preamble,
-        payload_bytes=ns.payload,
-        explicit_header=not ns.implicit_header,
-        crc_enabled=not ns.no_crc,
-        low_data_rate_optimize=ns.ldro,
+    # Each flag's dest is the [uplink] key it sets, and its default is
+    # the default scenario's value.
+    parser.add_argument("--sf", dest="spreading_factor", help="spreading factor 6-12")
+    parser.add_argument("--bw", dest="bandwidth", help="bandwidth (125/250/500 kHz)")
+    parser.add_argument("--cr", dest="coding_rate", help="coding rate 4/5..4/8")
+    parser.add_argument("--preamble", dest="preamble_symbols", help="preamble symbols")
+    parser.add_argument("--payload", dest="payload_bytes", help="payload bytes")
+    parser.add_argument(
+        "--implicit-header", dest="explicit_header", action="store_const", const="false"
     )
+    parser.add_argument("--no-crc", dest="crc", action="store_const", const="false")
+    parser.add_argument(
+        "--ldro",
+        dest="low_data_rate_optimize",
+        action="store_const",
+        const="true",
+        help="low data rate optimize",
+    )
+    parser.set_defaults(**DEFAULTS["uplink"])
+
+
+def _profile_from(ns: argparse.Namespace, **keys: str) -> RadioProfile:
+    """The flags' [uplink] profile with ``keys`` overriding them."""
+    return radio_profile({key: getattr(ns, key) for key in DEFAULTS["uplink"]} | keys)
 
 
 def _cmd_airtime(ns: argparse.Namespace) -> int:
@@ -71,7 +75,7 @@ def _cmd_airtime(ns: argparse.Namespace) -> int:
 
 def _cmd_plan_slot(ns: argparse.Namespace) -> int:
     uplink = _profile_from(ns)
-    ack = replace(uplink, payload_bytes=ns.ack_payload)
+    ack = _profile_from(ns, payload_bytes=ns.ack_payload)
     plan = plan_slot(
         uplink,
         ack,
@@ -115,10 +119,11 @@ def _load_config(ns: argparse.Namespace, policy: Optional[str] = None) -> Scenar
         warmup=parse_duration(ns.warmup) if ns.warmup else None,
         policy=policy,
     )
+    text = ""
     if ns.config:
-        config = load_scenario_file(ns.config, **overrides)
-    else:
-        config = load_scenario("", **overrides)
+        with open(ns.config, encoding="utf-8") as fh:
+            text = fh.read()
+    config = load_scenario(text, **overrides)
     # The engine accepts such a run, but its steady-state figures would
     # come from no uplinks at all.
     if config.warmup >= config.duration:
@@ -198,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan-slot", help="size a slot for uplink/ACK profiles")
     _profile_args(p)
-    p.add_argument("--ack-payload", type=int, default=13)
-    p.add_argument("--rx1-delay", default="1 s")
-    p.add_argument("--guard", default="400 ms")
-    p.add_argument("--rounding", default="100 ms")
+    p.add_argument("--ack-payload", default=DEFAULTS["ack"]["payload_bytes"])
+    p.add_argument("--rx1-delay", default=DEFAULTS["mac"]["rx1_delay"])
+    p.add_argument("--guard", default=DEFAULTS["mac"]["guard"])
+    p.add_argument("--rounding", default=DEFAULTS["mac"]["slot_rounding"])
     p.set_defaults(func=_cmd_plan_slot)
 
     p = sub.add_parser("dc-curve", help="emit the max duty-cycle vs N curve")
@@ -241,7 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # ConfigError, SimConfigError, RadioProfileError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (report.ReportError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,7 +1,7 @@
 """Scenario files: INI-style sections with ``key = value`` entries.
 
 All durations accept human-readable units (ns/us/ms/s/min/h/d) and are
-normalized to integer nanoseconds.  Fractions accept either a plain
+normalized exactly to integer nanoseconds.  Fractions accept either a plain
 number ("0.0056") or a percentage ("0.56 %").  Unknown sections or keys
 are a hard error so typos cannot silently fall back to defaults.
 """
@@ -13,11 +13,12 @@ import hashlib
 import io
 import re
 from dataclasses import replace
-from typing import Optional
+from typing import Mapping, Optional
 
 from .engine import ScenarioConfig, SimConfigError
 from .mac import BackoffPolicy, MacPolicy, plan_slot
 from .phy import RadioProfile
+from .timebase import round_half_away_div
 
 
 class ConfigError(ValueError):
@@ -40,19 +41,17 @@ _DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([a-zµ]+)\s*$")
 
 
 def parse_duration(text: str) -> int:
-    """Parse e.g. '400 ms', '1.5 h', '30s' into integer nanoseconds."""
+    """Parse e.g. '400 ms', '1.5 h', '30s' into integer nanoseconds.
+
+    Exact: a fraction of a nanosecond rounds half away from zero."""
     m = _DURATION_RE.match(text.lower())
     if not m:
         raise ConfigError(f"cannot parse duration {text!r} (expected '<number> <unit>')")
     value, unit = m.groups()
     if unit not in _UNIT_NS:
         raise ConfigError(f"unknown duration unit {unit!r} in {text!r}")
-    scale = _UNIT_NS[unit]
-    if "." in value:
-        ns = round(float(value) * scale)
-    else:
-        ns = int(value) * scale
-    return ns
+    whole, _, frac = value.partition(".")
+    return round_half_away_div(int(whole + frac) * _UNIT_NS[unit], 10 ** len(frac))
 
 
 def parse_fraction(text: str) -> float:
@@ -73,12 +72,11 @@ def parse_range(text: str) -> tuple[float, float]:
 
 
 def parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "on", "1"):
-        return True
-    if t in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
+    """Accept the words configparser's ``getboolean`` accepts."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"cannot parse boolean {text!r}") from None
 
 
 _BANDWIDTH_RE = re.compile(r"^\s*([0-9]+)\s*(k?hz)?\s*$", re.IGNORECASE)
@@ -170,10 +168,10 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-# Parsed once and never mutated: the one list of sections, keys and
-# default values.  ``seed`` has no default but is accepted in [scenario].
-_DEFAULTS = _read_ini(DEFAULT_SCENARIO)
-_SECTIONS = {section: set(_DEFAULTS[section]) for section in _DEFAULTS.sections()}
+#: Parsed once and never mutated: the one list of sections, keys and
+#: default values.  ``seed`` has no default but is accepted in [scenario].
+DEFAULTS = _read_ini(DEFAULT_SCENARIO)
+_SECTIONS = {section: set(DEFAULTS[section]) for section in DEFAULTS.sections()}
 _SECTIONS["scenario"].add("seed")
 
 
@@ -207,7 +205,7 @@ def load_scenario(
     _check_keys(parser)
     merged = {}
     for section in _SECTIONS:
-        merged[section] = dict(_DEFAULTS[section])
+        merged[section] = dict(DEFAULTS[section])
         if parser.has_section(section):
             merged[section].update(parser[section])
 
@@ -216,11 +214,9 @@ def load_scenario(
     sy = merged["sync"]
 
     try:
-        uplink = _radio_profile_from_dict(merged["uplink"])
-        ack = _radio_profile_from_dict(merged["ack"])
+        uplink = radio_profile(merged["uplink"])
+        ack = radio_profile(merged["ack"])
         policy_name = (policy or mc["policy"]).strip().lower()
-        if policy_name not in ("pure", "slotted"):
-            raise ConfigError(f"unknown MAC policy {policy_name!r}")
         rx1_delay = parse_duration(mc["rx1_delay"])
         guard = parse_duration(mc["guard"])
         app_period = parse_duration(sc["app_period"])
@@ -237,7 +233,7 @@ def load_scenario(
                 "slotted", plan=plan, backoff=BackoffPolicy(max_phase_slots=max_phase)
             )
         else:
-            mac_policy = MacPolicy("pure")
+            mac_policy = MacPolicy(policy_name)
 
         seed_text = sc.get("seed")
         if seed is None:
@@ -260,7 +256,7 @@ def load_scenario(
             channel_selection=sc["channel_selection"].strip(),
             drift_ppm_range=parse_range(sc["drift_ppm"]),
             initial_offset_max=parse_duration(sc["initial_offset"]),
-            confirmed_mode=_confirmed_mode(sc["confirmed_uplinks"]),
+            confirmed_mode=sc["confirmed_uplinks"].strip().lower(),
             duty_cycle_cap=parse_fraction(sc["duty_cycle_cap"]),
             dc_window=parse_duration(sc["dc_window"]),
             duration=duration if duration is not None else parse_duration(sc["duration"]),
@@ -284,14 +280,8 @@ def load_scenario(
     return config
 
 
-def _confirmed_mode(text: str) -> str:
-    mode = text.strip().lower()
-    if mode not in ("all", "on-demand", "none"):
-        raise ConfigError(f"unknown confirmed_uplinks mode {mode!r}")
-    return mode
-
-
-def _radio_profile_from_dict(values: dict) -> RadioProfile:
+def radio_profile(values: Mapping[str, str]) -> RadioProfile:
+    """The profile an [uplink] or [ack] section's text values describe."""
     return RadioProfile(
         spreading_factor=int(values["spreading_factor"]),
         bandwidth_hz=parse_bandwidth(values["bandwidth"]),
@@ -302,11 +292,6 @@ def _radio_profile_from_dict(values: dict) -> RadioProfile:
         crc_enabled=parse_bool(values["crc"]),
         low_data_rate_optimize=parse_bool(values["low_data_rate_optimize"]),
     )
-
-
-def load_scenario_file(path: str, **overrides) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read(), **overrides)
 
 
 def pure_baseline(config: ScenarioConfig) -> ScenarioConfig:

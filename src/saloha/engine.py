@@ -47,16 +47,18 @@ from typing import Iterable, Iterator, Optional
 
 from .mac import MacPolicy, slot_start
 from .phy import RadioProfile, time_on_air
-from .sync import MAX_RESIDUAL_ERROR_NS, MAX_TIMESTAMP_ERROR_NS, SyncError
-from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC, NS_PER_US
+from .sync import (
+    ACK_TIMESTAMP_LIMIT,
+    MAX_RESIDUAL_ERROR_NS,
+    MAX_TIMESTAMP_ERROR_NS,
+    SyncError,
+)
+from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC, NS_PER_US, ppm_ratio
 
 # The engine fuses these into its own clock map and drift bound and no
 # longer calls them; the names stay importable from here, so a tracer
 # that wraps them sees zero calls rather than a missing attribute.
 from .timebase import drift_error, round_half_away_div  # noqa: F401
-
-#: The ACK carries the gateway timestamp as 8 unsigned bytes of µs.
-_ACK_TIMESTAMP_LIMIT = 1 << 64
 
 #: Every stored instant must fit the trace's int64 columns.
 _INT64_LIMIT = 1 << 63
@@ -161,8 +163,7 @@ class ScenarioConfig:
         horizon = (
             self.initial_offset_max + self.duration + self.app_period + self.jitter
         )
-        ppm_num, ppm_den = MAX_ABS_DRIFT_PPM.as_integer_ratio()
-        scale = ppm_den * 1_000_000
+        ppm_num, scale = ppm_ratio(MAX_ABS_DRIFT_PPM)
         if horizon * (scale + ppm_num) >= _INT64_LIMIT * scale:
             problems.append(
                 "initial_offset_max + duration + app_period + jitter, at the "
@@ -246,10 +247,8 @@ class _Node:
         self.base = offset  # plus the corrections applied so far
         # Exact integer ratio of the ppm value, scaled so that the drift
         # over `t` is t * drift_num / drift_den with drift_den > 0.
-        num, den = float(drift_ppm).as_integer_ratio()
-        self.drift_num = num
-        self.drift_den = den * 1_000_000
-        self.inv_den = self.drift_den + num
+        self.drift_num, self.drift_den = ppm_ratio(drift_ppm)
+        self.inv_den = self.drift_den + self.drift_num
         self.phase = 0
         self.synced = False
         self.last_sync_local = 0
@@ -409,9 +408,7 @@ class Engine:
         self._on_demand = config.confirmed_mode == "on-demand"
         # Worst-case drift slope as an exact integer ratio, so that
         # drift over `elapsed` is elapsed * num / den, rounded once.
-        num, den = float(config.drift_bound_ppm).as_integer_ratio()
-        self._bound_num = num
-        self._bound_den = den * 1_000_000
+        self._bound_num, self._bound_den = ppm_ratio(config.drift_bound_ppm)
         # An ACK lands exactly rx1_delay + ack airtime after its uplink
         # ends, so the drift folded into every sync's bound is constant.
         self._ack_lag = config.rx1_delay + self._ack_toa
@@ -504,7 +501,7 @@ class Engine:
         observed = uplink_end + ts_err
         q, r = divmod(observed, NS_PER_US)
         us = q + (2 * r + (observed >= 0) > NS_PER_US)
-        if not 0 <= us < _ACK_TIMESTAMP_LIMIT:
+        if not 0 <= us < ACK_TIMESTAMP_LIMIT:
             raise SyncError(f"timestamp {us} not representable in 8 bytes")
         return us
 

@@ -4,7 +4,9 @@ Every file is a pure function of (config, seed): rows are integers or
 repr'd floats, so reruns are byte-identical.  The summary totals are
 recomputed from the trace columns rather than copied from the engine's
 counters, and the duty-cycle scanner here is an independent check, not
-a reuse of the enforcement path.
+a reuse of the enforcement path.  Malformed arguments raise
+``ValueError`` before any file is opened; an I/O failure propagates as
+the ``OSError`` that names the path.
 """
 
 from __future__ import annotations
@@ -20,30 +22,22 @@ from .mac import max_node_dc
 from .timebase import NS_PER_MS, NS_PER_SEC, drift_error
 
 
-class ReportError(RuntimeError):
-    """I/O failure while emitting results.  Malformed arguments raise
-    ``ValueError`` before any file is opened."""
-
-
 def emit_conflict_series(trace: Trace, path: str) -> None:
     """One row per transmission, in event order: a 0/1 conflict series
     with timing context, ready for downstream plotting."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("index,node_id,true_start_ns,slot_index,channel,conflict\n")
-            rows = zip(
-                trace.node_id,
-                trace.true_start,
-                trace.slot_index,
-                trace.channel,
-                trace.collided,
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("index,node_id,true_start_ns,slot_index,channel,conflict\n")
+        rows = zip(
+            trace.node_id,
+            trace.true_start,
+            trace.slot_index,
+            trace.channel,
+            trace.collided,
+        )
+        for i, (node, start, slot, channel, hit) in enumerate(rows):
+            fh.write(
+                f"{i},{node},{start},{'' if slot < 0 else slot},{channel},{hit}\n"
             )
-            for i, (node, start, slot, channel, hit) in enumerate(rows):
-                fh.write(
-                    f"{i},{node},{start},{'' if slot < 0 else slot},{channel},{hit}\n"
-                )
-    except OSError as exc:
-        raise ReportError(f"cannot write conflict series to {path}: {exc}") from exc
 
 
 def emit_dc_curve(
@@ -58,13 +52,10 @@ def emit_dc_curve(
             rows.append((n, policy, max_node_dc(policy, n, cap)))
     if not rows:
         raise ValueError("empty n_range for duty-cycle curve")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("n_nodes,policy,max_dc\n")
-            for n, policy, dc in rows:
-                fh.write(f"{n},{policy},{dc!r}\n")
-    except OSError as exc:
-        raise ReportError(f"cannot write duty-cycle curve to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("n_nodes,policy,max_dc\n")
+        for n, policy, dc in rows:
+            fh.write(f"{n},{policy},{dc!r}\n")
 
 
 def emit_drift_curve(
@@ -78,17 +69,14 @@ def emit_drift_curve(
         raise ValueError("empty ppm values for drift curve")
     if not all(math.isfinite(ppm) for ppm in ppm_values):
         raise ValueError(f"ppm values must be finite, got {list(ppm_values)}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("elapsed_s,ppm,error_ms\n")
-            elapsed = 0
-            while elapsed <= horizon:
-                for ppm in ppm_values:
-                    err_ms = drift_error(ppm, elapsed) / NS_PER_MS
-                    fh.write(f"{elapsed / NS_PER_SEC!r},{ppm!r},{err_ms!r}\n")
-                elapsed += step
-    except OSError as exc:
-        raise ReportError(f"cannot write drift curve to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("elapsed_s,ppm,error_ms\n")
+        elapsed = 0
+        while elapsed <= horizon:
+            for ppm in ppm_values:
+                err_ms = drift_error(ppm, elapsed) / NS_PER_MS
+                fh.write(f"{elapsed / NS_PER_SEC!r},{ppm!r},{err_ms!r}\n")
+            elapsed += step
 
 
 def scan_duty_cycle(
@@ -182,8 +170,5 @@ def format_summary(config: ScenarioConfig, metrics: Metrics) -> str:
 
 
 def write_summary(config: ScenarioConfig, metrics: Metrics, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_summary(config, metrics))
-    except OSError as exc:
-        raise ReportError(f"cannot write summary to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(format_summary(config, metrics))

@@ -18,13 +18,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .timebase import NS_PER_US, drift_error
+from .timebase import NS_PER_US, drift_error, ppm_ratio, round_half_away_div
 
 #: Residual error bound of a single synchronization, measured on real
 #: hardware: worst case 15 ms, average 10 ms.
 MAX_RESIDUAL_ERROR_NS = 15_000_000
 #: Bound on the gateway-side ACK timestamping error.
 MAX_TIMESTAMP_ERROR_NS = 20 * NS_PER_US
+#: The ACK carries the gateway timestamp as 8 unsigned bytes of µs.
+ACK_TIMESTAMP_LIMIT = 1 << 64
 
 _ACK_STRUCT = struct.Struct("<Q")
 
@@ -59,7 +61,7 @@ class SyncAck:
     gateway_timestamp_us: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.gateway_timestamp_us < 1 << 64:
+        if not 0 <= self.gateway_timestamp_us < ACK_TIMESTAMP_LIMIT:
             raise SyncError(
                 f"timestamp {self.gateway_timestamp_us} not representable in 8 bytes"
             )
@@ -79,7 +81,8 @@ class SyncAck:
 
 
 def gateway_record_rx_end(t: int, timestamp_error: int) -> int:
-    """Gateway-observed end-of-reception instant, quantized to 1 µs.
+    """Gateway-observed end-of-reception instant, quantized to 1 µs
+    (half away from zero).
 
     ``timestamp_error`` is the simulator-drawn timestamping error and
     must respect the hardware bound.
@@ -88,11 +91,7 @@ def gateway_record_rx_end(t: int, timestamp_error: int) -> int:
         raise SyncError(
             f"timestamp error {timestamp_error} ns exceeds ±{MAX_TIMESTAMP_ERROR_NS} ns"
         )
-    observed = t + timestamp_error
-    # round to microsecond, half away from zero (observed is non-negative
-    # in practice but keep the rule symmetric)
-    sign = -1 if observed < 0 else 1
-    return sign * ((abs(observed) + NS_PER_US // 2) // NS_PER_US) * NS_PER_US
+    return round_half_away_div(t + timestamp_error, NS_PER_US) * NS_PER_US
 
 
 def compute_offset(node_tx_timestamp: int, gateway_timestamp: int) -> int:
@@ -135,10 +134,5 @@ def max_resync_interval(
         )
     if drift_bound_ppm <= 0:
         raise SyncError(f"drift bound must be positive, got {drift_bound_ppm}")
-    num, den = float(drift_bound_ppm).as_integer_ratio()
-    # (guard - u0) / (ppm * 1e-6), rounded half away from zero
-    numer = (guard - initial_uncertainty) * den * 1_000_000
-    q, r = divmod(numer, num)
-    if 2 * r >= num:
-        q += 1
-    return q
+    num, den = ppm_ratio(drift_bound_ppm)
+    return round_half_away_div((guard - initial_uncertainty) * den, num)

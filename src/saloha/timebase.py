@@ -7,9 +7,10 @@ parts per million.  Both are plain integer nanosecond counts; keeping
 everything in integers makes multi-week runs bit-identical across
 platforms and immune to floating-point accumulation.
 
-The drift multiplication is carried out exactly: the ppm value is
-expanded to an integer ratio (floats are exact binary rationals) and
-the scaled elapsed time is rounded once, half away from zero.  The
+The drift multiplication is carried out exactly: ``ppm_ratio`` expands
+the ppm value to an integer ratio (floats are exact binary rationals)
+and the scaled elapsed time is rounded once, half away from zero
+(``round_half_away_div``, which the engine's hot paths inline).  The
 node clock map itself is ``engine.Engine._local_at``/``_true_at``.
 """
 
@@ -36,6 +37,12 @@ def round_half_away_div(num: int, den: int) -> int:
     return q if num >= 0 else -q
 
 
+def ppm_ratio(ppm: float) -> tuple[int, int]:
+    """``ppm * 1e-6`` as an exact integer ratio ``(num, den)``, ``den > 0``."""
+    num, den = float(ppm).as_integer_ratio()
+    return num, den * 1_000_000
+
+
 def drift_error(drift_ppm: float, elapsed: int) -> int:
     """Worst-case clock error accrued over ``elapsed`` ns at ``drift_ppm``.
 
@@ -43,6 +50,6 @@ def drift_error(drift_ppm: float, elapsed: int) -> int:
     """
     if elapsed < 0:
         raise TimebaseError(f"elapsed must be non-negative, got {elapsed}")
-    num, den = float(abs(drift_ppm)).as_integer_ratio()
-    return round_half_away_div(elapsed * num, den * 1_000_000)
+    num, den = ppm_ratio(abs(drift_ppm))
+    return round_half_away_div(elapsed * num, den)
 

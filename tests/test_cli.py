@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from saloha.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from saloha.config import load_scenario
 from saloha.phy import RadioProfile, time_on_air
 from test_config import INT64_HORIZON, int64_edge_scenario
 
@@ -18,6 +19,12 @@ def test_airtime_reference_value(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "time_on_air_ns: 172288000" in out
+
+
+def test_airtime_defaults_are_the_default_uplink(capsys):
+    assert main(["airtime"]) == EXIT_OK
+    toa = time_on_air(load_scenario("", seed=1).uplink_profile)
+    assert f"time_on_air_ns: {toa}\n" in capsys.readouterr().out
 
 
 def test_airtime_with_period_prints_duty_cycle(capsys):
@@ -50,17 +57,26 @@ def test_plan_slot_reference_geometry(capsys):
     assert "t_ns: 2000000000" in out
 
 
+def test_plan_slot_defaults_are_the_default_plan(capsys):
+    assert main(["plan-slot"]) == EXIT_OK
+    out = capsys.readouterr().out
+    plan = load_scenario("", seed=1).policy.plan
+    for key, value in (("t_r", plan.t_r), ("t_b", plan.t_b), ("t", plan.t)):
+        assert f"{key}_ns: {value}\n" in out
+
+
 def _plan_slot_t_r(capsys, *args: str) -> int:
     assert main(["plan-slot", *args]) == EXIT_OK
     return int(capsys.readouterr().out.split("t_r_ns:")[1].split()[0])
 
 
 def test_plan_slot_ack_payload_sizes_the_ack(capsys):
-    # The ACK is the uplink profile (SF7, 125 kHz, 8 preamble symbols)
+    # The ACK is the uplink profile (SF7, 125 kHz, 6 preamble symbols)
     # with its own payload, so only its airtime moves t_r.
     grown = _plan_slot_t_r(capsys, "--ack-payload", "50") - _plan_slot_t_r(capsys)
     ack_toa = [
-        time_on_air(RadioProfile(7, 125_000, payload_bytes=n)) for n in (13, 50)
+        time_on_air(RadioProfile(7, 125_000, preamble_symbols=6, payload_bytes=n))
+        for n in (13, 50)
     ]
     assert grown == ack_toa[1] - ack_toa[0] > 0
 
@@ -248,6 +264,32 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
         ]
     )
     assert code == EXIT_RUNTIME
+
+
+_RUN = ["--seed", "1", "--duration", "120 s", "--warmup", "0 s"]
+
+
+@pytest.mark.parametrize(
+    "args,blocked",
+    [
+        (["dc-curve"], None),
+        (["drift-curve"], None),
+        (["simulate", *_RUN], "trace.csv"),
+        (["simulate", *_RUN], "summary.txt"),
+        (["compare", *_RUN], "compare.csv"),
+    ],
+    ids=["dc-curve", "drift-curve", "trace.csv", "summary.txt", "compare.csv"],
+)
+def test_write_failure_is_runtime_error_naming_the_path(tmp_path, capsys, args, blocked):
+    if blocked is None:
+        # --out names a file inside a directory that does not exist.
+        out = path = tmp_path / "missing" / "out.csv"
+    else:
+        # --out is a directory, and a directory has taken the file's name.
+        out, path = tmp_path, tmp_path / blocked
+        path.mkdir()
+    assert main([*args, "--out", str(out)]) == EXIT_RUNTIME
+    assert str(path) in capsys.readouterr().err
 
 
 def test_dc_curve_and_drift_curve_emit_files(tmp_path):

@@ -88,6 +88,11 @@ class TestParsers:
             ("7 d", 7 * 86400 * NS_PER_SEC),
             ("250 NS", 250),
             ("2 min", 120 * NS_PER_SEC),
+            # Exact past float precision, and sub-ns ties round half away
+            # from zero (a float path gave ...790, 1000000000 and 2).
+            ("12345678.123456789 s", 12345678123456789),
+            ("1.0000000005 s", 1000000001),
+            ("0.0000000025 s", 3),
         ],
     )
     def test_durations(self, text, expected):
@@ -159,6 +164,18 @@ class TestLoadScenario:
     def test_policy_override(self):
         cfg = load_scenario("", seed=1, policy="pure")
         assert not cfg.policy.is_slotted
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[mac]\npolicy = aloha\n", "unknown MAC variant 'aloha'"),
+            ("[scenario]\nconfirmed_uplinks = some\n", "unknown confirmed_mode 'some'"),
+        ],
+        ids=["policy", "confirmed_uplinks"],
+    )
+    def test_unknown_name_is_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_scenario(text, seed=1)
 
     def test_duration_and_warmup_overrides(self):
         cfg = load_scenario("", seed=1, duration=60 * NS_PER_SEC, warmup=0)

@@ -1,6 +1,8 @@
 """Clock arithmetic: exactness, inversion, monotonicity.  The clock
 map under test is the engine's, ``Engine._local_at``/``_true_at``."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from saloha.timebase import (
     NS_PER_SEC,
     TimebaseError,
     drift_error,
+    ppm_ratio,
     round_half_away_div,
 )
 
@@ -35,6 +38,17 @@ class TestRoundHalfAwayDiv:
     def test_error_at_most_half(self, num, den):
         q = round_half_away_div(num, den)
         assert abs(num - q * den) * 2 <= den
+
+
+class TestPpmRatio:
+    @given(st.floats(-500.0, 500.0, allow_nan=False))
+    def test_is_the_exact_ppm_fraction(self, ppm):
+        num, den = ppm_ratio(ppm)
+        assert den > 0
+        assert Fraction(num, den) == Fraction(ppm) / 10**6
+
+    def test_eighty_ppm(self):
+        assert ppm_ratio(80) == (80, 1_000_000)
 
 
 class TestClockModel:
