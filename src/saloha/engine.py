@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, compress
 from operator import eq
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .mac import MacPolicy, slot_start
 from .phy import RadioProfile, time_on_air
@@ -63,11 +63,23 @@ from .timebase import drift_error, round_half_away_div  # noqa: F401
 #: Every stored instant must fit the trace's int64 columns.
 _INT64_LIMIT = 1 << 63
 
-#: Rows per ``array('q')`` block of a trace column.  The engine buffers
-#: this many rows in plain lists, since a list append is several times
-#: cheaper than an array append of a large int, and then packs each
-#: column's rows into one new block.
+#: Rows per block of a trace column.  The engine buffers this many rows
+#: in plain lists, since a list append is several times cheaper than an
+#: array append of a large int, and then packs each column's rows into
+#: one new block of the narrowest array type that holds them.
 _TRACE_BLOCK = 4096
+
+
+def _narrowest(rows: Sequence[int]) -> array:
+    """``rows`` as an array of the narrowest signed type of ``b``, ``h``,
+    ``i`` and ``q`` that holds them; ``OverflowError`` if not even
+    int64 does."""
+    for typecode in "bhi":
+        try:
+            return array(typecode, rows)
+        except OverflowError:
+            pass
+    return array("q", rows)
 
 
 class SimConfigError(ValueError):
@@ -263,13 +275,16 @@ class _Node:
 
 
 class Column:
-    """One int64 trace column: ``array('q')`` blocks of exactly
+    """One trace column of int64 values: array blocks of exactly
     ``block`` rows, of which only the last may be shorter.
 
-    A block is never resized.  A growing run allocates equal blocks one
-    by one instead of reallocating one large buffer, which would leave
-    holes in the heap that stay resident.  Indexing and item assignment
-    take an integer and follow list semantics; there is no slicing."""
+    Each block is packed in the narrowest signed type of ``b``, ``h``,
+    ``i`` and ``q`` that holds its rows, so node ids and channels cost
+    one byte a row and an airtime four.  A block is never resized.  A
+    growing run allocates blocks one by one instead of reallocating one
+    large buffer, which would leave holes in the heap that stay
+    resident.  Indexing and item assignment take an integer and follow
+    list semantics over the int64 range; there is no slicing."""
 
     __slots__ = ("block", "blocks")
 
@@ -285,22 +300,30 @@ class Column:
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(self.blocks)
 
-    def _locate(self, index: int) -> tuple[array, int]:
+    def _locate(self, index: int) -> tuple[int, int]:
+        """(block number, row within it) of a list-style ``index``."""
         n = len(self)
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("trace column index out of range")
-        b, i = divmod(index, self.block)
-        return self.blocks[b], i
+        return divmod(index, self.block)
 
     def __getitem__(self, index: int) -> int:
-        block, i = self._locate(index)
-        return block[i]
+        b, i = self._locate(index)
+        return self.blocks[b][i]
 
     def __setitem__(self, index: int, value: int) -> None:
-        block, i = self._locate(index)
-        block[i] = value
+        b, i = self._locate(index)
+        block = self.blocks[b]
+        try:
+            block[i] = value
+        except OverflowError:
+            # Too wide for this block: widen a copy, so that a value
+            # outside int64 still raises and leaves the column unchanged.
+            block = array("q", block)
+            block[i] = value
+            self.blocks[b] = block
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Column):
@@ -310,25 +333,27 @@ class Column:
     def count(self, value: int) -> int:
         return sum(block.count(value) for block in self.blocks)
 
-    def extend(self, values: Iterable[int]) -> None:
+    def extend(self, values: Sequence[int]) -> None:
         """Append ``values`` as new blocks; a short last block is
-        replaced by a merged one, never resized."""
-        new = array("q", values)
+        replaced by one packed from its rows and the first new ones,
+        never resized.  Nothing changes if a value is outside int64."""
         blocks, size = self.blocks, self.block
-        if blocks and len(blocks[-1]) < size:
-            new = blocks.pop() + new
-        if 0 < len(new) <= size:
-            blocks.append(new)  # the engine's case: one block, no copy
+        short = bool(blocks) and len(blocks[-1]) < size
+        rows = [*blocks[-1], *values] if short else values
+        if len(rows) <= size:
+            new = [_narrowest(rows)] if rows else []  # the engine's case: no copy
         else:
-            blocks.extend(new[i : i + size] for i in range(0, len(new), size))
+            new = [_narrowest(rows[i : i + size]) for i in range(0, len(rows), size)]
+        blocks[len(blocks) - short :] = new
 
 
 class Trace:
     """Column-oriented transmission log: one entry per uplink in every
     column, in transmission-start order.
 
-    The six int columns are ``Column`` objects of int64 blocks and the
-    three flags are ``bytearray``; compare a column with a list through
+    The six int columns are ``Column`` objects, each block packed in the
+    narrowest signed array type that holds it, and the three flags are
+    ``bytearray``; compare a column with a list through
     ``list(col)``.  During a run the engine packs the int columns a
     block at a time, so they are complete once ``Engine.run`` returns;
     the flag columns, and so ``len``, are current throughout."""
@@ -472,10 +497,6 @@ class Engine:
         # Return q itself unless rounding up: every uplink stores this
         # value, and an int built by addition keeps a spare digit.
         return q + 1 if 2 * r + (x >= 0) > nd.inv_den else q
-
-    def ground_truth_misalignment(self, node_id: int, t: int) -> int:
-        """Omniscient node-RTC minus gateway-time at instant ``t``."""
-        return self._local_at(self.nodes[node_id], t) - t
 
     def _drift_bound(self, elapsed: int) -> int:
         """Worst-case drift over ``elapsed >= 0`` ns at the configured bound."""

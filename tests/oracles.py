@@ -5,6 +5,7 @@ incremental bookkeeping, and exist only for the tests.
 """
 
 import math
+from array import array
 from fractions import Fraction
 from typing import Optional
 
@@ -30,6 +31,25 @@ def local_to_true(ppm: float, base: int, local: int) -> int:
     """True instant at which the RTC reads ``local``: the exact inverse
     ``(local - base) / (1 + ppm * 1e-6)``, rounded half away from zero."""
     return _round_half_away((local - base) / (1 + Fraction(ppm) / 1_000_000))
+
+
+def node_misalignment(node, t: int) -> int:
+    """Omniscient node-RTC minus gateway time at true instant ``t``, for
+    an engine node: its base plus the drift ``t * drift_num / drift_den``
+    evaluated exactly and rounded half away from zero."""
+    return node.base + _round_half_away(Fraction(t * node.drift_num, node.drift_den))
+
+
+def narrowest_typecode(rows) -> str:
+    """The narrowest signed array type of ``b``, ``h``, ``i`` and ``q``
+    that holds every value of the non-empty ``rows``, from each type's
+    item size."""
+    lo, hi = min(rows), max(rows)
+    for typecode in "bhiq":
+        limit = 1 << (8 * array(typecode).itemsize - 1)
+        if -limit <= lo and hi < limit:
+            return typecode
+    raise OverflowError("rows do not fit int64")
 
 
 def channel_arbitrate(transmissions: list[tuple[int, int, int]]) -> list[bool]:

@@ -21,6 +21,7 @@ from saloha.sync import max_resync_interval
 from saloha.phy import RadioProfile, time_on_air
 from saloha.timebase import NS_PER_MS, NS_PER_SEC, NS_PER_US
 
+from oracles import node_misalignment
 from test_phy import oracle_time_on_air_ns, random_profile
 
 DAY = 86400 * NS_PER_SEC
@@ -131,7 +132,7 @@ def test_criterion_3_synchronization_bound(capsys):
         engine = Engine(replace(base, seed=k))
         engine.run()
         node = engine.nodes[0]
-        end_mis = abs(engine.ground_truth_misalignment(0, base.duration))
+        end_mis = abs(node_misalignment(node, base.duration))
         pre = max(node.max_mis_pre_sync, end_mis)
         worst_pre = max(worst_pre, pre)
         worst_post = max(worst_post, node.max_mis_post_sync)

@@ -49,6 +49,7 @@ from oracles import (
     local_now,
     local_to_true,
     metrics_oracle,
+    narrowest_typecode,
     scan_duty_cycle_oracle,
 )
 from test_golden import GOLDEN, run_digests
@@ -619,13 +620,17 @@ def assert_columns_complete(trace) -> None:
 
 
 class TestCompactTrace:
-    def test_int_columns_are_int64_arrays(self):
+    def test_int_columns_are_arrays_of_the_narrowest_type(self):
         trace, _ = Engine(pure_config(n_nodes=3)).run()
         for name in INT_COLUMNS:
             blocks = getattr(trace, name).blocks
             assert blocks, name
             for block in blocks:
-                assert isinstance(block, array) and block.typecode == "q", name
+                assert isinstance(block, array), name
+                assert block.typecode == narrowest_typecode(block), name
+        # Node ids, channels and a pure run's slot index (-1) take a byte.
+        for name in ("node_id", "channel", "slot_index"):
+            assert {b.typecode for b in getattr(trace, name).blocks} == {"b"}, name
         for name in FLAG_COLUMNS:
             assert isinstance(getattr(trace, name), bytearray), name
         assert_columns_complete(trace)
@@ -653,8 +658,9 @@ class TestCompactTrace:
         assert len(trace) == metrics.transmissions == 0
         assert_columns_complete(trace)
 
-    def test_trace_costs_at_most_80_bytes_per_uplink(self):
-        # Columns as lists of boxed ints peaked at about 157 B per uplink.
+    def test_trace_costs_at_most_50_bytes_per_uplink(self):
+        # Columns as lists of boxed ints peaked at about 157 B per uplink,
+        # and as int64 blocks at about 63 B.
         cfg = load_scenario("", seed=1, duration=86_400 * NS_PER_SEC)
         tracemalloc.start()
         try:
@@ -662,4 +668,4 @@ class TestCompactTrace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / len(trace) <= 80
+        assert peak / len(trace) <= 50

@@ -1,8 +1,10 @@
 """Trace int columns: ``engine.Column`` against a plain-list oracle at
-every block-boundary length, and the block layout of a real run."""
+every block-boundary length, on small values and on the limits of each
+block type, and the block layout of a real run."""
 
 from array import array
 from bisect import bisect_left
+from operator import is_
 
 import pytest
 
@@ -11,19 +13,19 @@ from saloha.config import load_scenario
 from saloha.engine import Column, Engine
 from saloha.timebase import NS_PER_SEC
 
+from oracles import narrowest_typecode
+
 INT_COLUMNS = ("node_id", "true_start", "local_start", "slot_index", "channel",
                "duration")
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+BLOCKS = (1, 3, engine_module._TRACE_BLOCK)
 
-
-def cases():
-    for block in (1, 3, engine_module._TRACE_BLOCK):
-        for n in sorted({0, block - 1, block, block + 1, 2 * block + 1}):
-            yield block, n
-
-
-CASES = list(cases())
-IDS = [f"B={block}-n={n}" for block, n in CASES]
+#: Both sides of the limits of ``b``, ``h`` and ``i``, and the int64
+#: extremes.
+LIMITS = sorted(
+    {s * (1 << k) + d for k in (7, 15, 31) for s in (-1, 1) for d in (-1, 0)}
+    | {INT64_MIN, INT64_MAX}
+)
 
 
 def sample(n):
@@ -35,6 +37,23 @@ def sample(n):
     return values
 
 
+def limits(n):
+    """n values that cycle through ``LIMITS`` out of order, so that a
+    block of a few rows mixes types."""
+    return [LIMITS[i * 5 % len(LIMITS)] for i in range(n)]
+
+
+def cases():
+    for make, prefix in ((sample, ""), (limits, "limits-")):
+        for block in BLOCKS:
+            for n in sorted({0, block - 1, block, block + 1, 2 * block + 1}):
+                if n or make is sample:  # one empty column is enough
+                    yield pytest.param(block, n, make, id=f"{prefix}B={block}-n={n}")
+
+
+CASES = list(cases())
+
+
 def make_column(monkeypatch, block, values):
     monkeypatch.setattr(engine_module, "_TRACE_BLOCK", block)
     col = Column()
@@ -43,26 +62,27 @@ def make_column(monkeypatch, block, values):
 
 
 def assert_layout(col, block):
-    """Every block is int64 and holds exactly ``block`` rows, except a
-    shorter (never empty) last one."""
+    """Every block is an array of the narrowest signed type that holds
+    its rows and holds exactly ``block`` rows, except a shorter (never
+    empty) last one."""
     assert col.block == block
     for b in col.blocks:
-        assert isinstance(b, array) and b.typecode == "q"
+        assert isinstance(b, array) and b.typecode == narrowest_typecode(b)
     assert all(len(b) == block for b in col.blocks[:-1])
     assert all(0 < len(b) <= block for b in col.blocks[-1:])
 
 
-@pytest.mark.parametrize("block,n", CASES, ids=IDS)
+@pytest.mark.parametrize("block,n,make", CASES)
 class TestColumnAgainstList:
-    def test_iteration_len_and_layout(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_iteration_len_and_layout(self, monkeypatch, block, n, make):
+        values = make(n)
         col = make_column(monkeypatch, block, values)
         assert list(col) == values
         assert len(col) == n
         assert_layout(col, block)
 
-    def test_indexing_follows_list_semantics(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_indexing_follows_list_semantics(self, monkeypatch, block, n, make):
+        values = make(n)
         col = make_column(monkeypatch, block, values)
         for i in range(-n, n):
             assert col[i] == values[i]
@@ -74,8 +94,8 @@ class TestColumnAgainstList:
         with pytest.raises(TypeError):
             col[0:1]
 
-    def test_item_assignment(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_item_assignment(self, monkeypatch, block, n, make):
+        values = make(n)
         col = make_column(monkeypatch, block, values)
         for i in {0, block - 1, block, n // 2, -1} & set(range(-n, n)):
             values[i] ^= 1  # stays inside int64, unlike += 1
@@ -83,37 +103,37 @@ class TestColumnAgainstList:
         assert list(col) == values
         assert_layout(col, block)
 
-    def test_count(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_count(self, monkeypatch, block, n, make):
+        values = make(n)
         col = make_column(monkeypatch, block, values)
         for v in (-1, 10**6, INT64_MAX, *values[n // 2 : n // 2 + 1]):
             assert col.count(v) == values.count(v)
 
-    def test_equality(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_equality(self, monkeypatch, block, n, make):
+        values = make(n)
         col = make_column(monkeypatch, block, values)
         assert col == make_column(monkeypatch, block, values)
         # Equal contents in a different layout are equal.
         assert col == make_column(monkeypatch, block + 1, values)
         assert col != make_column(monkeypatch, block, values + [0])
         if n:
-            assert col != make_column(monkeypatch, 2, values[:-1] + [values[-1] - 1])
+            assert col != make_column(monkeypatch, 2, values[:-1] + [values[-1] ^ 1])
         # A column is not a list: compare through list(col).
         assert col != values
 
-    def test_bisect_left(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_bisect_left(self, monkeypatch, block, n, make):
+        values = sorted(make(n))
         col = make_column(monkeypatch, block, values)
         for x in {INT64_MIN, -505, -1, 0, 504, INT64_MAX, *values[:3]}:
             assert bisect_left(col, x) == bisect_left(values, x)
 
-    def test_array_of_column(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_array_of_column(self, monkeypatch, block, n, make):
+        values = make(n)
         col = make_column(monkeypatch, block, values)
         assert array("q", col) == array("q", values)
 
-    def test_extend_in_pieces(self, monkeypatch, block, n):
-        values = sample(n)
+    def test_extend_in_pieces(self, monkeypatch, block, n, make):
+        values = make(n)
         monkeypatch.setattr(engine_module, "_TRACE_BLOCK", block)
         col = Column()
         start = 0
@@ -124,6 +144,36 @@ class TestColumnAgainstList:
             if start >= n:
                 break
         assert list(col) == values
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_item_assignment_widens_only_its_block(monkeypatch, block):
+    values = [0] * (3 * block)
+    col = make_column(monkeypatch, block, values)
+    before = list(col.blocks)
+    col[block] = values[block] = 1 << 31
+    assert list(col) == values
+    assert [b.typecode for b in col.blocks] == ["b", "q", "b"]
+    assert col.blocks[0] is before[0] and col.blocks[2] is before[2]
+    col[-1] = values[-1] = -1
+    assert list(col) == values
+    assert col.blocks[2] is before[2]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("bad", [INT64_MIN - 1, INT64_MAX + 1])
+def test_a_value_outside_int64_changes_nothing(monkeypatch, block, bad):
+    values = limits(2 * block + 1)
+    col = make_column(monkeypatch, block, values)
+    before = list(col.blocks)
+    for rows in ([bad], [0] * (2 * block) + [bad]):
+        with pytest.raises(OverflowError):
+            col.extend(rows)
+    for i in (0, block, -1):
+        with pytest.raises(OverflowError):
+            col[i] = bad
+    assert list(col) == values
+    assert len(col.blocks) == len(before) and all(map(is_, col.blocks, before))
 
 
 def test_a_real_run_never_resizes_a_block():
