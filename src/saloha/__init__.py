@@ -5,35 +5,20 @@ with drifting node clocks, ACK-piggybacked time synchronization, and
 pure vs slotted ALOHA channel access.
 """
 
-from .engine import (
-    Engine,
-    Metrics,
-    ScenarioConfig,
-    SimConfigError,
-    Trace,
-    enforce_duty_cycle,
-    run,
-)
-from .mac import BackoffPolicy, MacPolicy, SlotPlan, plan_slot, required_guard
-from .phy import RadioProfile, duty_cycle, min_period_for_dc, symbol_time, time_on_air
+from .config import ConfigError, load_scenario
+from .engine import Engine, Metrics, ScenarioConfig, SimConfigError, Trace, run
+from .phy import RadioProfile, time_on_air
 
 __all__ = [
-    "BackoffPolicy",
+    "ConfigError",
     "Engine",
-    "MacPolicy",
     "Metrics",
     "RadioProfile",
     "ScenarioConfig",
     "SimConfigError",
-    "SlotPlan",
     "Trace",
-    "duty_cycle",
-    "enforce_duty_cycle",
-    "min_period_for_dc",
-    "plan_slot",
-    "required_guard",
+    "load_scenario",
     "run",
-    "symbol_time",
     "time_on_air",
 ]
 

@@ -158,8 +158,13 @@ timestamp_error_max = 19 us
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
+    # No header can name the default section, so a [DEFAULT] in a file
+    # is an ordinary section, and an unknown one.
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#",), strict=True
+        interpolation=None,
+        inline_comment_prefixes=("#",),
+        strict=True,
+        default_section="\n",
     )
     try:
         parser.read_file(io.StringIO(text))
@@ -220,18 +225,18 @@ def load_scenario(
         rx1_delay = parse_duration(mc["rx1_delay"])
         guard = parse_duration(mc["guard"])
         app_period = parse_duration(sc["app_period"])
+        # [mac] is checked whatever the policy; only slotted carries it.
+        plan = plan_slot(
+            uplink, ack, rx1_delay, guard, parse_duration(mc["slot_rounding"])
+        )
+        raw_phase = mc["max_phase_slots"].strip().lower()
+        if raw_phase == "auto":
+            max_phase = max(1, app_period // plan.t)
+        else:
+            max_phase = int(raw_phase)
+        backoff = BackoffPolicy(max_phase_slots=max_phase)
         if policy_name == "slotted":
-            plan = plan_slot(
-                uplink, ack, rx1_delay, guard, parse_duration(mc["slot_rounding"])
-            )
-            raw_phase = mc["max_phase_slots"].strip().lower()
-            if raw_phase == "auto":
-                max_phase = max(1, app_period // plan.t)
-            else:
-                max_phase = int(raw_phase)
-            mac_policy = MacPolicy(
-                "slotted", plan=plan, backoff=BackoffPolicy(max_phase_slots=max_phase)
-            )
+            mac_policy = MacPolicy("slotted", plan=plan, backoff=backoff)
         else:
             mac_policy = MacPolicy(policy_name)
 

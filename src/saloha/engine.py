@@ -387,7 +387,6 @@ class Metrics:
     warmup_transmissions: int
     warmup_conflicts: int
     warmup_ns: int
-    duration_ns: int
     per_node: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -763,7 +762,6 @@ class Engine:
             warmup_transmissions=n - steady_n,
             warmup_conflicts=conflicts - steady_c,
             warmup_ns=cfg.warmup,
-            duration_ns=cfg.duration,
             per_node=[(sent[i], lost[i]) for i in range(cfg.n_nodes)],
         )
 

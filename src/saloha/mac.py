@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .phy import RadioProfile, time_on_air
-from .timebase import drift_error
 
 #: Peak channel utilization of the two access schemes: G·e^(-2G) tops
 #: out at 1/(2e), G·e^(-G) at 1/e.
@@ -96,33 +95,12 @@ def plan_slot(
     return SlotPlan(t_r=t_r, t_b=guard, t=t)
 
 
-def required_guard(
-    initial_uncertainty: int, drift_bound_ppm: float, resync_interval: int
-) -> int:
-    """Guard needed to absorb the sync residual plus drift accrued over
-    one resync interval.  Inverse of ``sync.max_resync_interval``."""
-    if initial_uncertainty <= 0 or drift_bound_ppm <= 0 or resync_interval < 0:
-        raise MacError("inputs must be positive")
-    return initial_uncertainty + drift_error(drift_bound_ppm, resync_interval)
-
-
 def slot_start(ready_local: int, t: int, phase: int = 0) -> int:
     """Slotted transmission start for data ready at ``ready_local``
     (node-local time): the next boundary of the global grid of slot
     width ``t``, shifted forward by the node's backoff phase in whole
     slots."""
     return (-(-ready_local // t) + phase) * t
-
-
-def throughput(policy_kind: str, offered_load_g: float) -> float:
-    """Analytic ALOHA channel throughput at offered load G."""
-    if offered_load_g < 0:
-        raise MacError(f"offered load must be non-negative, got {offered_load_g}")
-    if policy_kind == "pure":
-        return offered_load_g * math.exp(-2.0 * offered_load_g)
-    if policy_kind == "slotted":
-        return offered_load_g * math.exp(-offered_load_g)
-    raise MacError(f"unknown policy kind {policy_kind!r}")
 
 
 def max_node_dc(policy_kind: str, n_nodes: int, regulatory_cap: float = 0.01) -> float:

@@ -89,10 +89,3 @@ def duty_cycle(airtime: int, period: int) -> float:
     if period <= 0:
         raise ValueError(f"period must be positive, got {period}")
     return airtime / period
-
-
-def min_period_for_dc(airtime: int, dc_cap: float) -> int:
-    """Smallest inter-transmission period honouring a duty-cycle cap."""
-    if not 0.0 < dc_cap <= 1.0:
-        raise ValueError(f"dc_cap must be in (0, 1], got {dc_cap}")
-    return round(airtime / dc_cap)

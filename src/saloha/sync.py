@@ -15,10 +15,9 @@ node-side residual from variable execution timing (milliseconds).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from .timebase import NS_PER_US, drift_error, ppm_ratio, round_half_away_div
+from .timebase import NS_PER_US, drift_error, round_half_away_div
 
 #: Residual error bound of a single synchronization, measured on real
 #: hardware: worst case 15 ms, average 10 ms.
@@ -28,15 +27,9 @@ MAX_TIMESTAMP_ERROR_NS = 20 * NS_PER_US
 #: The ACK carries the gateway timestamp as 8 unsigned bytes of µs.
 ACK_TIMESTAMP_LIMIT = 1 << 64
 
-_ACK_STRUCT = struct.Struct("<Q")
-
 
 class SyncError(ValueError):
     """Contract violation in the synchronization machinery."""
-
-
-class UnsynchronizedError(SyncError):
-    """An operation that requires a synchronized clock was attempted early."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +48,8 @@ class SyncState:
 
 @dataclass(frozen=True)
 class SyncAck:
-    """Gateway timestamp carried in the ACK: 8 bytes, little-endian,
-    unsigned microseconds of gateway (true) time since the run began."""
+    """Gateway timestamp carried in the ACK: unsigned microseconds of
+    gateway (true) time since the run began, in 8 bytes."""
 
     gateway_timestamp_us: int
 
@@ -65,19 +58,6 @@ class SyncAck:
             raise SyncError(
                 f"timestamp {self.gateway_timestamp_us} not representable in 8 bytes"
             )
-
-    @property
-    def gateway_timestamp_ns(self) -> int:
-        return self.gateway_timestamp_us * NS_PER_US
-
-    def to_bytes(self) -> bytes:
-        return _ACK_STRUCT.pack(self.gateway_timestamp_us)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SyncAck":
-        if len(data) != 8:
-            raise SyncError(f"SyncAck payload must be 8 bytes, got {len(data)}")
-        return cls(_ACK_STRUCT.unpack(data)[0])
 
 
 def gateway_record_rx_end(t: int, timestamp_error: int) -> int:
@@ -107,7 +87,7 @@ def current_uncertainty(state: SyncState, now_local: int) -> int:
     between syncs.
     """
     if not state.synced:
-        raise UnsynchronizedError("node has never synchronized")
+        raise SyncError("node has never synchronized")
     elapsed = max(0, now_local - state.last_sync_local)
     return state.uncertainty_at_sync + drift_error(state.drift_bound_ppm, elapsed)
 
@@ -121,18 +101,3 @@ def needs_resync(state: SyncState, now_local: int, guard: int) -> bool:
     if not state.synced:
         return True
     return current_uncertainty(state, now_local) >= guard
-
-
-def max_resync_interval(
-    guard: int, initial_uncertainty: int, drift_bound_ppm: float
-) -> int:
-    """Longest time between clock refreshes that keeps misalignment
-    under the guard interval: ``(guard - u0) / drift``."""
-    if guard <= initial_uncertainty:
-        raise SyncError(
-            f"guard {guard} ns must exceed initial uncertainty {initial_uncertainty} ns"
-        )
-    if drift_bound_ppm <= 0:
-        raise SyncError(f"drift bound must be positive, got {drift_bound_ppm}")
-    num, den = ppm_ratio(drift_bound_ppm)
-    return round_half_away_div((guard - initial_uncertainty) * den, num)

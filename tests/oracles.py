@@ -148,7 +148,6 @@ def metrics_oracle(trace: Trace, n_nodes: int, warmup: int, duration: int) -> Me
         warmup_transmissions=n - steady_n,
         warmup_conflicts=conflicts - steady_c,
         warmup_ns=warmup,
-        duration_ns=duration,
         per_node=[tuple(x) for x in per_node],
     )
 

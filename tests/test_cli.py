@@ -111,6 +111,30 @@ def test_fractional_timestamp_error_bound_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nn_nodes = 5\n", "[mac]\npolicy = pure\nguard = 0 s\n"],
+    ids=["default-section", "pure-zero-guard"],
+)
+def test_rejected_scenario_is_config_error(tmp_path, capsys, text):
+    # Both used to run and exit 0.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(text)
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "1",
+            "--duration", "60 s",
+            "--warmup", "10 s",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_drift_bound_out_of_range_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text("[sync]\ndrift_bound_ppm = inf\n")

@@ -154,6 +154,16 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="gateway"):
             load_scenario("[gateway]\nantennas = 2\n", seed=1)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\n", "[DEFAULT]\nbogus = 1\n", "[DEFAULT]\nn_nodes = 5\n[mac]\n"],
+        ids=["empty", "bogus-key", "with-scenario"],
+    )
+    def test_default_section_is_an_unknown_section(self, text):
+        # configparser would spread [DEFAULT] over every section.
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_scenario(text, seed=1)
+
     def test_file_overrides_defaults(self):
         cfg = load_scenario(
             "[scenario]\nn_nodes = 3\napp_period = 2 min\n", seed=1
@@ -238,6 +248,20 @@ class TestLoadScenario:
         assert load_scenario("", seed=1).policy.backoff.max_phase_slots == 17
         cfg = load_scenario("[mac]\nmax_phase_slots = 4\n", seed=1)
         assert cfg.policy.backoff.max_phase_slots == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "slot_rounding = 0 s",
+            "guard = 0 s",
+            "max_phase_slots = 0",
+            "max_phase_slots = garbage",
+        ],
+    )
+    def test_mac_values_are_checked_under_every_policy(self, text):
+        for policy in ("pure", "slotted"):
+            with pytest.raises(ConfigError):
+                load_scenario(f"[mac]\npolicy = {policy}\n{text}\n", seed=1)
 
     def test_pure_baseline_is_pure_without_confirmed_uplinks(self):
         slotted = load_scenario("", seed=3)

@@ -1,4 +1,4 @@
-"""Slot geometry, access timing, analytic throughput."""
+"""Slot geometry, access timing, ALOHA peak constants."""
 
 import math
 
@@ -15,14 +15,11 @@ from saloha.mac import (
     SlotPlan,
     max_node_dc,
     plan_slot,
-    required_guard,
     slot_start,
-    throughput,
 )
 from saloha.config import load_scenario
 from saloha.engine import Engine
 from saloha.phy import RadioProfile
-from saloha.sync import max_resync_interval
 from saloha.timebase import NS_PER_MS, NS_PER_SEC
 
 UPLINK = RadioProfile(
@@ -71,26 +68,6 @@ class TestPlanSlot:
             plan_slot(UPLINK, ACK, 0, 400 * NS_PER_MS)
         with pytest.raises(MacError):
             plan_slot(UPLINK, ACK, NS_PER_SEC, 0)
-
-
-class TestGuardInverse:
-    def test_reference_guard(self):
-        interval = 4_812_500_000_000  # 4812.5 s
-        assert required_guard(15 * NS_PER_MS, 80.0, interval) == 400 * NS_PER_MS
-
-    @given(
-        st.integers(1, 15 * NS_PER_MS),
-        st.floats(1.0, 200.0, allow_nan=False),
-        st.integers(NS_PER_SEC, 10 * 3600 * NS_PER_SEC),
-    )
-    @settings(max_examples=300)
-    def test_inverse_of_max_resync_interval(self, residual, ppm, interval):
-        guard = required_guard(residual, ppm, interval)
-        if guard <= residual:
-            return  # zero drift accrual, interval unbounded
-        back = max_resync_interval(guard, residual, ppm)
-        # each direction rounds once; slack is below 1 ns of drift input
-        assert abs(back - interval) * ppm <= 1e6
 
 
 class TestPolicies:
@@ -169,23 +146,9 @@ class TestNextTxTime:
 
 
 class TestThroughput:
-    def test_peaks(self):
-        assert throughput("pure", 0.5) == pytest.approx(PURE_ALOHA_PEAK)
-        assert throughput("slotted", 1.0) == pytest.approx(SLOTTED_ALOHA_PEAK)
-
     def test_peak_constants(self):
         assert PURE_ALOHA_PEAK == pytest.approx(1 / (2 * math.e))
         assert SLOTTED_ALOHA_PEAK == pytest.approx(1 / math.e)
-
-    def test_zero_load_zero_throughput(self):
-        assert throughput("pure", 0.0) == 0.0
-        assert throughput("slotted", 0.0) == 0.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(MacError):
-            throughput("pure", -0.1)
-        with pytest.raises(MacError):
-            throughput("csma", 0.5)
 
 
 class TestMaxNodeDc:

@@ -12,7 +12,6 @@ from saloha.phy import (
     RadioProfile,
     RadioProfileError,
     duty_cycle,
-    min_period_for_dc,
     payload_symbols,
     symbol_time,
     time_on_air,
@@ -156,12 +155,3 @@ class TestDutyCycle:
     def test_bad_period(self):
         with pytest.raises(ValueError):
             duty_cycle(10, 0)
-
-    def test_min_period_roundtrip(self):
-        airtime = 167_000_000
-        period = min_period_for_dc(airtime, 0.01)
-        assert duty_cycle(airtime, period) == pytest.approx(0.01, rel=1e-9)
-
-    def test_min_period_bad_cap(self):
-        with pytest.raises(ValueError):
-            min_period_for_dc(1, 0.0)

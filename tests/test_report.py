@@ -160,7 +160,6 @@ class TestRatiosAndSeries:
             warmup_transmissions=0,
             warmup_conflicts=0,
             warmup_ns=0,
-            duration_ns=1,
         )
 
     def test_steady_ratio(self):
