@@ -20,7 +20,7 @@ from saloha.mac import (
 from saloha.config import load_scenario
 from saloha.engine import Engine
 from saloha.phy import RadioProfile
-from saloha.timebase import NS_PER_MS, NS_PER_SEC
+from saloha.timebase import NS_PER_MS, NS_PER_SEC, drift_error
 
 UPLINK = RadioProfile(
     spreading_factor=7,
@@ -68,6 +68,12 @@ class TestPlanSlot:
             plan_slot(UPLINK, ACK, 0, 400 * NS_PER_MS)
         with pytest.raises(MacError):
             plan_slot(UPLINK, ACK, NS_PER_SEC, 0)
+
+
+class TestGuardInverse:
+    def test_reference_guard(self):
+        guard = 15 * NS_PER_MS + drift_error(80.0, 4_812_500_000_000)  # 4812.5 s
+        assert guard == 400 * NS_PER_MS
 
 
 class TestPolicies:
@@ -146,6 +152,10 @@ class TestNextTxTime:
 
 
 class TestThroughput:
+    def test_peaks(self):
+        assert 0.5 * math.exp(-2 * 0.5) == pytest.approx(PURE_ALOHA_PEAK)
+        assert 1.0 * math.exp(-1.0) == pytest.approx(SLOTTED_ALOHA_PEAK)
+
     def test_peak_constants(self):
         assert PURE_ALOHA_PEAK == pytest.approx(1 / (2 * math.e))
         assert SLOTTED_ALOHA_PEAK == pytest.approx(1 / math.e)
