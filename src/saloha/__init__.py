@@ -6,7 +6,7 @@ pure vs slotted ALOHA channel access.
 """
 
 from .config import ConfigError, load_scenario
-from .engine import Engine, Metrics, ScenarioConfig, SimConfigError, Trace, run
+from .engine import Engine, Metrics, ScenarioConfig, Trace, run
 from .phy import RadioProfile, time_on_air
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "Metrics",
     "RadioProfile",
     "ScenarioConfig",
-    "SimConfigError",
     "Trace",
     "load_scenario",
     "run",

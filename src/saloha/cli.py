@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: airtime, plan-slot, dc-curve, drift-curve, simulate,
-compare.  The radio and slot flags of airtime and plan-slot default to
-the default scenario's values (``config.DEFAULT_SCENARIO``).  Exit
-codes: 0 success, 2 configuration error, 3 I/O error (an ``OSError``,
-whose message names the path).
+compare.  The radio and slot flags of airtime and plan-slot and
+dc-curve's cap default to the default scenario's values
+(``config.DEFAULT_SCENARIO``); plan-slot builds the ACK as a scenario
+does (``config.ack_profile``).  Exit codes: 0 success, 2 configuration
+error (a ``ValueError``; one from a ``--config`` file names its path),
+3 I/O error (an ``OSError``, whose message names the path).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from . import report
 from .config import (
     DEFAULTS,
     ConfigError,
+    ack_profile,
     load_scenario,
     parse_duration,
     parse_fraction,
@@ -57,9 +60,9 @@ def _profile_args(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(**DEFAULTS["uplink"])
 
 
-def _profile_from(ns: argparse.Namespace, **keys: str) -> RadioProfile:
-    """The flags' [uplink] profile with ``keys`` overriding them."""
-    return radio_profile({key: getattr(ns, key) for key in DEFAULTS["uplink"]} | keys)
+def _profile_from(ns: argparse.Namespace) -> RadioProfile:
+    """The [uplink] profile the flags describe."""
+    return radio_profile({key: getattr(ns, key) for key in DEFAULTS["uplink"]})
 
 
 def _cmd_airtime(ns: argparse.Namespace) -> int:
@@ -75,10 +78,9 @@ def _cmd_airtime(ns: argparse.Namespace) -> int:
 
 def _cmd_plan_slot(ns: argparse.Namespace) -> int:
     uplink = _profile_from(ns)
-    ack = _profile_from(ns, payload_bytes=ns.ack_payload)
     plan = plan_slot(
         uplink,
-        ack,
+        ack_profile(uplink, ns.ack_payload),
         parse_duration(ns.rx1_delay),
         parse_duration(ns.guard),
         parse_duration(ns.rounding),
@@ -119,11 +121,15 @@ def _load_config(ns: argparse.Namespace, policy: Optional[str] = None) -> Scenar
         warmup=parse_duration(ns.warmup) if ns.warmup else None,
         policy=policy,
     )
-    text = ""
-    if ns.config:
+    if not ns.config:
+        config = load_scenario("", **overrides)
+    else:
         with open(ns.config, encoding="utf-8") as fh:
             text = fh.read()
-    config = load_scenario(text, **overrides)
+        try:
+            config = load_scenario(text, **overrides)
+        except ConfigError as exc:
+            raise ConfigError(f"{ns.config}: {exc}") from exc
     # The engine accepts such a run, but its steady-state figures would
     # come from no uplinks at all.
     if config.warmup >= config.duration:
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default="pure,slotted")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=100)
-    p.add_argument("--cap", default="1 %")
+    p.add_argument("--cap", default=DEFAULTS["scenario"]["duty_cycle_cap"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dc_curve)
 
@@ -243,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except ValueError as exc:  # ConfigError, SimConfigError, RadioProfileError
+    except ValueError as exc:  # ConfigError and every library precondition
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

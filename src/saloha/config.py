@@ -3,26 +3,23 @@
 All durations accept human-readable units (ns/us/ms/s/min/h/d) and are
 normalized exactly to integer nanoseconds.  Fractions accept either a plain
 number ("0.0056") or a percentage ("0.56 %").  Unknown sections or keys
-are a hard error so typos cannot silently fall back to defaults.
+are a hard error so typos cannot silently fall back to defaults, and
+every rejection is a ``ConfigError``.  ``[ack]`` sets only the ACK's
+payload: ``ack_profile`` takes the rest from ``[uplink]``.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import re
 from dataclasses import replace
 from typing import Mapping, Optional
 
-from .engine import ScenarioConfig, SimConfigError
+from .engine import ConfigError, ScenarioConfig
 from .mac import BackoffPolicy, MacPolicy, plan_slot
 from .phy import RadioProfile
 from .timebase import round_half_away_div
-
-
-class ConfigError(ValueError):
-    """Malformed scenario file or invalid value."""
 
 
 _UNIT_NS = {
@@ -132,14 +129,7 @@ crc = true
 low_data_rate_optimize = false
 
 [ack]
-spreading_factor = 7
-bandwidth = 125 kHz
-coding_rate = 4/5
-preamble_symbols = 6
 payload_bytes = 13
-explicit_header = true
-crc = true
-low_data_rate_optimize = false
 
 [mac]
 policy = slotted
@@ -167,7 +157,7 @@ def _read_ini(text: str) -> configparser.ConfigParser:
         default_section="\n",
     )
     try:
-        parser.read_file(io.StringIO(text))
+        parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from exc
     return parser
@@ -220,7 +210,7 @@ def load_scenario(
 
     try:
         uplink = radio_profile(merged["uplink"])
-        ack = radio_profile(merged["ack"])
+        ack = ack_profile(uplink, merged["ack"]["payload_bytes"])
         policy_name = (policy or mc["policy"]).strip().lower()
         rx1_delay = parse_duration(mc["rx1_delay"])
         guard = parse_duration(mc["guard"])
@@ -278,7 +268,7 @@ def load_scenario(
             timestamp_error_max_us=ts_error_max // 1000,
         )
     except (ValueError, KeyError) as exc:
-        if isinstance(exc, (ConfigError, SimConfigError)):
+        if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
     config.validate()
@@ -286,7 +276,7 @@ def load_scenario(
 
 
 def radio_profile(values: Mapping[str, str]) -> RadioProfile:
-    """The profile an [uplink] or [ack] section's text values describe."""
+    """The profile an [uplink] section's text values describe."""
     return RadioProfile(
         spreading_factor=int(values["spreading_factor"]),
         bandwidth_hz=parse_bandwidth(values["bandwidth"]),
@@ -297,6 +287,12 @@ def radio_profile(values: Mapping[str, str]) -> RadioProfile:
         crc_enabled=parse_bool(values["crc"]),
         low_data_rate_optimize=parse_bool(values["low_data_rate_optimize"]),
     )
+
+
+def ack_profile(uplink: RadioProfile, payload_bytes: str) -> RadioProfile:
+    """The ACK's profile: RX1 answers at the uplink's data rate, so it is
+    the uplink profile carrying the ``[ack]`` payload."""
+    return replace(uplink, payload_bytes=int(payload_bytes))
 
 
 def pure_baseline(config: ScenarioConfig) -> ScenarioConfig:

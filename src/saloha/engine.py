@@ -82,8 +82,9 @@ def _narrowest(rows: Sequence[int]) -> array:
     return array("q", rows)
 
 
-class SimConfigError(ValueError):
-    """Scenario validation failure; message lists every offending field."""
+class ConfigError(ValueError):
+    """A bad scenario: malformed text, an unparsable value or a field
+    ``ScenarioConfig.validate`` rejects (the message lists each one)."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ class ScenarioConfig:
     """Full description of one simulation run.  Durations are integer
     nanoseconds; the seed is mandatory (no ambient entropy).  The class
     has no defaults of its own: ``config.load_scenario("", seed=...)``
-    fills every field from ``config.DEFAULT_SCENARIO``."""
+    fills every field from ``config.DEFAULT_SCENARIO``, the ACK profile
+    as the uplink profile with the ``[ack]`` payload."""
 
     n_nodes: int
     app_period: int
@@ -184,7 +186,7 @@ class ScenarioConfig:
         if self.capture_effect:
             problems.append("capture effect modelling is a disabled hook")
         if problems:
-            raise SimConfigError("; ".join(problems))
+            raise ConfigError("; ".join(problems))
 
 
 def enforce_duty_cycle(
@@ -210,7 +212,7 @@ def enforce_duty_cycle(
     instant at which it becomes legal.
     """
     if budget < duration:
-        raise SimConfigError("transmission longer than the duty-cycle budget")
+        raise ValueError("transmission longer than the duty-cycle budget")
     win_start = proposed_start + duration - window
     excess = airtime + duration - budget
     for s, _d in history:
@@ -388,12 +390,6 @@ class Metrics:
     warmup_conflicts: int
     warmup_ns: int
     per_node: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def warmup_collision_probability(self) -> float:
-        if self.warmup_transmissions == 0:
-            return 0.0
-        return self.warmup_conflicts / self.warmup_transmissions
 
 
 class Engine:

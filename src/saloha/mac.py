@@ -22,10 +22,6 @@ PURE_ALOHA_PEAK = 1.0 / (2.0 * math.e)
 SLOTTED_ALOHA_PEAK = 1.0 / math.e
 
 
-class MacError(ValueError):
-    """Invalid MAC parameterization."""
-
-
 @dataclass(frozen=True)
 class SlotPlan:
     """Slot geometry: transmission window, guard, full width."""
@@ -36,9 +32,9 @@ class SlotPlan:
 
     def __post_init__(self) -> None:
         if self.t_r <= 0 or self.t_b <= 0:
-            raise MacError("t_r and t_b must be positive")
+            raise ValueError("t_r and t_b must be positive")
         if self.t < self.t_r + self.t_b:
-            raise MacError("slot width t must cover t_r + t_b")
+            raise ValueError("slot width t must cover t_r + t_b")
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class BackoffPolicy:
 
     def __post_init__(self) -> None:
         if self.max_phase_slots < 1:
-            raise MacError("max_phase_slots must be >= 1")
+            raise ValueError("max_phase_slots must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,11 +60,11 @@ class MacPolicy:
 
     def __post_init__(self) -> None:
         if self.variant not in ("pure", "slotted"):
-            raise MacError(f"unknown MAC variant {self.variant!r}")
+            raise ValueError(f"unknown MAC variant {self.variant!r}")
         if self.variant == "slotted" and self.plan is None:
-            raise MacError("slotted policy requires a SlotPlan")
+            raise ValueError("slotted policy requires a SlotPlan")
         if self.variant == "slotted" and self.backoff is None:
-            raise MacError("slotted policy requires a BackoffPolicy")
+            raise ValueError("slotted policy requires a BackoffPolicy")
 
     @property
     def is_slotted(self) -> bool:
@@ -76,11 +72,7 @@ class MacPolicy:
 
 
 def plan_slot(
-    uplink: RadioProfile,
-    ack: RadioProfile,
-    rx1_delay: int,
-    guard: int,
-    rounding: int = 100_000_000,
+    uplink: RadioProfile, ack: RadioProfile, rx1_delay: int, guard: int, rounding: int
 ) -> SlotPlan:
     """Size a slot for the given uplink/ACK profiles.
 
@@ -88,7 +80,7 @@ def plan_slot(
     adds the guard and is rounded up to a multiple of ``rounding``.
     """
     if rx1_delay <= 0 or guard <= 0 or rounding <= 0:
-        raise MacError("rx1_delay, guard and rounding must be positive")
+        raise ValueError("rx1_delay, guard and rounding must be positive")
     t_r = time_on_air(uplink) + rx1_delay + time_on_air(ack)
     raw = t_r + guard
     t = -(-raw // rounding) * rounding
@@ -103,17 +95,17 @@ def slot_start(ready_local: int, t: int, phase: int = 0) -> int:
     return (-(-ready_local // t) + phase) * t
 
 
-def max_node_dc(policy_kind: str, n_nodes: int, regulatory_cap: float = 0.01) -> float:
+def max_node_dc(policy_kind: str, n_nodes: int, regulatory_cap: float) -> float:
     """Maximum per-node duty cycle: flat at the regulatory cap for small
     networks, then the analytic channel ceiling shared across nodes."""
     if n_nodes < 1:
-        raise MacError(f"n_nodes must be >= 1, got {n_nodes}")
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     if not 0.0 < regulatory_cap <= 1.0:
-        raise MacError(f"regulatory cap must be in (0, 1], got {regulatory_cap}")
+        raise ValueError(f"regulatory cap must be in (0, 1], got {regulatory_cap}")
     if policy_kind == "pure":
         peak = PURE_ALOHA_PEAK
     elif policy_kind == "slotted":
         peak = SLOTTED_ALOHA_PEAK
     else:
-        raise MacError(f"unknown policy kind {policy_kind!r}")
+        raise ValueError(f"unknown policy kind {policy_kind!r}")
     return min(regulatory_cap, peak / n_nodes)

@@ -15,10 +15,6 @@ from .timebase import NS_PER_SEC, round_half_away_div
 ALLOWED_BANDWIDTHS_HZ = (125_000, 250_000, 500_000)
 
 
-class RadioProfileError(ValueError):
-    """Raised when a radio profile field is outside its allowed range."""
-
-
 @dataclass(frozen=True)
 class RadioProfile:
     """LoRa PHY parameters from which packet airtime is derived.
@@ -52,7 +48,7 @@ class RadioProfile:
         if self.spreading_factor - 2 * self.low_data_rate_optimize <= 0:
             problems.append("SF - 2*DE must be positive")
         if problems:
-            raise RadioProfileError("; ".join(problems))
+            raise ValueError("; ".join(problems))
 
 
 def symbol_time(profile: RadioProfile) -> int:

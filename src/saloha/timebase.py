@@ -25,10 +25,6 @@ NS_PER_SEC = 1_000_000_000
 MAX_ABS_DRIFT_PPM = 500.0
 
 
-class TimebaseError(ValueError):
-    """Raised on precondition violations in clock arithmetic."""
-
-
 def round_half_away_div(num: int, den: int) -> int:
     """Divide ``num / den`` (``den > 0``) rounding half away from zero."""
     q, r = divmod(abs(num), den)
@@ -49,7 +45,7 @@ def drift_error(drift_ppm: float, elapsed: int) -> int:
     Linear in ``elapsed``: 80 ppm accrue ~192 ms over 40 minutes.
     """
     if elapsed < 0:
-        raise TimebaseError(f"elapsed must be non-negative, got {elapsed}")
+        raise ValueError(f"elapsed must be non-negative, got {elapsed}")
     num, den = ppm_ratio(abs(drift_ppm))
     return round_half_away_div(elapsed * num, den)
 

@@ -9,7 +9,7 @@ from array import array
 from fractions import Fraction
 from typing import Optional
 
-from saloha.engine import Metrics, SimConfigError, Trace
+from saloha.engine import Metrics, Trace
 
 
 def _round_half_away(x: Fraction) -> int:
@@ -91,7 +91,7 @@ def enforce_duty_cycle_oracle(
     """
     budget = round(cap * window) - duration
     if budget < 0:
-        raise SimConfigError("transmission longer than the duty-cycle budget")
+        raise ValueError("transmission longer than the duty-cycle budget")
 
     def occupancy(win_start: int, win_end: int) -> int:
         total = 0

@@ -99,7 +99,7 @@ def test_criterion_2_slot_sizing(capsys):
     ack = RadioProfile(
         spreading_factor=9, bandwidth_hz=250_000, preamble_symbols=6, payload_bytes=13
     )
-    plan = plan_slot(up, ack, NS_PER_SEC, GUARD)
+    plan = plan_slot(up, ack, NS_PER_SEC, GUARD, 100 * NS_PER_MS)
     interval = 4_812_500_000_000  # 4812.5 s, about 80 minutes
     # The guard absorbs the 15 ms sync residual plus 80 ppm of drift over
     # one resync interval; the interval is that relation solved back.
@@ -193,7 +193,7 @@ def test_criterion_5_collision_reduction(capsys, paired_runs):
         slotted = by_seed[seed]["slotted"]
         ratio = report.steady_ratio(pure, slotted)
         steady = slotted.steady_state_collision_probability
-        warmup = slotted.warmup_collision_probability
+        warmup = slotted.warmup_conflicts / slotted.warmup_transmissions
         cluster = warmup / steady if steady > 0 else float("inf")
         worst_ratio = min(worst_ratio, ratio)
         worst_slotted = max(worst_slotted, steady)

@@ -65,20 +65,69 @@ def test_plan_slot_defaults_are_the_default_plan(capsys):
         assert f"{key}_ns: {value}\n" in out
 
 
-def _plan_slot_t_r(capsys, *args: str) -> int:
+def _plan_slot_figures(capsys, *args: str) -> dict[str, int]:
     assert main(["plan-slot", *args]) == EXIT_OK
-    return int(capsys.readouterr().out.split("t_r_ns:")[1].split()[0])
+    lines = capsys.readouterr().out.splitlines()
+    return {k: int(v) for k, v in (line.split(": ") for line in lines) if k.endswith("_ns")}
 
 
 def test_plan_slot_ack_payload_sizes_the_ack(capsys):
     # The ACK is the uplink profile (SF7, 125 kHz, 6 preamble symbols)
     # with its own payload, so only its airtime moves t_r.
-    grown = _plan_slot_t_r(capsys, "--ack-payload", "50") - _plan_slot_t_r(capsys)
+    grown = (
+        _plan_slot_figures(capsys, "--ack-payload", "50")["t_r_ns"]
+        - _plan_slot_figures(capsys)["t_r_ns"]
+    )
     ack_toa = [
         time_on_air(RadioProfile(7, 125_000, preamble_symbols=6, payload_bytes=n))
         for n in (13, 50)
     ]
     assert grown == ack_toa[1] - ack_toa[0] > 0
+
+
+@pytest.mark.parametrize("sf", range(7, 13))
+def test_plan_slot_sizes_the_slot_a_scenario_simulates(capsys, sf):
+    # Both build the ACK as the uplink profile with the [ack] payload.
+    for bw in ("125 kHz", "250 kHz", "500 kHz"):
+        for payload in ("13", "101", "200"):
+            printed = _plan_slot_figures(
+                capsys, "--sf", str(sf), "--bw", bw, "--payload", payload
+            )
+            uplink = f"spreading_factor = {sf}\nbandwidth = {bw}\npayload_bytes = {payload}"
+            plan = load_scenario(f"[uplink]\n{uplink}\n", seed=1).policy.plan
+            assert (printed["t_r_ns"], printed["t_ns"]) == (plan.t_r, plan.t)
+
+
+def test_sf9_plan_slot_and_scenario_agree_on_a_2_2_s_slot(capsys):
+    assert _plan_slot_figures(capsys, "--sf", "9")["t_ns"] == 2_200_000_000
+    cfg = load_scenario("[uplink]\nspreading_factor = 9\n", seed=1)
+    assert cfg.policy.plan.t == 2_200_000_000
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("[scenario]\nn_nodes = 5\n[scenario]\n", "section 'scenario' already exists"),
+        ("[mac]\nguard = 1 s\nguard = 2 s\n", "option 'guard' in section 'mac'"),
+        ("n_nodes = 5\n", "no section headers"),
+        ("[scenario]\nn_nodes\n", "parsing errors"),
+        ("[ack]\nspreading_factor = 9\n", "unknown key 'spreading_factor' in [ack]"),
+    ],
+    ids=["repeated-section", "repeated-key", "no-section", "no-value", "retired-ack-key"],
+)
+def test_config_error_names_the_scenario_file(tmp_path, capsys, text, fragment):
+    # A parse error used to name the file '<???>'; the [ack] radio keys
+    # went when the ACK became the uplink profile with the [ack] payload.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(text)
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(scenario), "--seed", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {scenario}: " in err
+    assert fragment in err
+    assert "<???>" not in err
+    assert not out.exists()
 
 
 def test_invalid_profile_is_config_error(capsys):

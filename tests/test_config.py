@@ -19,7 +19,7 @@ from saloha.config import (
     parse_range,
     pure_baseline,
 )
-from saloha.engine import Engine, SimConfigError
+from saloha.engine import Engine
 from saloha.timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC
 
 _RADIO_NON_DEFAULT = {
@@ -49,7 +49,7 @@ NON_DEFAULT = {
         "warmup": "2 h",
     },
     "uplink": _RADIO_NON_DEFAULT,
-    "ack": _RADIO_NON_DEFAULT,
+    "ack": {"payload_bytes": "20"},
     "mac": {
         "policy": "pure",
         "rx1_delay": "2 s",
@@ -74,6 +74,11 @@ DEFAULT_PAIRS = [
     (section, key, value)
     for section in _parser.sections()
     for key, value in _parser[section].items()
+]
+#: The radio keys [ack] once took: the ACK is now the uplink profile
+#: with the [ack] payload, and a file that still sets them is rejected.
+RETIRED_PAIRS = [
+    ("ack", key, None) for key in _RADIO_NON_DEFAULT if key != "payload_bytes"
 ]
 
 
@@ -209,7 +214,7 @@ class TestLoadScenario:
     @pytest.mark.parametrize("text", ["inf", "1e400", "nan", "-80", "500.5"])
     def test_drift_bound_outside_its_range_is_rejected(self, text):
         # inf used to overflow in the engine and -80 was taken as 80.
-        with pytest.raises(SimConfigError, match="drift_bound_ppm"):
+        with pytest.raises(ConfigError, match="drift_bound_ppm"):
             load_scenario(f"[sync]\ndrift_bound_ppm = {text}\n", seed=1)
 
     @pytest.mark.parametrize("value", [0.0, 80.0, MAX_ABS_DRIFT_PPM])
@@ -228,13 +233,13 @@ class TestLoadScenario:
     )
     def test_residual_mean_beyond_the_clamp_is_rejected(self, text):
         # 1 h used to run, with every drawn residual clamped to residual_max.
-        with pytest.raises(SimConfigError, match="residual_mean"):
+        with pytest.raises(ConfigError, match="residual_mean"):
             load_scenario(f"[sync]\n{text}\n", seed=1)
 
     @pytest.mark.parametrize("field", ["residual_mean", "residual_std"])
     def test_negative_residual_parameters_are_rejected(self, field):
         cfg = replace(load_scenario("", seed=1), **{field: -1})
-        with pytest.raises(SimConfigError, match=field):
+        with pytest.raises(ConfigError, match=field):
             cfg.validate()
 
     def test_residual_mean_at_the_clamp_is_kept(self):
@@ -276,6 +281,13 @@ class TestLoadScenario:
         assert cfg.policy.plan.t_r == 1_216_576_000
         assert cfg.policy.plan.t == 1_700_000_000
 
+    def test_ack_is_the_uplink_profile_with_the_ack_payload(self):
+        text = "[uplink]\nspreading_factor = 9\nbandwidth = 250 kHz\n[ack]\npayload_bytes = 20\n"
+        cfg = load_scenario(text, seed=1)
+        assert cfg.ack_profile == replace(cfg.uplink_profile, payload_bytes=20)
+        with pytest.raises(ConfigError, match="payload_bytes=300"):
+            load_scenario("[ack]\npayload_bytes = 300\n", seed=1)
+
     def test_digest_is_stable_and_sensitive(self):
         a = config_digest(load_scenario("", seed=1))
         b = config_digest(load_scenario("", seed=1))
@@ -286,10 +298,16 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize(
         "section,key,default",
-        DEFAULT_PAIRS,
-        ids=[f"{sec}.{key}" for sec, key, _ in DEFAULT_PAIRS],
+        DEFAULT_PAIRS + RETIRED_PAIRS,
+        ids=[f"{sec}.{key}" for sec, key, _ in DEFAULT_PAIRS + RETIRED_PAIRS],
     )
     def test_no_key_is_accepted_and_ignored(self, section, key, default):
+        # A key changes the scenario or, if retired, is rejected.
+        if default is None:
+            text = f"[{section}]\n{key} = {_RADIO_NON_DEFAULT[key]}\n"
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[ack\\]"):
+                load_scenario(text, seed=1)
+            return
         value = NON_DEFAULT[section][key]
         assert value != default
         cfg = load_scenario(f"[{section}]\n{key} = {value}\n", seed=1)
@@ -309,7 +327,7 @@ class TestLoadScenario:
     @pytest.mark.parametrize("text", ["400 .. 600", "20 .. inf", "nan .. 80"])
     def test_drift_range_beyond_the_clock_limit_is_rejected(self, text):
         # 400 .. 600 used to pass or fail by the drifts each seed drew.
-        with pytest.raises(SimConfigError, match="drift_ppm_range"):
+        with pytest.raises(ConfigError, match="drift_ppm_range"):
             load_scenario(f"[scenario]\ndrift_ppm = {text}\n", seed=1)
 
     def test_drift_range_up_to_the_clock_limit_is_kept(self):
@@ -328,13 +346,13 @@ class TestLoadScenario:
     )
     def test_instants_beyond_int64_are_rejected(self, text):
         # Both used to run and write instants above 2^63 - 1 to trace.csv.
-        with pytest.raises(SimConfigError, match="2\\^63"):
+        with pytest.raises(ConfigError, match="2\\^63"):
             load_scenario(f"[scenario]\n{text}\n", seed=1)
 
     def test_negative_initial_offset_is_rejected(self):
         # Used to validate, and the engine then ran as if it were 0.
         cfg = replace(load_scenario("", seed=1), initial_offset_max=-1)
-        with pytest.raises(SimConfigError, match="initial_offset_max must be"):
+        with pytest.raises(ConfigError, match="initial_offset_max must be"):
             cfg.validate()
 
     def test_instants_just_inside_int64_are_kept(self):
@@ -342,7 +360,7 @@ class TestLoadScenario:
         cfg = load_scenario(text, seed=1)
         horizon = cfg.initial_offset_max + cfg.duration + cfg.app_period + cfg.jitter
         assert horizon == INT64_HORIZON
-        with pytest.raises(SimConfigError, match="2\\^63"):
+        with pytest.raises(ConfigError, match="2\\^63"):
             load_scenario(int64_edge_scenario(INT64_HORIZON + 1), seed=1)
 
 

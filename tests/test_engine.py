@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from saloha import engine as engine_module
 from saloha.config import load_scenario
 from saloha.engine import (
+    ConfigError,
     Engine,
     ScenarioConfig,
-    SimConfigError,
     _Node,
     enforce_duty_cycle,
 )
@@ -153,14 +153,14 @@ class TestEnforceDutyCycle:
         assert self.check(history, deferred - 1, 10 * NS_PER_SEC) is not None
 
     def test_oversized_transmission_rejected(self):
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError):
             enforce_duty_cycle(deque(), 0, 0, self.WINDOW, self.BUDGET, self.WINDOW)
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError):
             enforce_duty_cycle_oracle([], 0, self.WINDOW, 0.01, self.WINDOW)
         # One nanosecond over a 20 ns budget, as the oracle also rules.
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError):
             enforce_duty_cycle(deque(), 0, 0, 21, 20, 100)
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError):
             enforce_duty_cycle_oracle([], 0, 21, 0.2, 100)
 
     @given(duty_cases())
@@ -331,15 +331,15 @@ class TestSlottedRun:
             assert nd.max_mis_pre_sync < cfg.policy.plan.t_b
 
     def test_validation_rejects_unconfirmable_slotted(self):
-        plan = plan_slot(UPLINK, ACK, NS_PER_SEC, 400 * NS_PER_MS)
-        with pytest.raises(SimConfigError, match="confirmed uplinks"):
+        plan = plan_slot(UPLINK, ACK, NS_PER_SEC, 400 * NS_PER_MS, 100 * NS_PER_MS)
+        with pytest.raises(ConfigError, match="confirmed uplinks"):
             pure_config(
                 policy=MacPolicy("slotted", plan=plan, backoff=BackoffPolicy()),
                 duration=NS_PER_SEC,
             ).validate()
 
     def test_validation_collects_problems(self):
-        with pytest.raises(SimConfigError) as exc:
+        with pytest.raises(ConfigError) as exc:
             pure_config(
                 n_nodes=0, duration=-1, n_channels=0, channel_selection="magic"
             ).validate()
@@ -364,7 +364,7 @@ def short_scenarios(draw) -> ScenarioConfig:
     slotted = draw(st.booleans())
     if slotted:
         min_period = math.ceil(toa / cap)
-        plan = plan_slot(UPLINK, ACK, NS_PER_SEC, 400 * NS_PER_MS)
+        plan = plan_slot(UPLINK, ACK, NS_PER_SEC, 400 * NS_PER_MS, 100 * NS_PER_MS)
         phases = draw(st.integers(1, 20))
         policy = MacPolicy("slotted", plan=plan, backoff=BackoffPolicy(phases))
         modes = ["all", "on-demand"]

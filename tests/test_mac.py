@@ -10,7 +10,6 @@ from saloha.mac import (
     PURE_ALOHA_PEAK,
     SLOTTED_ALOHA_PEAK,
     BackoffPolicy,
-    MacError,
     MacPolicy,
     SlotPlan,
     max_node_dc,
@@ -36,6 +35,8 @@ ACK = RadioProfile(
     preamble_symbols=6,
     payload_bytes=13,
 )
+#: The default scenario's [scenario] duty_cycle_cap.
+CAP = 0.01
 
 
 class TestPlanSlot:
@@ -53,7 +54,7 @@ class TestPlanSlot:
             preamble_symbols=6,
             payload_bytes=13,
         )
-        plan = plan_slot(up, ack, NS_PER_SEC, 400 * NS_PER_MS)
+        plan = plan_slot(up, ack, NS_PER_SEC, 400 * NS_PER_MS, 100 * NS_PER_MS)
         assert plan.t_r == 1_576_512_000  # uplink + RX1 + ACK
         assert plan.t_b == 400 * NS_PER_MS
         assert plan.t == 2 * NS_PER_SEC  # rounded up to 100 ms multiple
@@ -64,10 +65,10 @@ class TestPlanSlot:
         assert plan.t % (100 * NS_PER_MS) == 0
 
     def test_positive_inputs_required(self):
-        with pytest.raises(MacError):
-            plan_slot(UPLINK, ACK, 0, 400 * NS_PER_MS)
-        with pytest.raises(MacError):
-            plan_slot(UPLINK, ACK, NS_PER_SEC, 0)
+        with pytest.raises(ValueError):
+            plan_slot(UPLINK, ACK, 0, 400 * NS_PER_MS, 100 * NS_PER_MS)
+        with pytest.raises(ValueError):
+            plan_slot(UPLINK, ACK, NS_PER_SEC, 0, 100 * NS_PER_MS)
 
 
 class TestGuardInverse:
@@ -78,25 +79,25 @@ class TestGuardInverse:
 
 class TestPolicies:
     def test_slotted_requires_plan(self):
-        with pytest.raises(MacError):
+        with pytest.raises(ValueError):
             MacPolicy("slotted")
 
     def test_slotted_requires_backoff(self):
         plan = SlotPlan(t_r=1_600_000_000, t_b=400_000_000, t=2_000_000_000)
-        with pytest.raises(MacError, match="BackoffPolicy"):
+        with pytest.raises(ValueError, match="BackoffPolicy"):
             MacPolicy("slotted", plan=plan)
         assert MacPolicy("slotted", plan=plan, backoff=BackoffPolicy()).is_slotted
 
     def test_unknown_variant(self):
-        with pytest.raises(MacError):
+        with pytest.raises(ValueError):
             MacPolicy("csma")
 
     def test_backoff_bounds(self):
-        with pytest.raises(MacError):
+        with pytest.raises(ValueError):
             BackoffPolicy(max_phase_slots=0)
 
     def test_slot_plan_consistency(self):
-        with pytest.raises(MacError):
+        with pytest.raises(ValueError):
             SlotPlan(t_r=100, t_b=50, t=120)
 
 
@@ -163,22 +164,22 @@ class TestThroughput:
 
 class TestMaxNodeDc:
     def test_flat_at_cap_for_small_networks(self):
-        assert max_node_dc("pure", 1) == 0.01
-        assert max_node_dc("slotted", 10) == 0.01
+        assert max_node_dc("pure", 1, CAP) == 0.01
+        assert max_node_dc("slotted", 10, CAP) == 0.01
 
     def test_decays_past_crossover(self):
         # 1/(2e)/N drops below 1% at N = 19; 1/e/N at N = 37.
-        assert max_node_dc("pure", 18) == 0.01
-        assert max_node_dc("pure", 19) == pytest.approx(PURE_ALOHA_PEAK / 19)
-        assert max_node_dc("slotted", 36) == 0.01
-        assert max_node_dc("slotted", 37) == pytest.approx(SLOTTED_ALOHA_PEAK / 37)
+        assert max_node_dc("pure", 18, CAP) == 0.01
+        assert max_node_dc("pure", 19, CAP) == pytest.approx(PURE_ALOHA_PEAK / 19)
+        assert max_node_dc("slotted", 36, CAP) == 0.01
+        assert max_node_dc("slotted", 37, CAP) == pytest.approx(SLOTTED_ALOHA_PEAK / 37)
 
     def test_slotted_dominates_pure(self):
         for n in range(1, 200):
-            assert max_node_dc("slotted", n) >= max_node_dc("pure", n)
+            assert max_node_dc("slotted", n, CAP) >= max_node_dc("pure", n, CAP)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(MacError):
-            max_node_dc("pure", 0)
-        with pytest.raises(MacError):
-            max_node_dc("pure", 5, regulatory_cap=0.0)
+        with pytest.raises(ValueError):
+            max_node_dc("pure", 0, CAP)
+        with pytest.raises(ValueError):
+            max_node_dc("pure", 5, 0.0)

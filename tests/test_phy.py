@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from saloha.phy import (
     ALLOWED_BANDWIDTHS_HZ,
     RadioProfile,
-    RadioProfileError,
     duty_cycle,
     payload_symbols,
     symbol_time,
@@ -122,7 +121,7 @@ class TestTimeOnAir:
 
 class TestValidation:
     def test_collects_every_problem(self):
-        with pytest.raises(RadioProfileError) as exc:
+        with pytest.raises(ValueError) as exc:
             RadioProfile(
                 spreading_factor=13,
                 bandwidth_hz=100_000,
@@ -144,7 +143,7 @@ class TestValidation:
         # SF 6 with DE would make the denominator non-positive at SF-2DE <= 0
         # only for SF <= 4, so SF 6 + LDRO is fine; check SF bound instead.
         RadioProfile(spreading_factor=6, bandwidth_hz=125_000, low_data_rate_optimize=True)
-        with pytest.raises(RadioProfileError):
+        with pytest.raises(ValueError):
             RadioProfile(spreading_factor=5, bandwidth_hz=125_000)
 
 

@@ -32,7 +32,7 @@ def traced_objects() -> list:
 def test_all_is_the_library_surface():
     assert sorted(saloha.__all__) == [
         "ConfigError", "Engine", "Metrics", "RadioProfile", "ScenarioConfig",
-        "SimConfigError", "Trace", "load_scenario", "run", "time_on_air",
+        "Trace", "load_scenario", "run", "time_on_air",
     ]
     assert all(getattr(saloha, name) for name in saloha.__all__)
 
@@ -62,3 +62,19 @@ def test_every_public_definition_is_used_exported_or_traced():
         and not any(d.name in names for stmt, names in reads if stmt is not d)
     ]
     assert not unused
+
+
+def test_one_error_type_for_a_bad_scenario():
+    # Every other precondition raises a plain ValueError; SyncError
+    # stays with the sync module's contract checks.
+    modules = [path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
+    defined = {
+        obj
+        for module in modules
+        for obj in vars(importlib.import_module(f"saloha.{module}")).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__.startswith("saloha")
+    }
+    assert {cls.__qualname__ for cls in defined} == {"ConfigError", "SyncError"}
+    assert saloha.ConfigError is saloha.config.ConfigError is saloha.engine.ConfigError
