@@ -157,8 +157,18 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seed_list(text: str) -> list[int]:
+    """The seeds of ``--seeds``: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--seeds wants comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    seeds = [int(s) for s in ns.seeds.split(",")] if ns.seeds else None
+    seeds = None if ns.seeds is None else _seed_list(ns.seeds)
     if seeds and ns.seed is None:
         # Every run takes its seed from --seeds, so the base needs none.
         ns.seed = seeds[0]

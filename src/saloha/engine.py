@@ -31,17 +31,37 @@ Slot alignment: a node that may use the grid transmits at
 ``mac.slot_start(ready, T, phase)``, the one implementation of the
 global-grid rule; every other uplink starts when it is ready, unless the
 duty cycle defers it.
+
+Two schedules produce the same bytes.  A run with confirmed uplinks
+(``confirmed_mode`` ``all`` or ``on-demand``) is the event loop: a heap
+of (instant, seq) events, where an ACK can move a node's clock, slot
+phase or ready grid, so no node's next uplink is known before the
+channel has ruled on its last.  A feedback-free run (``confirmed_mode
+= "none"``, pure ALOHA only) has no ACK, so every node's schedule is a
+function of its own RNG stream: ``Engine._node_rows`` generates each
+node's uplinks in a tight loop, a fused copy of ``_schedule_next_tx``
+with the node's draws in the same order (the jitter draw while
+scheduling, the channel draw at the uplink's start), one time window
+at a time.  ``_merge_window`` then orders each window's uplinks as the
+heap would pop them, and the channel rules on the merged rows.
+
+The tie rule: rows sort by true start.  At one instant the heap pops by
+seq, and a row's seq is taken when the node's previous row pops, so
+rows at one instant go in the pop order of their previous rows: every
+node's first row before all others, in node order; a row whose previous
+row popped at the same instant goes after every row that instant
+already holds, in the order those previous rows popped.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain, compress
+from itertools import chain, compress, count, repeat
 from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -68,6 +88,26 @@ _INT64_LIMIT = 1 << 63
 #: array append of a large int, and then packs each column's rows into
 #: one new block of the narrowest array type that holds them.
 _TRACE_BLOCK = 4096
+
+#: Uplinks per merge window of a feedback-free run, on average.  The
+#: window's rows are buffered as lists of boxed ints; the trace still
+#: packs one block of ``_TRACE_BLOCK`` rows at a time.  A window spans
+#: at least ``_WINDOW_PERIODS`` application periods, since it costs
+#: every node one call of ``Engine._node_rows``.
+_WINDOW_ROWS = 1024
+_WINDOW_PERIODS = 8
+
+#: Float pre-filter of the fused clock map.  The drift term of an
+#: instant, ``t * num / den`` in ``_local_at`` and ``(local - base) *
+#: num / (den + num)`` in ``_true_at``, is computed as ``v``, an int
+#: times the ratio in doubles.  Three roundings (the ratio, the
+#: int-to-float conversion, the product) leave ``v`` within
+#: ``|v| * 2**-51`` of the exact term, under 5e-4 for ``|v| < 2**40``.
+#: There, a ``v`` whose fractional part lies more than 0.001 from one
+#: half rounds to the same integer as the exact term; any other ``v``
+#: takes the integer formula.
+_FLOAT_EXACT = float(1 << 40)
+_FLOAT_MARGIN = 0.499
 
 
 def _narrowest(rows: Sequence[int]) -> array:
@@ -231,6 +271,57 @@ def enforce_duty_cycle(
             return lo + excess + window - duration
         excess -= avail
     raise AssertionError("unreachable: budget check bounds the walk")
+
+
+def _merge_window(
+    starts: list[int], first: list[int], carried: list[tuple[int, int]]
+) -> list[int]:
+    """Indices of one window's rows in the order the event queue pops them.
+
+    ``starts`` holds the true start of every row of the window, node by
+    node: node ``i``'s rows are ``starts[first[i]:first[i + 1]]``, in
+    time order.  ``carried[i]`` is the key of node ``i``'s last row
+    before the window, ``(true start, place among the rows at that
+    instant)``, or ``(-1, i)`` while it has none; it is updated to the
+    node's last row in the window.  Rows go by start, and rows at one
+    instant by the key of their previous rows (the module's tie rule).
+    """
+    m = len(starts)
+    order = sorted(range(m), key=starts.__getitem__)
+    place: dict[int, int] = {}  # rank of a tied row among the rows at its instant
+    if len(set(starts)) < m:
+        firsts = set(first)
+        groups: dict[int, list[int]] = {}
+        for f in order:
+            groups.setdefault(starts[f], []).append(f)
+        at = 0
+        for group in groups.values():
+            if len(group) > 1:
+                members = set(group)
+                # A row whose previous row shares its instant is pushed
+                # when that one pops: after every row already waiting.
+                chained = {f for f in group if f - 1 in members and f not in firsts}
+                waiting = sorted(
+                    (
+                        carried[bisect_right(first, f) - 1]
+                        if f in firsts
+                        else (starts[f - 1], place.get(f - 1, 0)),
+                        f,
+                    )
+                    for f in group
+                    if f not in chained
+                )
+                popped = [f for _key, f in waiting]
+                for f in popped:  # grows while it is walked
+                    if f + 1 in chained:
+                        popped.append(f + 1)
+                place.update((f, rank) for rank, f in enumerate(popped))
+                order[at : at + len(group)] = popped
+            at += len(group)
+    for i, end in enumerate(first[1:]):
+        if end > first[i]:
+            carried[i] = (starts[end - 1], place.get(end - 1, 0))
+    return order
 
 
 class _Node:
@@ -426,6 +517,7 @@ class Engine:
         self._resync_guard = self._guard if self._guard else config.app_period
         self._confirm_all = config.confirmed_mode == "all"
         self._on_demand = config.confirmed_mode == "on-demand"
+        self._feedback_free = config.confirmed_mode == "none"
         # Worst-case drift slope as an exact integer ratio, so that
         # drift over `elapsed` is elapsed * num / den, rounded once.
         self._bound_num, self._bound_den = ppm_ratio(config.drift_bound_ppm)
@@ -592,6 +684,15 @@ class Engine:
         if self._ran:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
+        if self._feedback_free:
+            self._run_windows()
+        else:
+            self._run_events()
+        self._pack_rows()
+        return self.trace, self.metrics()
+
+    def _run_events(self) -> None:
+        """The event loop: every run's reference schedule."""
         for node_id, nd in enumerate(self.nodes):
             self._schedule_next_tx(node_id, nd, 0, self._local_at(nd, 0))
         heap = self._heap
@@ -605,12 +706,168 @@ class Engine:
                 on_tx_start(node_id, now)
             else:
                 on_ack_event(node_id, now)
-        self._pack_rows()
-        return self.trace, self.metrics()
 
-    def _pack_rows(self) -> None:
-        """Move the buffered rows into the trace's int columns: one new
-        block per column."""
+    def _run_windows(self) -> None:
+        """A feedback-free run, one time window at a time: each node's
+        uplinks from ``_node_rows``, merged by ``_merge_window`` and
+        ruled on by the channel as ``_on_tx_start`` would."""
+        nodes = self.nodes
+        n = len(nodes)
+        # The event loop's first schedule; its heap then holds each
+        # node's first uplink.
+        for node_id, nd in enumerate(nodes):
+            self._schedule_next_tx(node_id, nd, 0, self._local_at(nd, 0))
+        done = self._duration + 1
+        pending = [done] * n  # true start of each node's next uplink
+        for tx_true, _seq, _kind, node_id in self._heap:
+            pending[node_id] = tx_true
+        self._heap.clear()
+        carried = [(-1, i) for i in range(n)]
+        span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
+        dur = self._uplink_toa
+        # Start and record of the latest uplink on each channel.  Every
+        # uplink lasts `dur`, so an uplink overlaps another on its
+        # channel iff it overlaps the one that started just before it.
+        last_start = [-dur] * self._n_channels
+        last_rec = [0] * self._n_channels
+        trace = self.trace
+        collided = trace.collided
+        node_ids, true_starts, local_starts, slot_indices, channels, durations = (
+            self._rows
+        )
+        node_rows = self._node_rows
+        w_end = 0
+        while w_end < done:
+            w_end = min(w_end + span, done)
+            starts: list[int] = []
+            locals_: list[int] = []
+            chans: list[int] = []
+            nids: list[int] = []
+            first = []
+            for node_id, nd in enumerate(nodes):
+                first.append(len(starts))
+                if pending[node_id] < w_end:
+                    pending[node_id] = node_rows(
+                        nd, pending[node_id], w_end, starts, locals_, chans
+                    )
+                    nids.extend(repeat(node_id, len(starts) - first[-1]))
+            first.append(len(starts))
+            order = _merge_window(starts, first, carried)
+            m = len(order)
+            starts = list(map(starts.__getitem__, order))
+            chans = list(map(chans.__getitem__, order))
+            first_rec = len(collided)
+            collided.extend(bytes(m))
+            for rec, t, c in zip(count(first_rec), starts, chans):
+                if t - last_start[c] < dur:
+                    collided[rec] = 1
+                    collided[last_rec[c]] = 1
+                last_start[c] = t
+                last_rec[c] = rec
+            trace.acked.extend(bytes(m))
+            trace.confirmed.extend(bytes(m))
+            node_ids.extend(map(nids.__getitem__, order))
+            true_starts.extend(starts)
+            local_starts.extend(map(locals_.__getitem__, order))
+            slot_indices.extend(repeat(-1, m))
+            channels.extend(chans)
+            durations.extend(repeat(dur, m))
+            while len(node_ids) >= _TRACE_BLOCK:
+                self._pack_rows(_TRACE_BLOCK)
+
+    def _node_rows(
+        self,
+        nd: _Node,
+        tx_true: int,
+        w_end: int,
+        starts: list[int],
+        locals_: list[int],
+        chans: list[int],
+    ) -> int:
+        """Append a feedback-free node's uplinks from its pending one at
+        ``tx_true`` on, while they start before ``w_end``; return the
+        true start of the next one, ``duration + 1`` when none is left.
+
+        Each uplink is logged as ``_on_tx_start`` logs it and the next
+        one is scheduled by the rule of ``_schedule_next_tx``, with the
+        clock map of ``_local_at``/``_true_at`` fused in behind the
+        float pre-filter (see ``_FLOAT_EXACT``)."""
+        base = nd.base
+        ratio = nd.drift_num / nd.drift_den
+        inv_ratio = nd.drift_num / nd.inv_den
+        rng = nd.rng
+        channel = nd.channel
+        n_channels = self._n_channels
+        period = self._app_period
+        jitter = self._jitter
+        horizon = self._duration
+        dur = self._uplink_toa
+        window = self._dc_window
+        budget = self._budget
+        room = budget // dur  # uplinks the cap allows in one window
+        duty = nd.duty
+        trim = duty.popleft
+        next_ready = nd.next_ready_local
+        tx_local = nd.pending_tx_local
+        lim, margin = _FLOAT_EXACT, _FLOAT_MARGIN
+        add_start, add_local, add_channel = starts.append, locals_.append, chans.append
+        log_duty = duty.append
+        while tx_true < w_end:
+            add_start(tx_true)
+            add_local(tx_local)
+            add_channel(channel if channel >= 0 else rng.randrange(n_channels))
+            log_duty((tx_true, dur))
+            now = tx_true
+            ready = next_ready
+            next_ready += period
+            if jitter:
+                ready += rng.randint(-jitter, jitter)
+            v = now * ratio
+            # The clock reads base + now + v, rounded, at `now`: a ready
+            # instant more than v + 1 past base + now needs no clamp, so
+            # the reading is worked out only for one that may.
+            if ready - base - now <= v + 1.0 or not -lim < v < lim:
+                q = round(v)
+                if -margin < v - q < margin and -lim < v < lim:
+                    now_local = base + now + q
+                else:
+                    now_local = self._local_at(nd, now)
+                if ready < now_local:
+                    ready = now_local
+            while True:
+                tx_local = ready
+                elapsed = ready - base
+                v = elapsed * inv_ratio
+                q = round(v)
+                if -margin < v - q < margin and -lim < v < lim:
+                    tx_true = elapsed - q
+                else:
+                    tx_true = self._true_at(nd, ready)
+                if tx_true < now:
+                    tx_true = now
+                cut = tx_true - window
+                while duty and duty[0][0] <= cut:
+                    trim()
+                # Every entry lasts `dur`: duty_sum is len(duty) * dur.
+                if len(duty) < room:
+                    break
+                defer = enforce_duty_cycle(
+                    duty, len(duty) * dur, tx_true, dur, budget, window
+                )
+                if defer is None:
+                    break
+                ready = self._local_at(nd, defer)
+            if tx_true > horizon:
+                tx_true = horizon + 1
+                break
+        nd.next_ready_local = next_ready
+        nd.pending_tx_local = tx_local
+        nd.duty_sum = len(duty) * dur
+        return tx_true
+
+    def _pack_rows(self, n: Optional[int] = None) -> None:
+        """Move the first ``n`` buffered rows, or all of them, into the
+        trace's int columns: one new block per column."""
         t = self.trace
         columns = (
             t.node_id,
@@ -621,8 +878,8 @@ class Engine:
             t.duration,
         )
         for column, rows in zip(columns, self._rows):
-            column.extend(rows)
-            rows.clear()
+            column.extend(rows if n is None else rows[:n])
+            del rows[:n]
 
     def _on_tx_start(self, node_id: int, now: int) -> None:
         nd = self.nodes[node_id]

@@ -7,6 +7,7 @@ incremental bookkeeping, and exist only for the tests.
 import math
 from array import array
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional
 
 from saloha.engine import Metrics, Trace
@@ -50,6 +51,31 @@ def narrowest_typecode(rows) -> str:
         if -limit <= lo and hi < limit:
             return typecode
     raise OverflowError("rows do not fit int64")
+
+
+def heap_pop_order(starts: list[list[int]]) -> list[tuple[int, int]]:
+    """``(node, k)`` for every uplink, in the order the engine's event
+    heap pops them, where ``starts[node][k]`` is the true start of the
+    node's ``k``-th uplink.
+
+    The heap is keyed ``(start, seq)`` with one counter for every push:
+    each node's first uplink is pushed in node order before anything
+    pops, and each later one when the node's previous uplink pops.
+    """
+    heap = []
+    seq = 0
+    for node, rows in enumerate(starts):
+        if rows:
+            seq += 1
+            heappush(heap, (rows[0], seq, node, 0))
+    order = []
+    while heap:
+        _start, _seq, node, k = heappop(heap)
+        order.append((node, k))
+        if k + 1 < len(starts[node]):
+            seq += 1
+            heappush(heap, (starts[node][k + 1], seq, node, k + 1))
+    return order
 
 
 def channel_arbitrate(transmissions: list[tuple[int, int, int]]) -> list[bool]:

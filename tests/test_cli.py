@@ -403,6 +403,16 @@ def test_compare_writes_paired_results(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("seeds", ["1,,2", "3,four", "1;2", ""])
+def test_malformed_seeds_is_config_error_naming_the_flag(tmp_path, capsys, seeds):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--seeds", seeds, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--seeds wants comma-separated integers" in err
+    assert repr(seeds) in err
+    assert not out.exists()
+
+
 def test_compare_seeds_alone_name_every_seed(tmp_path):
     # Neither --seed nor the (default) scenario gives a seed; --seeds does.
     out = str(tmp_path / "cmp")

@@ -1,24 +1,26 @@
 """Event engine: collision semantics, duty enforcement, determinism,
-whole-run invariants against independent trace checks, and the
-engine's fused clock and sync arithmetic against the oracles in
-``oracles`` and ``sync``."""
+whole-run invariants against independent trace checks, the engine's
+fused clock and sync arithmetic against the oracles in ``oracles`` and
+``sync``, and the feedback-free schedule against the event loop."""
 
 import math
 import tracemalloc
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saloha import engine as engine_module
-from saloha.config import load_scenario
+from saloha.config import load_scenario, pure_baseline
 from saloha.engine import (
     ConfigError,
     Engine,
     ScenarioConfig,
+    _merge_window,
     _Node,
     enforce_duty_cycle,
 )
@@ -46,6 +48,7 @@ from saloha.timebase import (
 from oracles import (
     channel_arbitrate,
     enforce_duty_cycle_oracle,
+    heap_pop_order,
     local_now,
     local_to_true,
     metrics_oracle,
@@ -669,3 +672,221 @@ class TestCompactTrace:
         finally:
             tracemalloc.stop()
         assert peak / len(trace) <= 50
+
+
+def run_event_loop(engine: Engine):
+    """``engine.run()`` through the event loop, the reference schedule
+    of every run, feedback-free ones included."""
+    engine._run_events()
+    engine._pack_rows()
+    return engine.trace, engine.metrics()
+
+
+def assert_same_run(got, want) -> None:
+    (trace, metrics), (ref_trace, ref_metrics) = got, want
+    for name in INT_COLUMNS:
+        assert list(getattr(trace, name)) == list(getattr(ref_trace, name)), name
+    for name in FLAG_COLUMNS:
+        assert getattr(trace, name) == getattr(ref_trace, name), name
+    assert metrics == ref_metrics
+
+
+def deferring(n_nodes, jitter, selection, n_channels) -> ScenarioConfig:
+    """Pure nodes that want 20 uplinks a minute where the cap allows
+    3, so most uplinks are deferred; seed 0 runs to its end."""
+    return pure_config(
+        n_nodes=n_nodes,
+        app_period=3 * NS_PER_SEC,
+        jitter=jitter,
+        channel_selection=selection,
+        n_channels=n_channels,
+        duty_cycle_cap=0.01,
+        dc_window=60 * NS_PER_SEC,
+        duration=10 * 60 * NS_PER_SEC,
+        warmup=60 * NS_PER_SEC,
+        seed=0,
+    )
+
+
+DEFERRING = [
+    deferring(1, 0, "fixed", 1),
+    deferring(2, 0, "fixed", 1),
+    deferring(3, 500 * NS_PER_MS, "uniform-random", 2),
+    deferring(5, 3 * NS_PER_SEC, "round-robin", 3),
+]
+
+UNCONFIRMED = (
+    short_scenarios()
+    .filter(lambda cfg: not cfg.policy.is_slotted)
+    .map(lambda cfg: replace(cfg, confirmed_mode="none"))
+)
+
+
+class TestFeedbackFreeRun:
+    """A run without confirmed uplinks generates each node's uplinks in
+    its own loop and merges them; the event loop is its reference."""
+
+    # Derandomized: the same 150 scenarios run every time.
+    @given(UNCONFIRMED)
+    @example(DEFERRING[0])
+    @example(DEFERRING[1])
+    @example(DEFERRING[2])
+    @example(DEFERRING[3])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_the_event_loop(self, cfg):
+        assert_same_run(Engine(cfg).run(), run_event_loop(Engine(cfg)))
+
+    @pytest.mark.parametrize("cfg", DEFERRING)
+    def test_duty_slow_path_sees_the_event_loops_calls(self, monkeypatch, cfg):
+        real = engine_module.enforce_duty_cycle
+        calls = []
+
+        def recorded(history, airtime, proposed_start, duration, budget, window):
+            got = real(history, airtime, proposed_start, duration, budget, window)
+            calls.append(
+                (tuple(history), airtime, proposed_start, duration, budget, window, got)
+            )
+            return got
+
+        monkeypatch.setattr(engine_module, "enforce_duty_cycle", recorded)
+        run_event_loop(Engine(cfg))
+        reference = Counter(calls)
+        calls.clear()
+        Engine(cfg).run()
+        assert Counter(calls) == reference
+        assert sum(n for call, n in reference.items() if call[-1] is not None) >= 28
+
+    def test_jitter_wider_than_the_period_clamps_and_ties(self):
+        # A ready instant drawn before the node's clock reading is
+        # clamped to it, so a node sends twice at one instant.
+        cfg = pure_config(
+            n_nodes=6,
+            app_period=2 * NS_PER_SEC,
+            jitter=5 * NS_PER_SEC,
+            duty_cycle_cap=1.0,
+            n_channels=2,
+            channel_selection="uniform-random",
+            duration=20 * 60 * NS_PER_SEC,
+        )
+        trace, metrics = Engine(cfg).run()
+        rows = list(zip(trace.true_start, trace.node_id))
+        assert len(set(rows)) < len(rows)
+        assert_same_run((trace, metrics), run_event_loop(Engine(cfg)))
+
+    def test_instants_past_the_float_filter_take_the_integer_clock_map(
+        self, monkeypatch
+    ):
+        # At 500 ppm the drift term of an instant passes 2**40 ns after
+        # about 25 days, where the fused clock map falls back to
+        # Engine._true_at and Engine._local_at.
+        cfg = pure_config(
+            n_nodes=2,
+            app_period=6 * 3600 * NS_PER_SEC,
+            drift_ppm_range=(500.0, 500.0),
+            duration=40 * DAY,
+        )
+        late = []
+        true_at = Engine._true_at
+
+        def counted(nd, local):
+            if local > 25 * DAY:
+                late.append(local)
+            return true_at(nd, local)
+
+        reference = run_event_loop(Engine(cfg))
+        monkeypatch.setattr(Engine, "_true_at", staticmethod(counted))
+        assert_same_run(Engine(cfg).run(), reference)
+        assert late
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rounding_ties_of_the_fused_clock_map(self, seed):
+        # At +-192 ppm a true instant is (local - base) * (1 - a/b) with
+        # a/b = 3/15628 or -3/15622.  With the period a multiple of both
+        # denominators and every ready instant on a residue where the
+        # drift term is exactly half an integer, each uplink's true start
+        # is a tie, and the double product often lands off the half on
+        # either side: the pre-filter must leave all of them to the
+        # integer formula.
+        cfg = pure_config(
+            n_nodes=4,
+            app_period=15628 * 15622 * 123,
+            drift_ppm_range=(192.0, 192.0),
+            initial_offset_max=0,
+            seed=seed,
+        )
+
+        def tie_every_uplink(engine):
+            for nd in engine.nodes:
+                slope = Fraction(nd.drift_num, nd.inv_den)
+                a, b = slope.numerator, slope.denominator
+                assert b in (15628, 15622)
+                nd.next_ready_local = nd.base + b * 1007 + b // 2 * pow(a, -1, b) % b
+            return engine
+
+        assert_same_run(
+            tie_every_uplink(Engine(cfg)).run(),
+            run_event_loop(tie_every_uplink(Engine(cfg))),
+        )
+
+    def test_trace_costs_at_most_50_bytes_per_uplink(self):
+        # As the slotted bound in TestCompactTrace; 35 B at the event loop.
+        cfg = pure_baseline(load_scenario("", seed=1, duration=DAY))
+        tracemalloc.start()
+        try:
+            trace, _ = Engine(cfg).run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace) <= 50
+
+
+def merge_in_windows(starts: list[list[int]], bounds: list[int]):
+    """``(node, k)`` of every row of ``starts[node][k]`` in the order
+    ``_merge_window`` gives, with the windows cut at ``bounds``."""
+    carried = [(-1, node) for node in range(len(starts))]
+    taken = [0] * len(starts)
+    order = []
+    for w_end in [*bounds, math.inf]:
+        flat, first, owner = [], [], []
+        for node, rows in enumerate(starts):
+            first.append(len(flat))
+            while taken[node] < len(rows) and rows[taken[node]] < w_end:
+                flat.append(rows[taken[node]])
+                owner.append((node, taken[node]))
+                taken[node] += 1
+        first.append(len(flat))
+        order += [owner[f] for f in _merge_window(flat, first, carried)]
+    return order
+
+
+@st.composite
+def tied_rows(draw):
+    """Per-node start lists drawn from a few instants, so rows share
+    instants across nodes and within one node, and window bounds."""
+    n = draw(st.integers(1, 6))
+    starts = [sorted(draw(st.lists(st.integers(0, 8), max_size=6))) for _ in range(n)]
+    bounds = sorted(set(draw(st.lists(st.integers(1, 9), max_size=4))))
+    return starts, bounds
+
+
+class TestWindowMerge:
+    """``_merge_window`` against a replay of the event heap."""
+
+    @given(tied_rows())
+    # Node 1's first row pops before node 0's second at instant 5.
+    @example(([[0, 5], [5]], []))
+    # Node 0 sends three times at instant 3; node 2's second row there
+    # goes before node 0's second, whose previous row popped later.
+    @example(([[3, 3, 3], [3], [1, 3]], [2]))
+    # A tie at instant 2 decides the order of the next tie, a window on.
+    @example(([[1, 2, 7], [2, 7]], [2, 5]))
+    @settings(max_examples=500, derandomize=True)
+    def test_equals_the_heap_replay(self, case):
+        starts, bounds = case
+        assert merge_in_windows(starts, bounds) == heap_pop_order(starts)
+
+    def test_a_stable_sort_by_start_is_not_the_rule(self):
+        starts = [[0, 5], [5]]
+        rows = [(t, node, k) for node, ts in enumerate(starts) for k, t in enumerate(ts)]
+        stable = [(node, k) for _t, node, k in sorted(rows, key=lambda row: row[0])]
+        assert stable != heap_pop_order(starts) == merge_in_windows(starts, [])
