@@ -158,13 +158,17 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """The seeds of ``--seeds``: comma-separated integers."""
+    """The seeds of ``--seeds``: distinct comma-separated integers."""
     try:
-        return [int(s) for s in text.split(",")]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise ConfigError(
             f"--seeds wants comma-separated integers, got {text!r}"
         ) from None
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"--seeds repeats seed {seed}: {text!r}")
+    return seeds
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:

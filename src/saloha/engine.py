@@ -32,18 +32,22 @@ Slot alignment: a node that may use the grid transmits at
 global-grid rule; every other uplink starts when it is ready, unless the
 duty cycle defers it.
 
-Two schedules produce the same bytes.  A run with confirmed uplinks
-(``confirmed_mode`` ``all`` or ``on-demand``) is the event loop: a heap
-of (instant, seq) events, where an ACK can move a node's clock, slot
-phase or ready grid, so no node's next uplink is known before the
+One rule, two drivers.  Each node's schedule is one coroutine,
+``Engine._uplinks``: sent the instant of the node's last event (its
+uplink's start, or its ACK's arrival), it yields the true start of the
+node's next uplink.  A run with confirmed uplinks (``confirmed_mode``
+``all`` or ``on-demand``) drives the coroutines from the event loop: a
+heap of (instant, seq) events, where an ACK can move a node's clock,
+slot phase or ready grid, so no node's next uplink is known before the
 channel has ruled on its last.  A feedback-free run (``confirmed_mode
 = "none"``, pure ALOHA only) has no ACK, so every node's schedule is a
-function of its own RNG stream: ``Engine._node_rows`` generates each
-node's uplinks in a tight loop, a fused copy of ``_schedule_next_tx``
-with the node's draws in the same order (the jitter draw while
-scheduling, the channel draw at the uplink's start), one time window
-at a time.  ``_merge_window`` then orders each window's uplinks as the
-heap would pop them, and the channel rules on the merged rows.
+function of its own RNG stream: ``Engine._run_windows`` drives each
+node's coroutine through one time window at a time, with the node's
+draws in the event loop's order (the jitter draw while scheduling, the
+channel draw at the uplink's start).  ``_merge_window`` then orders
+each window's uplinks as the heap would pop them.  Both drivers rule on
+a channel alike: every uplink lasts the same airtime, so an uplink
+overlaps another on its channel iff it overlaps the latest one.
 
 The tie rule: rows sort by true start.  At one instant the heap pops by
 seq, and a row's seq is taken when the node's previous row pops, so
@@ -63,7 +67,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
 from operator import eq
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .mac import MacPolicy, slot_start
 from .phy import RadioProfile, time_on_air
@@ -93,15 +97,15 @@ _TRACE_BLOCK = 4096
 #: window's rows are buffered as lists of boxed ints; the trace still
 #: packs one block of ``_TRACE_BLOCK`` rows at a time.  A window spans
 #: at least ``_WINDOW_PERIODS`` application periods, since it costs
-#: every node one call of ``Engine._node_rows``.
+#: every node one pass of ``Engine._run_windows``' node loop.
 _WINDOW_ROWS = 1024
 _WINDOW_PERIODS = 8
 
-#: Float pre-filter of the fused clock map.  The drift term of an
-#: instant, ``t * num / den`` in ``_local_at`` and ``(local - base) *
-#: num / (den + num)`` in ``_true_at``, is computed as ``v``, an int
-#: times the ratio in doubles.  Three roundings (the ratio, the
-#: int-to-float conversion, the product) leave ``v`` within
+#: Float pre-filter of the clock map fused into ``Engine._uplinks``.
+#: The drift term of an instant, ``t * num / den`` in ``_local_at`` and
+#: ``(local - base) * num / (den + num)`` in ``_true_at``, is computed
+#: as ``v``, an int times the ratio in doubles.  Three roundings (the
+#: ratio, the int-to-float conversion, the product) leave ``v`` within
 #: ``|v| * 2**-51`` of the exact term, under 5e-4 for ``|v| < 2**40``.
 #: There, a ``v`` whose fractional part lies more than 0.001 from one
 #: half rounds to the same integer as the exact term; any other ``v``
@@ -342,7 +346,6 @@ class _Node:
         "pending_use_slots",
         "retry_shift",
         "duty",
-        "duty_sum",
         "n_syncs",
         "max_mis_pre_sync",
         "max_mis_post_sync",
@@ -361,7 +364,6 @@ class _Node:
         self.pending_use_slots = False
         self.retry_shift = 0
         self.duty: deque = deque()
-        self.duty_sum = 0
         self.n_syncs = 0
         self.max_mis_pre_sync = 0
         self.max_mis_post_sync = 0
@@ -534,10 +536,13 @@ class Engine:
         self._dc_window = config.dc_window
         self._duration = config.duration
         self._n_channels = config.n_channels
-        # (end, rec) of the uplinks on air, per channel, in end order.
-        self._active: list[deque[tuple[int, int]]] = [
-            deque() for _ in range(config.n_channels)
-        ]
+        # Start and record of the latest uplink on each channel.  Every
+        # uplink lasts _uplink_toa, so an uplink overlaps another on its
+        # channel iff it overlaps the one that started just before it.
+        self._last_start = [-self._uplink_toa] * config.n_channels
+        self._last_rec = [0] * config.n_channels
+        # Each node's schedule as the send method of its coroutine.
+        self._sends: list[Callable[[Optional[int]], int]] = []
         # Rows not yet packed into the trace's int columns, in the order
         # node_id, true_start, local_start, slot_index, channel, duration.
         self._rows: tuple[list[int], ...] = ([], [], [], [], [], [])
@@ -628,55 +633,111 @@ class Engine:
         horizon = tx_local + self._resync_lookahead
         return self._uncertainty_at(nd, horizon) >= self._resync_guard
 
-    def _schedule_next_tx(
-        self, node_id: int, nd: _Node, now_true: int, now_local: int
-    ) -> None:
-        ready = nd.next_ready_local
-        nd.next_ready_local = ready + self._app_period
-        if self._jitter > 0:
-            ready += nd.rng.randint(-self._jitter, self._jitter)
-        if nd.retry_shift:
-            # Shift the whole ready grid, not just this attempt, so two
-            # nodes that booted in lockstep stay decorrelated.
-            ready += nd.retry_shift
-            nd.next_ready_local += nd.retry_shift
-            nd.retry_shift = 0
-        if ready < now_local:
-            ready = now_local
-        use_slots = (
-            self._slotted and nd.synced and self._uncertainty_at(nd, ready) < self._guard
-        )
+    def _uplinks(self, nd: _Node) -> Generator[int, Optional[int], None]:
+        """The node's schedule, one uplink at a time.
+
+        Priming yields the true start of the node's first uplink.  Each
+        instant sent in after that, the start of the uplink just sent or
+        the arrival of its ACK, yields the true start of the next one,
+        or ``duration + 1`` once that lies past the horizon.  A yielded
+        uplink leaves its local start and slot use in
+        ``pending_tx_local`` and ``pending_use_slots``, and enters the
+        node's duty history: nothing reads the history before it starts.
+
+        The rule: the next instant of the node's period grid, plus a
+        jitter draw and any retry shift, clamped to the clock's reading
+        at the sent instant, aligned to the slot grid when the node may
+        use it, and deferred while the duty cycle forbids it.  ``base``,
+        ``synced``, ``phase`` and ``retry_shift`` are read for every
+        uplink, since an ACK can change them; the clock maps take the
+        float pre-filter (see ``_FLOAT_EXACT``)."""
+        ratio = nd.drift_num / nd.drift_den
+        inv_ratio = nd.drift_num / nd.inv_den
+        rng = nd.rng
+        period = self._app_period
+        jitter = self._jitter
+        horizon = self._duration
+        slotted, slot_t, guard = self._slotted, self._slot_t, self._guard
         dur = self._uplink_toa
         window = self._dc_window
+        budget = self._budget
+        room = budget // dur  # uplinks the cap allows in one window
         duty = nd.duty
+        trim = duty.popleft
+        log_duty = duty.append
+        lim, margin = _FLOAT_EXACT, _FLOAT_MARGIN
+        # The node keeps the grid's first instant; only this coroutine
+        # advances the grid, so it holds the rest.
+        next_ready = nd.next_ready_local
+        now = 0
         while True:
-            tx_local = slot_start(ready, self._slot_t, nd.phase) if use_slots else ready
-            tx_true = self._true_at(nd, tx_local)
-            if tx_true < now_true:
-                tx_true = now_true
-            # Fast path: duty_sum counts whole durations of entries that
-            # still touch the window, so it only over-estimates.  Near
-            # the cap, enforce_duty_cycle takes duty_sum and clips only
-            # the head entries that straddle the window start: O(k) in
-            # the entries leaving the window, with no copy of the deque.
-            win_start = tx_true + dur - window
-            while duty and duty[0][0] + duty[0][1] <= win_start:
-                _s, d = duty.popleft()
-                nd.duty_sum -= d
-            if nd.duty_sum + dur <= self._budget:
-                break
-            defer = enforce_duty_cycle(
-                duty, nd.duty_sum, tx_true, dur, self._budget, window
+            base = nd.base
+            ready = next_ready
+            next_ready += period
+            if jitter:
+                ready += rng.randint(-jitter, jitter)
+            shift = nd.retry_shift
+            if shift:
+                # Shift the whole ready grid, not just this attempt, so
+                # two nodes that booted in lockstep stay decorrelated.
+                ready += shift
+                next_ready += shift
+                nd.retry_shift = 0
+            v = now * ratio
+            # The clock reads base + now + v, rounded, at `now`: a ready
+            # instant more than v + 1 past base + now needs no clamp, so
+            # the reading is worked out only for one that may.
+            if ready - base - now <= v + 1.0 or not -lim < v < lim:
+                q = round(v)
+                if -margin < v - q < margin and -lim < v < lim:
+                    now_local = base + now + q
+                else:
+                    now_local = self._local_at(nd, now)
+                if ready < now_local:
+                    ready = now_local
+            use_slots = (
+                slotted and nd.synced and self._uncertainty_at(nd, ready) < guard
             )
-            if defer is None:
+            while True:
+                tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready
+                elapsed = tx_local - base
+                v = elapsed * inv_ratio
+                q = round(v)
+                if -margin < v - q < margin and -lim < v < lim:
+                    tx_true = elapsed - q
+                else:
+                    tx_true = self._true_at(nd, tx_local)
+                if tx_true < now:
+                    tx_true = now
+                # Every entry lasts `dur`, so the history's airtime is
+                # len(duty) * dur; the slow path clips only the head
+                # entries that straddle the window start.
+                cut = tx_true - window
+                while duty and duty[0][0] <= cut:
+                    trim()
+                if len(duty) < room:
+                    break
+                defer = enforce_duty_cycle(
+                    duty, len(duty) * dur, tx_true, dur, budget, window
+                )
+                if defer is None:
+                    break
+                ready = self._local_at(nd, defer)
+            if tx_true > horizon:
                 break
-            ready = self._local_at(nd, defer)
-        if tx_true > self._duration:
-            return
-        nd.pending_tx_local = tx_local
-        nd.pending_use_slots = use_slots
-        self._seq += 1
-        heappush(self._heap, (tx_true, self._seq, self._TX_START, node_id))
+            nd.pending_tx_local = tx_local
+            nd.pending_use_slots = use_slots
+            log_duty((tx_true, dur))
+            now = yield tx_true
+        yield horizon + 1
+
+    def _schedule_next_tx(self, node_id: int, now: Optional[int]) -> None:
+        """Send ``now`` to the node's schedule and push its next uplink,
+        if any; ``now`` is None for a fresh schedule, which starts at 0."""
+        tx_true = self._sends[node_id](now)
+        if tx_true <= self._duration:
+            self._seq += 1
+            heappush(self._heap, (tx_true, self._seq, self._TX_START, node_id))
 
     # -- event handlers --------------------------------------------------
 
@@ -693,8 +754,9 @@ class Engine:
 
     def _run_events(self) -> None:
         """The event loop: every run's reference schedule."""
-        for node_id, nd in enumerate(self.nodes):
-            self._schedule_next_tx(node_id, nd, 0, self._local_at(nd, 0))
+        self._sends = [self._uplinks(nd).send for nd in self.nodes]
+        for node_id in range(len(self.nodes)):
+            self._schedule_next_tx(node_id, None)
         heap = self._heap
         pop = heappop
         on_tx_start = self._on_tx_start
@@ -706,36 +768,29 @@ class Engine:
                 on_tx_start(node_id, now)
             else:
                 on_ack_event(node_id, now)
+        # Each coroutine's frame holds the engine: drop the cycle, so
+        # that the trace is freed as soon as its last user lets go.
+        self._sends = []
 
     def _run_windows(self) -> None:
         """A feedback-free run, one time window at a time: each node's
-        uplinks from ``_node_rows``, merged by ``_merge_window`` and
-        ruled on by the channel as ``_on_tx_start`` would."""
+        uplinks from its schedule, logged as ``_on_tx_start`` logs them,
+        merged by ``_merge_window`` and ruled on by the channel."""
         nodes = self.nodes
         n = len(nodes)
-        # The event loop's first schedule; its heap then holds each
-        # node's first uplink.
-        for node_id, nd in enumerate(nodes):
-            self._schedule_next_tx(node_id, nd, 0, self._local_at(nd, 0))
+        sends = [self._uplinks(nd).send for nd in nodes]
+        pending = [send(None) for send in sends]  # each node's next uplink
         done = self._duration + 1
-        pending = [done] * n  # true start of each node's next uplink
-        for tx_true, _seq, _kind, node_id in self._heap:
-            pending[node_id] = tx_true
-        self._heap.clear()
         carried = [(-1, i) for i in range(n)]
         span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
         dur = self._uplink_toa
-        # Start and record of the latest uplink on each channel.  Every
-        # uplink lasts `dur`, so an uplink overlaps another on its
-        # channel iff it overlaps the one that started just before it.
-        last_start = [-dur] * self._n_channels
-        last_rec = [0] * self._n_channels
+        n_channels = self._n_channels
+        last_start, last_rec = self._last_start, self._last_rec
         trace = self.trace
         collided = trace.collided
         node_ids, true_starts, local_starts, slot_indices, channels, durations = (
             self._rows
         )
-        node_rows = self._node_rows
         w_end = 0
         while w_end < done:
             w_end = min(w_end + span, done)
@@ -744,12 +799,24 @@ class Engine:
             chans: list[int] = []
             nids: list[int] = []
             first = []
+            add_start, add_local, add_channel = (
+                starts.append,
+                locals_.append,
+                chans.append,
+            )
             for node_id, nd in enumerate(nodes):
                 first.append(len(starts))
-                if pending[node_id] < w_end:
-                    pending[node_id] = node_rows(
-                        nd, pending[node_id], w_end, starts, locals_, chans
-                    )
+                tx_true = pending[node_id]
+                if tx_true < w_end:
+                    send = sends[node_id]
+                    channel = nd.channel
+                    draw = nd.rng.randrange
+                    while tx_true < w_end:
+                        add_start(tx_true)
+                        add_local(nd.pending_tx_local)
+                        add_channel(channel if channel >= 0 else draw(n_channels))
+                        tx_true = send(tx_true)
+                    pending[node_id] = tx_true
                     nids.extend(repeat(node_id, len(starts) - first[-1]))
             first.append(len(starts))
             order = _merge_window(starts, first, carried)
@@ -775,96 +842,6 @@ class Engine:
             while len(node_ids) >= _TRACE_BLOCK:
                 self._pack_rows(_TRACE_BLOCK)
 
-    def _node_rows(
-        self,
-        nd: _Node,
-        tx_true: int,
-        w_end: int,
-        starts: list[int],
-        locals_: list[int],
-        chans: list[int],
-    ) -> int:
-        """Append a feedback-free node's uplinks from its pending one at
-        ``tx_true`` on, while they start before ``w_end``; return the
-        true start of the next one, ``duration + 1`` when none is left.
-
-        Each uplink is logged as ``_on_tx_start`` logs it and the next
-        one is scheduled by the rule of ``_schedule_next_tx``, with the
-        clock map of ``_local_at``/``_true_at`` fused in behind the
-        float pre-filter (see ``_FLOAT_EXACT``)."""
-        base = nd.base
-        ratio = nd.drift_num / nd.drift_den
-        inv_ratio = nd.drift_num / nd.inv_den
-        rng = nd.rng
-        channel = nd.channel
-        n_channels = self._n_channels
-        period = self._app_period
-        jitter = self._jitter
-        horizon = self._duration
-        dur = self._uplink_toa
-        window = self._dc_window
-        budget = self._budget
-        room = budget // dur  # uplinks the cap allows in one window
-        duty = nd.duty
-        trim = duty.popleft
-        next_ready = nd.next_ready_local
-        tx_local = nd.pending_tx_local
-        lim, margin = _FLOAT_EXACT, _FLOAT_MARGIN
-        add_start, add_local, add_channel = starts.append, locals_.append, chans.append
-        log_duty = duty.append
-        while tx_true < w_end:
-            add_start(tx_true)
-            add_local(tx_local)
-            add_channel(channel if channel >= 0 else rng.randrange(n_channels))
-            log_duty((tx_true, dur))
-            now = tx_true
-            ready = next_ready
-            next_ready += period
-            if jitter:
-                ready += rng.randint(-jitter, jitter)
-            v = now * ratio
-            # The clock reads base + now + v, rounded, at `now`: a ready
-            # instant more than v + 1 past base + now needs no clamp, so
-            # the reading is worked out only for one that may.
-            if ready - base - now <= v + 1.0 or not -lim < v < lim:
-                q = round(v)
-                if -margin < v - q < margin and -lim < v < lim:
-                    now_local = base + now + q
-                else:
-                    now_local = self._local_at(nd, now)
-                if ready < now_local:
-                    ready = now_local
-            while True:
-                tx_local = ready
-                elapsed = ready - base
-                v = elapsed * inv_ratio
-                q = round(v)
-                if -margin < v - q < margin and -lim < v < lim:
-                    tx_true = elapsed - q
-                else:
-                    tx_true = self._true_at(nd, ready)
-                if tx_true < now:
-                    tx_true = now
-                cut = tx_true - window
-                while duty and duty[0][0] <= cut:
-                    trim()
-                # Every entry lasts `dur`: duty_sum is len(duty) * dur.
-                if len(duty) < room:
-                    break
-                defer = enforce_duty_cycle(
-                    duty, len(duty) * dur, tx_true, dur, budget, window
-                )
-                if defer is None:
-                    break
-                ready = self._local_at(nd, defer)
-            if tx_true > horizon:
-                tx_true = horizon + 1
-                break
-        nd.next_ready_local = next_ready
-        nd.pending_tx_local = tx_local
-        nd.duty_sum = len(duty) * dur
-        return tx_true
-
     def _pack_rows(self, n: Optional[int] = None) -> None:
         """Move the first ``n`` buffered rows, or all of them, into the
         trace's int columns: one new block per column."""
@@ -885,7 +862,6 @@ class Engine:
         nd = self.nodes[node_id]
         trace = self.trace
         dur = self._uplink_toa
-        end = now + dur
         tx_local = nd.pending_tx_local
         use_slots = nd.pending_use_slots
         confirmed = self._wants_ack(nd, tx_local)
@@ -894,15 +870,12 @@ class Engine:
             channel = nd.rng.randrange(self._n_channels)
 
         rec = len(trace.collided)
-        # Every uplink lasts _uplink_toa and starts in time order, so
-        # each channel's ends are sorted and the expired ones are a head.
-        active = self._active[channel]
-        while active and active[0][0] <= now:
-            active.popleft()
-        collided = 1 if active else 0
-        for _end, idx in active:
-            trace.collided[idx] = 1
-        active.append((end, rec))
+        collided = 0
+        if now - self._last_start[channel] < dur:
+            collided = 1
+            trace.collided[self._last_rec[channel]] = 1
+        self._last_start[channel] = now
+        self._last_rec[channel] = rec
 
         node_ids, true_starts, local_starts, slot_indices, channels, durations = (
             self._rows
@@ -919,19 +892,15 @@ class Engine:
         trace.acked.append(0)
         trace.confirmed.append(1 if confirmed else 0)
 
-        # The window trim waits for the next _schedule_next_tx, whose
-        # window starts no earlier than this uplink's would.
-        nd.duty.append((now, dur))
-        nd.duty_sum += dur
-
         if confirmed:
             nd.pending_rec = rec
             self._seq += 1
             heappush(
-                self._heap, (end + self._ack_lag, self._seq, self._ACK_EVENT, node_id)
+                self._heap,
+                (now + dur + self._ack_lag, self._seq, self._ACK_EVENT, node_id),
             )
         else:
-            self._schedule_next_tx(node_id, nd, now, self._local_at(nd, now))
+            self._schedule_next_tx(node_id, now)
 
     def _on_ack_event(self, node_id: int, now: int) -> None:
         cfg = self.config
@@ -985,7 +954,7 @@ class Engine:
                 nd.max_mis_post_sync = mis
             self.trace.acked[rec] = 1
             self.gateway_airtime += self._ack_toa
-        self._schedule_next_tx(node_id, nd, now, now_local)
+        self._schedule_next_tx(node_id, now)
 
     # -- reporting -------------------------------------------------------
 

@@ -413,6 +413,14 @@ def test_malformed_seeds_is_config_error_naming_the_flag(tmp_path, capsys, seeds
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("seeds", "repeated"), [("1,1", 1), ("3,4,03", 3)])
+def test_repeated_seed_is_config_error_naming_it(tmp_path, capsys, seeds, repeated):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--seeds", seeds, "--out", str(out)]) == EXIT_CONFIG
+    assert f"--seeds repeats seed {repeated}: {seeds!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_seeds_alone_name_every_seed(tmp_path):
     # Neither --seed nor the (default) scenario gives a seed; --seeds does.
     out = str(tmp_path / "cmp")

@@ -1,14 +1,18 @@
 """Event engine: collision semantics, duty enforcement, determinism,
 whole-run invariants against independent trace checks, the engine's
 fused clock and sync arithmetic against the oracles in ``oracles`` and
-``sync``, and the feedback-free schedule against the event loop."""
+``sync``, the feedback-free driver against the event loop, and the
+schedule's float pre-filter against the exact clock map."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from array import array
 from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -231,6 +235,29 @@ class TestEngineBasics:
         assert metrics.conflicts == 0
         assert sum(trace.collided) == 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: an unconfirmed uplink reschedules from its "
+        "start, not its end, so the next one can start inside it",
+    )
+    def test_a_node_never_starts_inside_its_own_uplink(self):
+        # Today: 85 uplinks, of which 10 start inside their predecessor,
+        # and one 60 s window at 5.18 % of airtime.
+        cfg = pure_config(
+            app_period=3_445_760_000,
+            jitter=3 * NS_PER_SEC,
+            duty_cycle_cap=0.05,
+            dc_window=60 * NS_PER_SEC,
+            duration=5 * 60 * NS_PER_SEC,
+            seed=0,
+        )
+        trace, _ = Engine(cfg).run()
+        starts = list(trace.true_start)
+        inside = [b - a < d for a, b, d in zip(starts, starts[1:], trace.duration)]
+        assert not any(inside)
+        assert scan_duty_cycle(trace, 1, cfg.duty_cycle_cap, cfg.dc_window) == []
+
     def test_forced_overlap_collides(self):
         # Two nodes on one channel with the period barely above the
         # airtime: every pair of consecutive uplinks must overlap.
@@ -273,6 +300,20 @@ class TestEngineBasics:
         t1, _ = Engine(pure_config(n_nodes=5, seed=1)).run()
         t2, _ = Engine(pure_config(n_nodes=5, seed=2)).run()
         assert t1.true_start != t2.true_start
+
+    @pytest.mark.parametrize("mode", ["none", "on-demand"])
+    def test_a_finished_engine_is_freed_without_the_cycle_collector(self, mode):
+        # A cycle would keep every engine's trace alive until a
+        # collection, and so raise the peak memory of a batch of runs.
+        gc.disable()
+        try:
+            engine = Engine(pure_config(confirmed_mode=mode, duration=600 * NS_PER_SEC))
+            engine.run()
+            freed = weakref.ref(engine)
+            del engine
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_engine_is_single_use(self):
         engine = Engine(pure_config(duration=60 * NS_PER_SEC))
@@ -682,6 +723,13 @@ def run_event_loop(engine: Engine):
     return engine.trace, engine.metrics()
 
 
+def run_exact_clock_map(engine: Engine):
+    """``engine.run()`` with the float pre-filter off, so that every
+    clock map of the schedule takes ``Engine._local_at``/``_true_at``."""
+    with mock.patch.object(engine_module, "_FLOAT_EXACT", 0.0):
+        return engine.run()
+
+
 def assert_same_run(got, want) -> None:
     (trace, metrics), (ref_trace, ref_metrics) = got, want
     for name in INT_COLUMNS:
@@ -723,8 +771,10 @@ UNCONFIRMED = (
 
 
 class TestFeedbackFreeRun:
-    """A run without confirmed uplinks generates each node's uplinks in
-    its own loop and merges them; the event loop is its reference."""
+    """A run without confirmed uplinks drives each node's schedule a
+    window at a time and merges the uplinks; the event loop is its
+    reference for merge order, channel draws and the channel rule, and
+    the exact clock map for the float pre-filter."""
 
     # Derandomized: the same 150 scenarios run every time.
     @given(UNCONFIRMED)
@@ -758,7 +808,8 @@ class TestFeedbackFreeRun:
 
     def test_jitter_wider_than_the_period_clamps_and_ties(self):
         # A ready instant drawn before the node's clock reading is
-        # clamped to it, so a node sends twice at one instant.
+        # clamped to it, so a node sends twice at one instant.  The
+        # exact clock map checks the pre-filter that skips the reading.
         cfg = pure_config(
             n_nodes=6,
             app_period=2 * NS_PER_SEC,
@@ -772,12 +823,13 @@ class TestFeedbackFreeRun:
         rows = list(zip(trace.true_start, trace.node_id))
         assert len(set(rows)) < len(rows)
         assert_same_run((trace, metrics), run_event_loop(Engine(cfg)))
+        assert_same_run((trace, metrics), run_exact_clock_map(Engine(cfg)))
 
     def test_instants_past_the_float_filter_take_the_integer_clock_map(
         self, monkeypatch
     ):
         # At 500 ppm the drift term of an instant passes 2**40 ns after
-        # about 25 days, where the fused clock map falls back to
+        # about 25 days, where the schedule's clock map falls back to
         # Engine._true_at and Engine._local_at.
         cfg = pure_config(
             n_nodes=2,
@@ -793,7 +845,7 @@ class TestFeedbackFreeRun:
                 late.append(local)
             return true_at(nd, local)
 
-        reference = run_event_loop(Engine(cfg))
+        reference = run_exact_clock_map(Engine(cfg))
         monkeypatch.setattr(Engine, "_true_at", staticmethod(counted))
         assert_same_run(Engine(cfg).run(), reference)
         assert late
@@ -825,7 +877,7 @@ class TestFeedbackFreeRun:
 
         assert_same_run(
             tie_every_uplink(Engine(cfg)).run(),
-            run_event_loop(tie_every_uplink(Engine(cfg))),
+            run_exact_clock_map(tie_every_uplink(Engine(cfg))),
         )
 
     def test_trace_costs_at_most_50_bytes_per_uplink(self):
@@ -838,6 +890,18 @@ class TestFeedbackFreeRun:
         finally:
             tracemalloc.stop()
         assert peak / len(trace) <= 50
+
+
+class TestFloatPreFilter:
+    """The float pre-filter serves every run's schedule: confirmed runs
+    against the exact clock map (feedback-free ones are in
+    ``TestFeedbackFreeRun``)."""
+
+    # Derandomized: the same 150 scenarios run every time.
+    @given(short_scenarios().filter(lambda cfg: cfg.confirmed_mode != "none"))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_confirmed_runs_equal_the_exact_clock_map(self, cfg):
+        assert_same_run(Engine(cfg).run(), run_exact_clock_map(Engine(cfg)))
 
 
 def merge_in_windows(starts: list[list[int]], bounds: list[int]):
