@@ -5,8 +5,8 @@ pure interval-overlap collision semantics (no capture), LoRaWAN Class A
 ACK timing (RX1 opens 1 s after the uplink ends), sliding-window
 duty-cycle enforcement, and the ACK-piggybacked synchronization loop.
 
-Everything is a pure function of (config, seed): event ties are broken
-by a sequence counter, every node owns an RNG stream derived from
+Everything is a pure function of (config, seed): events at one instant
+follow the tie rule below, every node owns an RNG stream derived from
 (seed, node_id), and no wall clock or hash order is consulted anywhere.
 
 Clock map: each node keeps ``base = initial_offset + corrections`` and
@@ -20,7 +20,7 @@ quantization rounds half away from zero by one rule: with
 ``2*r + (x >= 0) > den`` and ``q`` otherwise (the drift bound, whose
 numerator is never negative, tests ``2*r >= den``).
 
-The sync exchange runs inline in ``Engine._on_ack_event``: it keeps the
+The sync exchange runs inline in ``Engine._uplinks``: it keeps the
 checks of ``sync.gateway_record_rx_end`` (timestamp error within
 ±20 µs) and of ``sync.SyncAck`` (timestamp fits 8 bytes of µs), each
 raising ``SyncError``.  The uncertainty bound (``Engine._uncertainty_at``)
@@ -32,41 +32,57 @@ Slot alignment: a node that may use the grid transmits at
 global-grid rule; every other uplink starts when it is ready, unless the
 duty cycle defers it.
 
-One rule, two drivers.  Each node's schedule is one coroutine,
-``Engine._uplinks``: sent the instant of the node's last event (its
-uplink's start, or its ACK's arrival), it yields the true start of the
-node's next uplink.  A run with confirmed uplinks (``confirmed_mode``
-``all`` or ``on-demand``) drives the coroutines from the event loop: a
-heap of (instant, seq) events, where an ACK can move a node's clock,
-slot phase or ready grid, so no node's next uplink is known before the
-channel has ruled on its last.  A feedback-free run (``confirmed_mode
-= "none"``, pure ALOHA only) has no ACK, so every node's schedule is a
-function of its own RNG stream: ``Engine._run_windows`` drives each
-node's coroutine through one time window at a time, with the node's
-draws in the event loop's order (the jitter draw while scheduling, the
-channel draw at the uplink's start).  ``_merge_window`` then orders
-each window's uplinks as the heap would pop them.  Both drivers rule on
-a channel alike: every uplink lasts the same airtime, so an uplink
-overlaps another on its channel iff it overlaps the latest one.
+One schedule, one driver.  Each node's schedule is one coroutine,
+``Engine._uplinks``.  It yields the node's uplinks one at a time, each
+with its channel and whether it requests an ACK.  For a confirmed
+uplink it takes one bit back, whether the uplink collided, and runs the
+ACK's branch: the sync on success, a new slot phase or a retry shift on
+a loss.  That bit is all a node learns from the rest of the network, and
+every draw happens in the order an event queue would make it.
 
-The tie rule: rows sort by true start.  At one instant the heap pops by
-seq, and a row's seq is taken when the node's previous row pops, so
-rows at one instant go in the pop order of their previous rows: every
-node's first row before all others, in node order; a row whose previous
-row popped at the same instant goes after every row that instant
-already holds, in the order those previous rows popped.
+``Engine._run_windows`` drives the coroutines one time window at a time.
+A window is first generated optimistically, node by node: a confirmed
+uplink's bit is the one the channel has already ruled, or 0 (success)
+while it has not.  ``_merge_window`` orders the window's uplinks as an
+event queue would pop them and the channel rules on them.  Every node
+that consumed a bit the ruling contradicts is restored from its
+snapshot, its state just before it consumed its first bit that was not
+final, and regenerated with the bits now known; this repeats until no
+bit changes.  A bit is final once every uplink that starts before that
+uplink's end has been ruled on.  An uplink depends only on the bits of
+uplinks that ended an ACK delay before it starts, so that fixed point is
+the event queue's schedule, byte for byte.  A feedback-free run
+(``confirmed_mode = "none"``) consumes no bit and takes no snapshot.
+
+A window still wrong after ``_MAX_PASSES`` passes is finished
+conservatively by the same handlers: each node stops at its next
+confirmed uplink until that uplink's bit is final, and the channel rules
+on every uplink before the earliest instant at which a stopped node
+could send again (``Engine._next_start_bound``).  A window whose
+predecessor had a lost confirmed uplink starts conservatively.  Every
+uplink lasts the same airtime, so an uplink overlaps another on its
+channel iff it overlaps the latest one.
+
+The tie rule: uplinks sort by true start.  An event queue pops the
+events at one instant by sequence number, which an event takes when the
+event that scheduled it pops: an uplink is scheduled by the node's
+previous uplink, or by that uplink's ACK if it was confirmed, and an
+ACK by its uplink.  So the events at one instant go in the pop order of
+the events that scheduled them: every node's first uplink before all
+others, in node order; an event scheduled at the same instant goes after
+every event that instant already holds.
 """
 
 from __future__ import annotations
 
 import random
+from math import inf
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
-from operator import eq
+from operator import eq, gt, itemgetter, le, sub
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .mac import MacPolicy, slot_start
@@ -93,13 +109,16 @@ _INT64_LIMIT = 1 << 63
 #: one new block of the narrowest array type that holds them.
 _TRACE_BLOCK = 4096
 
-#: Uplinks per merge window of a feedback-free run, on average.  The
-#: window's rows are buffered as lists of boxed ints; the trace still
-#: packs one block of ``_TRACE_BLOCK`` rows at a time.  A window spans
-#: at least ``_WINDOW_PERIODS`` application periods, since it costs
-#: every node one pass of ``Engine._run_windows``' node loop.
-_WINDOW_ROWS = 1024
+#: Uplinks per window of ``Engine._run_windows``, on average.  The
+#: window's rows are buffered as lists of tuples; the trace still packs
+#: one block of ``_TRACE_BLOCK`` rows at a time.  A window spans at
+#: least ``_WINDOW_PERIODS`` application periods, since every pass over
+#: it visits every node.
+_WINDOW_ROWS = 768
 _WINDOW_PERIODS = 8
+
+#: Optimistic passes over a window before it is finished conservatively.
+_MAX_PASSES = 2
 
 #: Float pre-filter of the clock map fused into ``Engine._uplinks``.
 #: The drift term of an instant, ``t * num / den`` in ``_local_at`` and
@@ -112,6 +131,8 @@ _WINDOW_PERIODS = 8
 #: takes the integer formula.
 _FLOAT_EXACT = float(1 << 40)
 _FLOAT_MARGIN = 0.499
+
+_START, _LOCAL, _SLOT, _CHANNEL, _ACK = map(itemgetter, range(5))
 
 
 def _narrowest(rows: Sequence[int]) -> array:
@@ -191,6 +212,12 @@ class ScenarioConfig:
             problems.append(f"unknown confirmed_mode {self.confirmed_mode!r}")
         if self.policy.is_slotted and self.confirmed_mode == "none":
             problems.append("slotted policy needs confirmed uplinks to synchronize")
+        if self.policy.is_slotted and self.policy.plan.t > self.app_period:
+            # A node would have no whole slot in its period to move to.
+            problems.append(
+                f"slot T = {self.policy.plan.t} ns must not exceed "
+                f"app_period = {self.app_period} ns"
+            )
         if not 0.0 < self.duty_cycle_cap <= 1.0:
             problems.append("duty_cycle_cap must be in (0, 1]")
         if self.dc_window <= 0:
@@ -278,50 +305,115 @@ def enforce_duty_cycle(
 
 
 def _merge_window(
+    starts: list[int],
+    first: list[int],
+    acks: list[int],
+    carried: list[tuple[int, int]],
+    due: list[int],
+    end: int,
+) -> list[int]:
+    """Indices of one window's uplinks in the order an event queue pops them.
+
+    ``starts`` holds the true start of every uplink of the window, node
+    by node: node ``i``'s are ``starts[first[i]:first[i + 1]]``, in time
+    order, and ``acks[f]`` is the instant uplink ``f``'s ACK lands, or 0
+    if it is unconfirmed; the window holds the events before ``end``.
+    ``carried[i]`` is the key of node ``i``'s last event before the
+    window, ``(instant, place among the events at that instant)``, or
+    ``(-1, i)`` while it has none, and ``due[i]`` is the instant of its
+    ACK still to land, or ``inf``.  Both are updated to the window's end.
+    Uplinks go by start, and the events at one instant by the keys of the
+    events that scheduled them (the module's tie rule); ACKs matter only
+    there.
+    """
+    n = len(first) - 1
+    leads = [d for d in due if d < end]
+    instants = set(starts)
+    instants.update(leads)
+    if len(instants) == len(starts) + len(leads) and instants.isdisjoint(
+        filter(None, acks)
+    ):
+        for i in range(n):
+            d = due[i]
+            if first[i + 1] > first[i]:
+                s = starts[first[i + 1] - 1]
+                d = acks[first[i + 1] - 1] or inf
+                if d < end:
+                    s, d = d, inf
+                carried[i] = (s, 0)
+                due[i] = d
+            elif d < end:
+                carried[i] = (d, 0)
+                due[i] = inf
+        return sorted(range(len(starts)), key=starts.__getitem__)
+    # Some events share an instant: order every event, ACKs included.
+    events: list[int] = []
+    event_first = []
+    row_of = []  # the uplink an event is, or -1 for an ACK
+    for i in range(n):
+        event_first.append(len(events))
+        d = due[i]
+        if d < end:
+            events.append(d)
+            row_of.append(-1)
+            due[i] = inf
+        for f in range(first[i], first[i + 1]):
+            s = starts[f]
+            events.append(s)
+            row_of.append(f)
+            d = acks[f] or inf
+            if d < end:
+                events.append(d)
+                row_of.append(-1)
+                d = inf
+            due[i] = d
+    event_first.append(len(events))
+    order = _pop_order(events, event_first, carried)
+    return [row_of[e] for e in order if row_of[e] >= 0]
+
+
+def _pop_order(
     starts: list[int], first: list[int], carried: list[tuple[int, int]]
 ) -> list[int]:
-    """Indices of one window's rows in the order the event queue pops them.
+    """Indices of events in the order the event queue pops them.
 
-    ``starts`` holds the true start of every row of the window, node by
-    node: node ``i``'s rows are ``starts[first[i]:first[i + 1]]``, in
-    time order.  ``carried[i]`` is the key of node ``i``'s last row
-    before the window, ``(true start, place among the rows at that
-    instant)``, or ``(-1, i)`` while it has none; it is updated to the
-    node's last row in the window.  Rows go by start, and rows at one
-    instant by the key of their previous rows (the module's tie rule).
+    Node ``i``'s events are ``starts[first[i]:first[i + 1]]``, in time
+    order, each scheduled by the one before it; ``carried`` is as in
+    ``_merge_window`` and is updated to each node's last event.  Events
+    go by instant, and events at one instant by the key of the events
+    that scheduled them.
     """
     m = len(starts)
     order = sorted(range(m), key=starts.__getitem__)
-    place: dict[int, int] = {}  # rank of a tied row among the rows at its instant
-    if len(set(starts)) < m:
-        firsts = set(first)
-        groups: dict[int, list[int]] = {}
-        for f in order:
-            groups.setdefault(starts[f], []).append(f)
-        at = 0
-        for group in groups.values():
-            if len(group) > 1:
-                members = set(group)
-                # A row whose previous row shares its instant is pushed
-                # when that one pops: after every row already waiting.
-                chained = {f for f in group if f - 1 in members and f not in firsts}
-                waiting = sorted(
-                    (
-                        carried[bisect_right(first, f) - 1]
-                        if f in firsts
-                        else (starts[f - 1], place.get(f - 1, 0)),
-                        f,
-                    )
-                    for f in group
-                    if f not in chained
+    place: dict[int, int] = {}  # rank of a tied event among those at its instant
+    firsts = set(first)
+    groups: dict[int, list[int]] = {}
+    for f in order:
+        groups.setdefault(starts[f], []).append(f)
+    at = 0
+    for group in groups.values():
+        if len(group) > 1:
+            members = set(group)
+            # An event whose scheduler shares its instant is pushed when
+            # that one pops: after every event already waiting.
+            chained = {f for f in group if f - 1 in members and f not in firsts}
+            waiting = sorted(
+                (
+                    carried[bisect_right(first, f) - 1]
+                    if f in firsts
+                    else (starts[f - 1], place.get(f - 1, 0)),
+                    f,
                 )
-                popped = [f for _key, f in waiting]
-                for f in popped:  # grows while it is walked
-                    if f + 1 in chained:
-                        popped.append(f + 1)
-                place.update((f, rank) for rank, f in enumerate(popped))
-                order[at : at + len(group)] = popped
-            at += len(group)
+                for f in group
+                if f not in chained
+            )
+            popped = [f for _key, f in waiting]
+            for f in popped:  # grows while it is walked
+                if f + 1 in chained:
+                    popped.append(f + 1)
+            place.update((f, rank) for rank, f in enumerate(popped))
+            order[at : at + len(group)] = popped
+        at += len(group)
     for i, end in enumerate(first[1:]):
         if end > first[i]:
             carried[i] = (starts[end - 1], place.get(end - 1, 0))
@@ -341,10 +433,6 @@ class _Node:
         "synced",
         "last_sync_local",
         "uncertainty_at_sync",
-        "pending_rec",
-        "pending_tx_local",
-        "pending_use_slots",
-        "retry_shift",
         "duty",
         "n_syncs",
         "max_mis_pre_sync",
@@ -361,8 +449,6 @@ class _Node:
         self.synced = False
         self.last_sync_local = 0
         self.uncertainty_at_sync = 0
-        self.pending_use_slots = False
-        self.retry_shift = 0
         self.duty: deque = deque()
         self.n_syncs = 0
         self.max_mis_pre_sync = 0
@@ -450,8 +536,9 @@ class Trace:
     narrowest signed array type that holds it, and the three flags are
     ``bytearray``; compare a column with a list through
     ``list(col)``.  During a run the engine packs the int columns a
-    block at a time, so they are complete once ``Engine.run`` returns;
-    the flag columns, and so ``len``, are current throughout."""
+    block at a time and fills ``acked`` at the end, so they are complete
+    once ``Engine.run`` returns; ``collided`` and ``confirmed``, and so
+    ``len``, grow a window at a time."""
 
     def __init__(self) -> None:
         self.node_id = Column()
@@ -488,16 +575,11 @@ class Metrics:
 class Engine:
     """One simulation run.  Construct, call :meth:`run`, inspect."""
 
-    _TX_START = 0
-    _ACK_EVENT = 1
-
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
         self.trace = Trace()
         self.gateway_airtime = 0
-        self._seq = 0
-        self._heap: list[tuple[int, int, int, int]] = []
         self._uplink_toa = time_on_air(config.uplink_profile)
         self._ack_toa = time_on_air(config.ack_profile)
         plan = config.policy.plan
@@ -519,7 +601,6 @@ class Engine:
         self._resync_guard = self._guard if self._guard else config.app_period
         self._confirm_all = config.confirmed_mode == "all"
         self._on_demand = config.confirmed_mode == "on-demand"
-        self._feedback_free = config.confirmed_mode == "none"
         # Worst-case drift slope as an exact integer ratio, so that
         # drift over `elapsed` is elapsed * num / den, rounded once.
         self._bound_num, self._bound_den = ppm_ratio(config.drift_bound_ppm)
@@ -530,19 +611,29 @@ class Engine:
             config.timestamp_error_max_us * NS_PER_US
             + self._drift_bound(self._ack_lag)
         )
+        # A sync moves a node's clock by the gateway's reading of the
+        # uplink's end less the node's: at most this much past the
+        # node's own clock error, the gateway's rounding to 1 us included.
+        self._sync_slack = (
+            config.timestamp_error_max_us * NS_PER_US
+            + NS_PER_US // 2
+            + config.residual_max
+        )
         self._budget = round(config.duty_cycle_cap * config.dc_window)
         self._app_period = config.app_period
         self._jitter = config.jitter
         self._dc_window = config.dc_window
         self._duration = config.duration
         self._n_channels = config.n_channels
+        # Every event of the run comes before this instant: no uplink
+        # starts past the horizon, and an ACK lands at most the uplink's
+        # airtime plus `_ack_lag` after its uplink starts.
+        self._end = config.duration + self._uplink_toa + self._ack_lag + 1
         # Start and record of the latest uplink on each channel.  Every
         # uplink lasts _uplink_toa, so an uplink overlaps another on its
         # channel iff it overlaps the one that started just before it.
         self._last_start = [-self._uplink_toa] * config.n_channels
         self._last_rec = [0] * config.n_channels
-        # Each node's schedule as the send method of its coroutine.
-        self._sends: list[Callable[[Optional[int]], int]] = []
         # Rows not yet packed into the trace's int columns, in the order
         # node_id, true_start, local_start, slot_index, channel, duration.
         self._rows: tuple[list[int], ...] = ([], [], [], [], [], [])
@@ -620,45 +711,57 @@ class Engine:
 
     # -- scheduling ------------------------------------------------------
 
-    def _wants_ack(self, nd: _Node, tx_local: int) -> bool:
-        """Whether the uplink starting at ``tx_local`` requests an ACK."""
-        if self._confirm_all:
-            return True
-        if not self._on_demand:
-            return False
-        if not nd.synced:
-            return True
-        # Resync once the bound at the next opportunity reaches the
-        # guard (threshold inclusive).
-        horizon = tx_local + self._resync_lookahead
-        return self._uncertainty_at(nd, horizon) >= self._resync_guard
-
-    def _uplinks(self, nd: _Node) -> Generator[int, Optional[int], None]:
+    def _uplinks(
+        self, nd: _Node, row: Optional[tuple] = None
+    ) -> Generator[tuple, Optional[int], None]:
         """The node's schedule, one uplink at a time.
 
-        Priming yields the true start of the node's first uplink.  Each
-        instant sent in after that, the start of the uplink just sent or
-        the arrival of its ACK, yields the true start of the next one,
-        or ``duration + 1`` once that lies past the horizon.  A yielded
-        uplink leaves its local start and slot use in
-        ``pending_tx_local`` and ``pending_use_slots``, and enters the
-        node's duty history: nothing reads the history before it starts.
+        Each uplink is a row ``(true start, local start, slot index or
+        -1, channel, ACK)``, where ``ACK`` is the instant its ACK lands,
+        ``_uplink_toa + _ack_lag`` after its start, or 0 if it is
+        unconfirmed; at a confirmed uplink, ``nd.next_ready_local``
+        keeps the node's next ready instant on its period grid.  Primed
+        with ``next``, the coroutine waits for the outcome of ``row``,
+        the node's last uplink (None for a fresh schedule, which starts
+        at 0): ``send`` it the bit, 1 if a confirmed uplink collided
+        (anything for an unconfirmed one), and it yields the next row,
+        or a row starting at ``_end`` once that lies past the horizon.
+        A yielded uplink enters the node's duty history: nothing reads
+        the history before it starts.
 
-        The rule: the next instant of the node's period grid, plus a
-        jitter draw and any retry shift, clamped to the clock's reading
-        at the sent instant, aligned to the slot grid when the node may
-        use it, and deferred while the duty cycle forbids it.  ``base``,
-        ``synced``, ``phase`` and ``retry_shift`` are read for every
-        uplink, since an ACK can change them; the clock maps take the
+        For a confirmed uplink, the ACK's draws are made either way
+        (residual, its sign, gateway error); a lost uplink then redraws
+        the slot phase of a slotted sender or shifts an unslotted
+        sender's grid, and a delivered one syncs the clock.  The next
+        uplink is the next instant of the grid, plus a jitter draw and
+        any shift, clamped to the clock's reading at the ACK's arrival
+        (at the last uplink's start if it was unconfirmed), aligned to
+        the slot grid when the node may use it, and deferred while the
+        duty cycle forbids it; whether it asks for an ACK is decided and
+        its channel drawn after that.  ``base``, ``synced`` and
+        ``phase`` are read per uplink, and every clock map takes the
         float pre-filter (see ``_FLOAT_EXACT``)."""
         ratio = nd.drift_num / nd.drift_den
         inv_ratio = nd.drift_num / nd.inv_den
         rng = nd.rng
+        # randint(a, b) is randrange(a, b + 1): the same draw, one call less.
+        gauss, uniform, randrange = rng.gauss, rng.random, rng.randrange
+        local_at, true_at = self._local_at, self._true_at
+        uncertainty_at, gateway_us = self._uncertainty_at, self._gateway_timestamp_us
         period = self._app_period
         jitter = self._jitter
         horizon = self._duration
         slotted, slot_t, guard = self._slotted, self._slot_t, self._guard
+        max_phase = self._max_phase
+        confirm_all, on_demand = self._confirm_all, self._on_demand
+        lookahead, resync_guard = self._resync_lookahead, self._resync_guard
         dur = self._uplink_toa
+        ack_lag = self._ack_lag
+        cfg = self.config
+        r_max, r_mean, r_std = cfg.residual_max, cfg.residual_mean, cfg.residual_std
+        ts_max = cfg.timestamp_error_max_us
+        sync_uncertainty = self._sync_uncertainty
+        fixed_channel, n_channels = nd.channel, self._n_channels
         window = self._dc_window
         budget = self._budget
         room = budget // dur  # uplinks the cap allows in one window
@@ -666,23 +769,84 @@ class Engine:
         trim = duty.popleft
         log_duty = duty.append
         lim, margin = _FLOAT_EXACT, _FLOAT_MARGIN
-        # The node keeps the grid's first instant; only this coroutine
-        # advances the grid, so it holds the rest.
+        lag = dur + ack_lag
         next_ready = nd.next_ready_local
-        now = 0
+        if row is None:
+            tx_true, use_slots, ack = 0, False, 0
+        else:
+            tx_true, _, slot, _, ack = row
+            use_slots = slot >= 0
+        bit = yield
         while True:
+            shift = 0
+            if not ack:
+                now = tx_true
+            else:
+                now = ack
+                # The residual is the measured execution-time jitter of
+                # the sync procedure, which the node's end-of-transmission
+                # timestamp carries on top of its RTC.
+                residual = round(gauss(r_mean, r_std))
+                if residual < 0:
+                    residual = 0
+                elif residual > r_max:
+                    residual = r_max
+                residual = residual if uniform() < 0.5 else -residual
+                ts_err = randrange(-ts_max, ts_max + 1) * NS_PER_US
+                if bit:
+                    # ACK never sent: the uplink was lost.  Slotted
+                    # senders pick a new slot phase so persistent
+                    # same-slot pairs break up; un-slotted senders (not
+                    # yet synced, or clock bound grown past the guard)
+                    # shift their grid instead, otherwise two nodes that
+                    # boot in lockstep would collide every period.
+                    if use_slots and max_phase > 1:
+                        nd.phase = randrange(max_phase)
+                    elif not use_slots:
+                        shift = randrange(0, period + 1)
+                else:
+                    base = nd.base
+                    uplink_end = tx_true + dur
+                    v = uplink_end * ratio
+                    q = round(v)
+                    if -margin < v - q < margin and -lim < v < lim:
+                        end_local = base + uplink_end + q
+                    else:
+                        end_local = local_at(nd, uplink_end)
+                    v = now * ratio
+                    q = round(v)
+                    if -margin < v - q < margin and -lim < v < lim:
+                        now_local = base + now + q
+                    else:
+                        now_local = local_at(nd, now)
+                    gw_us = gateway_us(uplink_end, ts_err)
+                    offset = gw_us * NS_PER_US - (end_local + residual)
+                    mis = abs(now_local - now)
+                    if mis > nd.max_mis_pre_sync and nd.synced:
+                        nd.max_mis_pre_sync = mis
+                    nd.base = base + offset
+                    nd.synced = True
+                    nd.last_sync_local = now_local + offset
+                    # The correction is referenced to the uplink-end
+                    # timestamp exchange; its error budget is the
+                    # execution residual plus the gateway timestamping
+                    # error, and the drift accrued over the RX1 window
+                    # until the ACK lands is folded in up front.
+                    nd.uncertainty_at_sync = abs(residual) + sync_uncertainty
+                    nd.n_syncs += 1
+                    mis = abs(end_local + offset - uplink_end)
+                    if mis > nd.max_mis_post_sync:
+                        nd.max_mis_post_sync = mis
             base = nd.base
             ready = next_ready
             next_ready += period
             if jitter:
-                ready += rng.randint(-jitter, jitter)
-            shift = nd.retry_shift
+                ready += randrange(-jitter, jitter + 1)
             if shift:
                 # Shift the whole ready grid, not just this attempt, so
                 # two nodes that booted in lockstep stay decorrelated.
                 ready += shift
                 next_ready += shift
-                nd.retry_shift = 0
             v = now * ratio
             # The clock reads base + now + v, rounded, at `now`: a ready
             # instant more than v + 1 past base + now needs no clamp, so
@@ -692,12 +856,10 @@ class Engine:
                 if -margin < v - q < margin and -lim < v < lim:
                     now_local = base + now + q
                 else:
-                    now_local = self._local_at(nd, now)
+                    now_local = local_at(nd, now)
                 if ready < now_local:
                     ready = now_local
-            use_slots = (
-                slotted and nd.synced and self._uncertainty_at(nd, ready) < guard
-            )
+            use_slots = slotted and nd.synced and uncertainty_at(nd, ready) < guard
             while True:
                 tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready
                 elapsed = tx_local - base
@@ -706,7 +868,7 @@ class Engine:
                 if -margin < v - q < margin and -lim < v < lim:
                     tx_true = elapsed - q
                 else:
-                    tx_true = self._true_at(nd, tx_local)
+                    tx_true = true_at(nd, tx_local)
                 if tx_true < now:
                     tx_true = now
                 # Every entry lasts `dur`, so the history's airtime is
@@ -722,125 +884,379 @@ class Engine:
                 )
                 if defer is None:
                     break
-                ready = self._local_at(nd, defer)
+                ready = local_at(nd, defer)
             if tx_true > horizon:
                 break
-            nd.pending_tx_local = tx_local
-            nd.pending_use_slots = use_slots
+            if confirm_all or (
+                # Resync while unsynced, or once the bound at the next
+                # opportunity reaches the guard (threshold inclusive).
+                on_demand
+                and (
+                    not nd.synced
+                    or uncertainty_at(nd, tx_local + lookahead) >= resync_guard
+                )
+            ):
+                ack = tx_true + lag
+                # A schedule resumes, and is bounded, only at a confirmed
+                # uplink: the node keeps the grid from there.
+                nd.next_ready_local = next_ready
+            else:
+                ack = 0
+            channel = fixed_channel if fixed_channel >= 0 else randrange(n_channels)
             log_duty((tx_true, dur))
-            now = yield tx_true
-        yield horizon + 1
+            bit = yield (
+                tx_true,
+                tx_local,
+                tx_local // slot_t if use_slots else -1,
+                channel,
+                ack,
+            )
+        done = (self._end, 0, -1, 0, 0)
+        while True:
+            yield done
 
-    def _schedule_next_tx(self, node_id: int, now: Optional[int]) -> None:
-        """Send ``now`` to the node's schedule and push its next uplink,
-        if any; ``now`` is None for a fresh schedule, which starts at 0."""
-        tx_true = self._sends[node_id](now)
-        if tx_true <= self._duration:
-            self._seq += 1
-            heappush(self._heap, (tx_true, self._seq, self._TX_START, node_id))
+    def _resume(self, nd: _Node, row: Optional[tuple]) -> Callable:
+        """The send method of a primed schedule of ``nd`` that waits
+        for the outcome of ``row`` (see ``_uplinks``)."""
+        schedule = self._uplinks(nd, row)
+        next(schedule)
+        return schedule.send
 
-    # -- event handlers --------------------------------------------------
+    def _next_start_bound(self, nd: _Node, row: tuple) -> int:
+        """The earliest instant at which the node could start the uplink
+        after ``row``, a confirmed uplink whose ACK has not landed, for
+        either outcome: not before the ACK, and not before its grid's
+        next instant less the jitter, read on the clock as far ahead as
+        the sync could set it (retry shifts, slot phases, clamps and
+        duty deferrals only delay an uplink).  A sync sets ``base`` to
+        the gateway's reading of the uplink's end less the node's drift
+        term there, off by at most ``_sync_slack``.  The drift terms are
+        taken in doubles, within 4 ns for every instant an int64 holds,
+        and the bound gives up that much on each."""
+        end = row[0] + self._uplink_toa
+        drift_at_end = int(end * (nd.drift_num / nd.drift_den))
+        base = max(nd.base, self._sync_slack + 4 - drift_at_end)
+        x = nd.next_ready_local - self._jitter - base
+        return max(row[4], x - int(x * (nd.drift_num / nd.inv_den)) - 8)
+
+    # -- the driver ------------------------------------------------------
 
     def run(self) -> tuple[Trace, Metrics]:
         if self._ran:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
-        if self._feedback_free:
-            self._run_windows()
-        else:
-            self._run_events()
+        self._run_windows()
         self._pack_rows()
-        return self.trace, self.metrics()
-
-    def _run_events(self) -> None:
-        """The event loop: every run's reference schedule."""
-        self._sends = [self._uplinks(nd).send for nd in self.nodes]
-        for node_id in range(len(self.nodes)):
-            self._schedule_next_tx(node_id, None)
-        heap = self._heap
-        pop = heappop
-        on_tx_start = self._on_tx_start
-        on_ack_event = self._on_ack_event
-        tx_start = self._TX_START
-        while heap:
-            now, _seq, kind, node_id = pop(heap)
-            if kind == tx_start:
-                on_tx_start(node_id, now)
-            else:
-                on_ack_event(node_id, now)
-        # Each coroutine's frame holds the engine: drop the cycle, so
-        # that the trace is freed as soon as its last user lets go.
-        self._sends = []
+        trace = self.trace
+        # Every confirmed uplink's ACK is sent unless the uplink collided.
+        trace.acked = bytearray(map(gt, trace.confirmed, trace.collided))
+        self.gateway_airtime = self._ack_toa * trace.acked.count(1)
+        return trace, self.metrics()
 
     def _run_windows(self) -> None:
-        """A feedback-free run, one time window at a time: each node's
-        uplinks from its schedule, logged as ``_on_tx_start`` logs them,
-        merged by ``_merge_window`` and ruled on by the channel."""
+        """Every run, one time window at a time (see the module
+        docstring): each node's uplinks from its schedule, ordered by
+        ``_merge_window`` and ruled on by the channel."""
         nodes = self.nodes
         n = len(nodes)
-        sends = [self._uplinks(nd).send for nd in nodes]
-        pending = [send(None) for send in sends]  # each node's next uplink
-        done = self._duration + 1
-        carried = [(-1, i) for i in range(n)]
-        span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
         dur = self._uplink_toa
-        n_channels = self._n_channels
-        last_start, last_rec = self._last_start, self._last_rec
+        stop = self._end
+        span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
         trace = self.trace
-        collided = trace.collided
-        node_ids, true_starts, local_starts, slot_indices, channels, durations = (
-            self._rows
-        )
-        w_end = 0
-        while w_end < done:
-            w_end = min(w_end + span, done)
-            starts: list[int] = []
-            locals_: list[int] = []
-            chans: list[int] = []
-            nids: list[int] = []
-            first = []
-            add_start, add_local, add_channel = (
-                starts.append,
-                locals_.append,
-                chans.append,
+        collided, confirmed = trace.collided, trace.confirmed
+        last_start, last_rec = self._last_start, self._last_rec
+        packed = self._rows
+        sends = [self._resume(nd, None) for nd in nodes]
+        heads = [send(None) for send in sends]  # each node's latest row
+        # Whether a node waits for the outcome of its head: None if not,
+        # -1 while the head is in `rows`, else the head's trace record.
+        wait: list[Optional[int]] = [None] * n
+        rows: list[list[tuple]] = [[] for _ in range(n)]  # not yet in the trace
+        first_start = [stop] * n  # of each node's rows
+        carried = [(-1, i) for i in range(n)]
+        due = [inf] * n
+        snaps: list[Optional[tuple]] = [None] * n
+        known = [b""] * n  # a restored node's bits as the channel last ruled
+        raised: dict[int, tuple] = {}  # (ACK instant, node, SyncError)
+        stopped = (stop, 0, -1, 0, 0)
+        feedback = self._confirm_all or self._on_demand  # any ACK at all
+        slotted = self._slotted
+        lo = 0  # every uplink before lo is in the trace
+
+        def advance(i: int, end: int, speculate: bool) -> None:
+            # Drive node i's schedule up to `end`.  Each bit fed back is
+            # final, or if `speculate` a guess: the bit the channel last
+            # ruled, else 0.  Without `speculate`, stop at a bit that is
+            # not final.
+            row = heads[i]
+            send = sends[i]
+            out = rows[i]
+            bits, k = known[i], 0
+            try:
+                w = wait[i]
+                if w is not None:
+                    if row[4] >= end:
+                        return
+                    if w >= 0 and (collided[w] or row[0] + dur <= lo):
+                        bit = collided[w]
+                    elif speculate:
+                        if snaps[i] is None:
+                            snapshot(i, row, w)
+                        bit = bits[0] if bits else 0
+                        k = 1
+                    else:
+                        return
+                    wait[i] = None
+                    row = send(bit)
+                while row[0] < end:
+                    out.append(row)
+                    if not row[4]:
+                        row = send(None)
+                    elif row[4] >= end or not speculate:
+                        wait[i] = -1
+                        break
+                    else:
+                        if snaps[i] is None:
+                            snapshot(i, row, -1)
+                        row = send(bits[k] if k < len(bits) else 0)
+                        k += 1
+            except SyncError as exc:
+                raised[i] = (row[4], i, exc)
+                row = stopped
+                wait[i] = None
+            heads[i] = row
+            if out:
+                first_start[i] = out[0][0]
+
+        def snapshot(i: int, row: tuple, w: int) -> None:
+            # The node's state just before it consumes its first bit
+            # that is not final: `row` is its head, and `w` its wait.
+            nd = nodes[i]
+            # The generator's words as 4-byte ints, a tenth of the tuple.
+            version, words, gauss_next = nd.rng.getstate()
+            snaps[i] = (
+                (version, array("I", words), gauss_next),
+                nd.base,
+                nd.phase,
+                nd.synced,
+                nd.last_sync_local,
+                nd.uncertainty_at_sync,
+                nd.n_syncs,
+                nd.max_mis_pre_sync,
+                nd.max_mis_post_sync,
+                nd.next_ready_local,
+                tuple(nd.duty),
+                row,
+                len(rows[i]),
+                w,
             )
-            for node_id, nd in enumerate(nodes):
-                first.append(len(starts))
-                tx_true = pending[node_id]
-                if tx_true < w_end:
-                    send = sends[node_id]
-                    channel = nd.channel
-                    draw = nd.rng.randrange
-                    while tx_true < w_end:
-                        add_start(tx_true)
-                        add_local(nd.pending_tx_local)
-                        add_channel(channel if channel >= 0 else draw(n_channels))
-                        tx_true = send(tx_true)
-                    pending[node_id] = tx_true
-                    nids.extend(repeat(node_id, len(starts) - first[-1]))
-            first.append(len(starts))
-            order = _merge_window(starts, first, carried)
-            m = len(order)
-            starts = list(map(starts.__getitem__, order))
-            chans = list(map(chans.__getitem__, order))
-            first_rec = len(collided)
-            collided.extend(bytes(m))
-            for rec, t, c in zip(count(first_rec), starts, chans):
+
+        def restore(i: int) -> None:
+            nd = nodes[i]
+            (
+                state,
+                nd.base,
+                nd.phase,
+                nd.synced,
+                nd.last_sync_local,
+                nd.uncertainty_at_sync,
+                nd.n_syncs,
+                nd.max_mis_pre_sync,
+                nd.max_mis_post_sync,
+                nd.next_ready_local,
+                duty,
+                row,
+                keep,
+                wait[i],
+            ) = snaps[i]
+            version, words, gauss_next = state
+            nd.rng.setstate((version, tuple(words), gauss_next))
+            nd.duty.clear()
+            nd.duty.extend(duty)
+            out = rows[i]
+            del out[keep:]
+            first_start[i] = out[0][0] if out else stop
+            sends[i] = self._resume(nd, row)
+            heads[i] = row
+            raised.pop(i, None)
+
+        def rule(cut: int) -> tuple:
+            # Order every uplink before `cut` not yet in the trace and
+            # let the channel rule on it; `commit` keeps the result and
+            # `undo` takes it back.
+            members = list(
+                compress(range(n), map(gt, repeat(cut), map(min, first_start, due)))
+            )
+            flat: list[tuple] = []
+            first = []
+            taken = []
+            for i in members:
+                out = rows[i]
+                first.append(len(flat))
+                k = len(out)
+                if k and out[-1][0] >= cut:
+                    k = bisect_left(out, cut, key=_START)
+                    flat += out[:k]
+                else:
+                    flat += out
+                taken.append(k)
+            first.append(len(flat))
+            keys = [carried[i] for i in members]
+            dues = [due[i] for i in members]
+            acks = list(map(_ACK, flat)) if feedback else [0] * len(flat)
+            order = _merge_window(list(map(_START, flat)), first, acks, keys, dues, cut)
+            ordered = list(map(flat.__getitem__, order))
+            base = len(collided)
+            # `undo` restores the channels' latest uplinks and their flags.
+            flags = [collided[r] for r in last_rec] if base else []
+            saved = (base, last_start[:], last_rec[:], flags)
+            collided.extend(bytes(len(order)))
+            for rec, (t, _, _, c, _) in zip(count(base), ordered):
                 if t - last_start[c] < dur:
                     collided[rec] = 1
                     collided[last_rec[c]] = 1
                 last_start[c] = t
                 last_rec[c] = rec
-            trace.acked.extend(bytes(m))
-            trace.confirmed.extend(bytes(m))
-            node_ids.extend(map(nids.__getitem__, order))
-            true_starts.extend(starts)
-            local_starts.extend(map(locals_.__getitem__, order))
-            slot_indices.extend(repeat(-1, m))
-            channels.extend(chans)
-            durations.extend(repeat(dur, m))
-            while len(node_ids) >= _TRACE_BLOCK:
-                self._pack_rows(_TRACE_BLOCK)
+            return members, first, taken, order, ordered, saved, keys, dues
+
+        def undo(ruled: tuple) -> None:
+            base, starts, recs, flags = ruled[5]
+            del collided[base:]
+            for rec, flag in zip(recs, flags):
+                collided[rec] = flag
+            last_start[:] = starts
+            last_rec[:] = recs
+
+        def commit(ruled: tuple) -> None:
+            members, first, taken, order, ordered, saved, keys, dues = ruled
+            m = len(order)
+            # Uplink f is node members[j]'s for first[j] <= f < first[j + 1].
+            owner = list(
+                chain.from_iterable(map(repeat, members, map(sub, first[1:], first)))
+            )
+            node_ids, true_starts, local_starts, slot_indices, channels, durations = (
+                packed
+            )
+            at = 0
+            while at < m:
+                # Fill the buffer to one block at most, then pack it.
+                end = at + _TRACE_BLOCK - len(node_ids)
+                node_ids.extend(map(owner.__getitem__, order[at:end]))
+                piece = ordered[at:end]
+                true_starts.extend(map(_START, piece))
+                local_starts.extend(map(_LOCAL, piece))
+                slot_indices.extend(
+                    map(_SLOT, piece) if slotted else repeat(-1, len(piece))
+                )
+                channels.extend(map(_CHANNEL, piece))
+                durations.extend(repeat(dur, len(piece)))
+                at = end
+                if len(node_ids) >= _TRACE_BLOCK:
+                    self._pack_rows()
+            confirmed.extend(map(bool, map(_ACK, ordered)) if feedback else bytes(m))
+            for j, i in enumerate(members):
+                carried[i] = keys[j]
+                due[i] = dues[j]
+                k = taken[j]
+                if k:
+                    out = rows[i]
+                    if wait[i] == -1 and k == len(out):
+                        # The head whose bit the node awaits is in the trace.
+                        wait[i] = saved[0] + order.index(first[j + 1] - 1)
+                    del out[:k]
+                    first_start[i] = out[0][0] if out else stop
+
+        def wrong_guesses(ruled: tuple, end: int) -> list[tuple[int, bytes]]:
+            # The nodes whose guessed bits the channel's ruling
+            # contradicts, with the bits as ruled.
+            if not any(snaps):
+                return []  # no guess
+            members, first, _, order, ordered, (base, *_) = ruled[:6]
+            if not any(known):
+                # Every guess was 0: only a lost confirmed uplink, or a
+                # guessed one from before the window, can contradict one.
+                lost = int.from_bytes(collided[base:], "big") & int.from_bytes(
+                    bytes(map(bool, map(_ACK, ordered))), "big"
+                )
+                if not lost and not any(
+                    collided[snap[13]]
+                    for snap in snaps
+                    if snap is not None and snap[13] >= 0
+                ):
+                    return []
+            record = [0] * len(order)
+            for rec, f in zip(count(base), order):
+                record[f] = rec
+            at = dict(zip(members, first))
+            wrong = []
+            for i, snap in enumerate(snaps):
+                if snap is None:
+                    continue
+                keep, w = snap[12], snap[13]
+                recs = [w] if w >= 0 else [record[at[i] + keep - 1]]
+                recs += [
+                    record[at[i] + j]
+                    for j in range(keep, len(rows[i]))
+                    if 0 < rows[i][j][4] < end
+                ]
+                bits = bytes(map(collided.__getitem__, recs))
+                if bits != known[i].ljust(len(bits), b"\0")[: len(bits)]:
+                    wrong.append((i, bits))
+            return wrong
+
+        optimistic = True
+        while lo < stop:
+            hi = min(lo + span, stop)
+            window_start = len(collided)
+            passes = _MAX_PASSES if optimistic else 0
+            while passes:
+                for i in range(n):
+                    advance(i, hi, True)
+                ruled = rule(hi)
+                wrong = wrong_guesses(ruled, hi)
+                if not wrong:
+                    commit(ruled)
+                    break
+                undo(ruled)
+                for i, bits in wrong:
+                    known[i] = bits
+                    restore(i)
+                passes -= 1
+            else:
+                for i in range(n):
+                    if snaps[i] is not None:
+                        restore(i)
+                # Each node stops where its next bit is not final; the
+                # channel then rules on every uplink before the earliest
+                # instant at which a stopped node could send again.
+                ends = [stop + 1] * n  # of each stopped node's head
+                bounds = [hi] * n
+                todo: Iterable[int] = range(n)
+                while todo:
+                    for i in todo:
+                        advance(i, hi, False)
+                        row = heads[i]
+                        if wait[i] is not None and row[4] < hi:
+                            ends[i] = row[0] + dur
+                            bounds[i] = self._next_start_bound(nodes[i], row)
+                        else:
+                            ends[i] = stop + 1
+                            bounds[i] = hi
+                    cut = min(hi, min(bounds))
+                    if lo < cut:
+                        commit(rule(cut))
+                        lo = cut
+                    todo = list(compress(range(n), map(le, ends, repeat(lo))))
+            if raised:
+                raise min(raised.values())[2]
+            # A lost confirmed uplink makes the next window conservative.
+            lost = int.from_bytes(collided[window_start:], "big") & int.from_bytes(
+                confirmed[window_start:], "big"
+            )
+            optimistic = not lost
+            snaps[:] = repeat(None, n)
+            known[:] = repeat(b"", n)
+            lo = hi
 
     def _pack_rows(self, n: Optional[int] = None) -> None:
         """Move the first ``n`` buffered rows, or all of them, into the
@@ -857,104 +1273,6 @@ class Engine:
         for column, rows in zip(columns, self._rows):
             column.extend(rows if n is None else rows[:n])
             del rows[:n]
-
-    def _on_tx_start(self, node_id: int, now: int) -> None:
-        nd = self.nodes[node_id]
-        trace = self.trace
-        dur = self._uplink_toa
-        tx_local = nd.pending_tx_local
-        use_slots = nd.pending_use_slots
-        confirmed = self._wants_ack(nd, tx_local)
-        channel = nd.channel
-        if channel < 0:
-            channel = nd.rng.randrange(self._n_channels)
-
-        rec = len(trace.collided)
-        collided = 0
-        if now - self._last_start[channel] < dur:
-            collided = 1
-            trace.collided[self._last_rec[channel]] = 1
-        self._last_start[channel] = now
-        self._last_rec[channel] = rec
-
-        node_ids, true_starts, local_starts, slot_indices, channels, durations = (
-            self._rows
-        )
-        node_ids.append(node_id)
-        true_starts.append(now)
-        local_starts.append(tx_local)
-        slot_indices.append((tx_local // self._slot_t) if use_slots else -1)
-        channels.append(channel)
-        durations.append(dur)
-        if len(node_ids) >= _TRACE_BLOCK:
-            self._pack_rows()
-        trace.collided.append(collided)
-        trace.acked.append(0)
-        trace.confirmed.append(1 if confirmed else 0)
-
-        if confirmed:
-            nd.pending_rec = rec
-            self._seq += 1
-            heappush(
-                self._heap,
-                (now + dur + self._ack_lag, self._seq, self._ACK_EVENT, node_id),
-            )
-        else:
-            self._schedule_next_tx(node_id, now)
-
-    def _on_ack_event(self, node_id: int, now: int) -> None:
-        cfg = self.config
-        nd = self.nodes[node_id]
-        rec = nd.pending_rec
-        # Drawn whether or not the uplink collided, and here rather than
-        # at its start: nothing else draws from the node's RNG or
-        # corrects its clock in between.  The residual is the measured
-        # execution-time jitter of the sync procedure, which the node's
-        # end-of-transmission timestamp carries on top of its RTC.
-        residual = min(
-            cfg.residual_max,
-            max(0, round(nd.rng.gauss(cfg.residual_mean, cfg.residual_std))),
-        )
-        residual = residual if nd.rng.random() < 0.5 else -residual
-        ts_err = (
-            nd.rng.randint(-cfg.timestamp_error_max_us, cfg.timestamp_error_max_us)
-            * NS_PER_US
-        )
-        now_local = self._local_at(nd, now)
-        if self.trace.collided[rec]:
-            # ACK never sent: uplink was lost.  Slotted senders pick a
-            # new slot phase so persistent same-slot pairs break up;
-            # un-slotted senders (not yet synced, or clock bound grown
-            # past the guard) randomize the retry instead, otherwise two
-            # nodes that boot in lockstep would collide every period.
-            if nd.pending_use_slots and self._max_phase > 1:
-                nd.phase = nd.rng.randrange(self._max_phase)
-            elif not nd.pending_use_slots:
-                nd.retry_shift = nd.rng.randint(0, self._app_period)
-        else:
-            uplink_end = now - self._ack_lag
-            end_local = self._local_at(nd, uplink_end)
-            gw_us = self._gateway_timestamp_us(uplink_end, ts_err)
-            offset = gw_us * NS_PER_US - (end_local + residual)
-            mis = abs(now_local - now)
-            if mis > nd.max_mis_pre_sync and nd.synced:
-                nd.max_mis_pre_sync = mis
-            nd.base += offset
-            now_local += offset
-            nd.synced = True
-            nd.last_sync_local = now_local
-            # The correction is referenced to the uplink-end timestamp
-            # exchange; its error budget is the execution residual plus
-            # the gateway timestamping error, and the drift accrued over
-            # the RX1 window until the ACK lands is folded in up front.
-            nd.uncertainty_at_sync = abs(residual) + self._sync_uncertainty
-            nd.n_syncs += 1
-            mis = abs(end_local + offset - uplink_end)
-            if mis > nd.max_mis_post_sync:
-                nd.max_mis_post_sync = mis
-            self.trace.acked[rec] = 1
-            self.gateway_airtime += self._ack_toa
-        self._schedule_next_tx(node_id, now)
 
     # -- reporting -------------------------------------------------------
 

@@ -8,9 +8,13 @@ import math
 from array import array
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import count
 from typing import Optional
 
-from saloha.engine import Metrics, Trace
+from saloha import engine as engine_module
+from saloha.engine import Engine, Metrics, Trace
+from saloha.mac import slot_start
+from saloha.timebase import NS_PER_US
 
 
 def _round_half_away(x: Fraction) -> int:
@@ -53,29 +57,188 @@ def narrowest_typecode(rows) -> str:
     raise OverflowError("rows do not fit int64")
 
 
-def heap_pop_order(starts: list[list[int]]) -> list[tuple[int, int]]:
-    """``(node, k)`` for every uplink, in the order the engine's event
-    heap pops them, where ``starts[node][k]`` is the true start of the
-    node's ``k``-th uplink.
+def heap_pop_order(
+    starts: list[list[int]], acks: Optional[list[list[Optional[int]]]] = None
+) -> list[tuple[int, int]]:
+    """``(node, k)`` for every uplink, in the order an event heap pops
+    them, where ``starts[node][k]`` is the true start of the node's
+    ``k``-th uplink and ``acks[node][k]`` the instant its ACK lands, or
+    None if it is unconfirmed (no ACKs at all if ``acks`` is None).
 
-    The heap is keyed ``(start, seq)`` with one counter for every push:
-    each node's first uplink is pushed in node order before anything
-    pops, and each later one when the node's previous uplink pops.
+    The heap holds uplinks and ACKs, keyed ``(instant, seq)`` with one
+    counter for every push: each node's first uplink is pushed in node
+    order before anything pops; an ACK is pushed when its uplink pops,
+    and each later uplink when the node's previous event pops, its
+    uplink's or its ACK's.
     """
     heap = []
-    seq = 0
+    seq = count(1)
     for node, rows in enumerate(starts):
         if rows:
-            seq += 1
-            heappush(heap, (rows[0], seq, node, 0))
+            heappush(heap, (rows[0], next(seq), node, 0, False))
     order = []
     while heap:
-        _start, _seq, node, k = heappop(heap)
-        order.append((node, k))
+        _instant, _seq, node, k, is_ack = heappop(heap)
+        if not is_ack:
+            order.append((node, k))
+            ack = acks[node][k] if acks else None
+            if ack is not None:
+                heappush(heap, (ack, next(seq), node, k, True))
+                continue
         if k + 1 < len(starts[node]):
-            seq += 1
-            heappush(heap, (starts[node][k + 1], seq, node, k + 1))
+            heappush(heap, (starts[node][k + 1], next(seq), node, k + 1, False))
     return order
+
+
+def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
+    """``engine.run()`` as the event loop that every schedule is checked
+    against: a heap of ``(instant, seq, kind, node)`` events with one
+    counter for every push, each node's next uplink decided when its
+    previous event pops, the ACK's branch when the ACK lands, and every
+    clock map through ``Engine._local_at``/``_true_at``.
+
+    It fills the engine's trace, nodes and ``gateway_airtime`` as a run
+    does, sharing the engine's clock maps, uncertainty bound, gateway
+    timestamp and duty check (looked up at call time, so that a patch
+    applies) and nothing of its schedule or driver.
+    """
+    cfg = engine.config
+    nodes = engine.nodes
+    trace = engine.trace
+    dur = engine._uplink_toa
+    period, jitter, horizon = cfg.app_period, cfg.jitter, cfg.duration
+    slot_t, guard, max_phase = engine._slot_t, engine._guard, engine._max_phase
+    window = cfg.dc_window
+    budget = engine._budget
+    heap: list[tuple[int, int, int, int]] = []
+    seq = count(1)
+    tx_start, ack_event = 0, 1
+    grid = [nd.next_ready_local for nd in nodes]  # each node's next ready instant
+    shift = [0] * len(nodes)  # a lost unslotted uplink's retry shift
+    pending: list[tuple] = [()] * len(nodes)  # (tx_true, tx_local, use_slots, rec)
+    last_start = [-dur] * cfg.n_channels
+    last_rec = [0] * cfg.n_channels
+    columns: tuple[list[int], ...] = ([], [], [], [], [], [])
+
+    def wants_ack(nd, tx_local: int) -> bool:
+        if cfg.confirmed_mode == "all":
+            return True
+        if cfg.confirmed_mode == "none":
+            return False
+        if not nd.synced:
+            return True
+        horizon_local = tx_local + engine._resync_lookahead
+        return engine._uncertainty_at(nd, horizon_local) >= engine._resync_guard
+
+    def schedule(i: int, now: int) -> None:
+        # The next instant of the node's grid, plus jitter and any shift,
+        # no earlier than the clock's reading now, on the slot grid if the
+        # node may use it, and deferred while the duty cycle forbids it.
+        nd = nodes[i]
+        ready = grid[i]
+        grid[i] += period
+        if jitter:
+            ready += nd.rng.randint(-jitter, jitter)
+        if shift[i]:
+            ready += shift[i]
+            grid[i] += shift[i]
+            shift[i] = 0
+        ready = max(ready, Engine._local_at(nd, now))
+        use_slots = (
+            engine._slotted and nd.synced and engine._uncertainty_at(nd, ready) < guard
+        )
+        while True:
+            tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready
+            tx_true = max(Engine._true_at(nd, tx_local), now)
+            while nd.duty and nd.duty[0][0] + window <= tx_true:
+                nd.duty.popleft()
+            if len(nd.duty) < budget // dur:  # room for one more in any window
+                break
+            defer = engine_module.enforce_duty_cycle(
+                nd.duty, dur * len(nd.duty), tx_true, dur, budget, window
+            )
+            if defer is None:
+                break
+            ready = Engine._local_at(nd, defer)
+        if tx_true <= horizon:
+            pending[i] = (tx_true, tx_local, use_slots)
+            nd.duty.append((tx_true, dur))
+            heappush(heap, (tx_true, next(seq), tx_start, i))
+
+    def on_tx_start(i: int, now: int) -> None:
+        nd = nodes[i]
+        tx_true, tx_local, use_slots = pending[i]
+        confirmed = wants_ack(nd, tx_local)
+        channel = nd.channel if nd.channel >= 0 else nd.rng.randrange(cfg.n_channels)
+        rec = len(trace.collided)
+        hit = now - last_start[channel] < dur
+        if hit:
+            trace.collided[last_rec[channel]] = 1
+        last_start[channel] = now
+        last_rec[channel] = rec
+        for column, value in zip(
+            columns,
+            (i, now, tx_local, tx_local // slot_t if use_slots else -1, channel, dur),
+        ):
+            column.append(value)
+        trace.collided.append(hit)
+        trace.acked.append(0)
+        trace.confirmed.append(confirmed)
+        if confirmed:
+            pending[i] = (tx_true, tx_local, use_slots, rec)
+            heappush(heap, (now + dur + engine._ack_lag, next(seq), ack_event, i))
+        else:
+            schedule(i, now)
+
+    def on_ack(i: int, now: int) -> None:
+        nd = nodes[i]
+        _tx_true, _tx_local, use_slots, rec = pending[i]
+        residual = min(
+            cfg.residual_max,
+            max(0, round(nd.rng.gauss(cfg.residual_mean, cfg.residual_std))),
+        )
+        residual = residual if nd.rng.random() < 0.5 else -residual
+        ts_max = cfg.timestamp_error_max_us
+        ts_err = nd.rng.randint(-ts_max, ts_max) * NS_PER_US
+        if trace.collided[rec]:
+            if use_slots and max_phase > 1:
+                nd.phase = nd.rng.randrange(max_phase)
+            elif not use_slots:
+                shift[i] = nd.rng.randint(0, period)
+        else:
+            now_local = Engine._local_at(nd, now)
+            uplink_end = now - engine._ack_lag
+            end_local = Engine._local_at(nd, uplink_end)
+            gw_us = Engine._gateway_timestamp_us(uplink_end, ts_err)
+            offset = gw_us * NS_PER_US - (end_local + residual)
+            if nd.synced:
+                nd.max_mis_pre_sync = max(nd.max_mis_pre_sync, abs(now_local - now))
+            nd.base += offset
+            nd.synced = True
+            nd.last_sync_local = now_local + offset
+            nd.uncertainty_at_sync = abs(residual) + engine._sync_uncertainty
+            nd.n_syncs += 1
+            nd.max_mis_post_sync = max(
+                nd.max_mis_post_sync, abs(end_local + offset - uplink_end)
+            )
+            trace.acked[rec] = 1
+            engine.gateway_airtime += engine._ack_toa
+        schedule(i, now)
+
+    for i in range(len(nodes)):
+        schedule(i, 0)
+    while heap:
+        now, _seq, kind, i = heappop(heap)
+        if kind == tx_start:
+            on_tx_start(i, now)
+        else:
+            on_ack(i, now)
+    for name, values in zip(
+        ("node_id", "true_start", "local_start", "slot_index", "channel", "duration"),
+        columns,
+    ):
+        getattr(trace, name).extend(values)
+    return trace, engine.metrics()
 
 
 def channel_arbitrate(transmissions: list[tuple[int, int, int]]) -> list[bool]:

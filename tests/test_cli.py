@@ -436,3 +436,25 @@ def test_compare_seeds_alone_name_every_seed(tmp_path):
     assert code == EXIT_OK
     lines = Path(out, "compare.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
+
+
+def test_slot_longer_than_the_period_is_config_error(tmp_path, capsys):
+    # Used to exit 0 with one uplink per node: a 100-day slot, and
+    # max_phase_slots = auto turning 2 h // 100 d = 0 slots into 1.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[scenario]\nduration = 2 h\n[mac]\nguard = 100 d\n")
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "1",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "slot T = 8640001300000000 ns must not exceed app_period = 30000000000 ns" in (
+        err
+    )
+    assert not (tmp_path / "o").exists()

@@ -248,6 +248,28 @@ class TestLoadScenario:
         assert cfg.residual_mean == cfg.residual_max == 12 * 10**6
         assert cfg.residual_std == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[mac]\nguard = 100 d\n",
+            "[scenario]\napp_period = 1.6 s\nduty_cycle_cap = 20 %\n",
+        ],
+        ids=["guard-100-d", "period-under-slot"],
+    )
+    def test_a_slot_longer_than_the_period_is_rejected(self, text):
+        message = r"slot T = \d+ ns must not exceed app_period = \d+ ns"
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(text, seed=1)
+
+    def test_a_slot_as_long_as_the_period_is_kept(self):
+        cfg = load_scenario(
+            "[scenario]\napp_period = 1.7 s\nduty_cycle_cap = 20 %\n", seed=1
+        )
+        assert cfg.policy.plan.t == cfg.app_period
+        assert cfg.policy.backoff.max_phase_slots == 1
+        # Only the slotted policy has slots.
+        load_scenario("[scenario]\napp_period = 1.6 s\n[mac]\npolicy = pure\n", seed=1)
+
     def test_auto_phase_slots_fill_the_period(self):
         # 30 s period over 1.7 s slots: 17 whole slots.
         assert load_scenario("", seed=1).policy.backoff.max_phase_slots == 17
