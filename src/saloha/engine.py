@@ -56,12 +56,21 @@ the event queue's schedule, byte for byte.  A feedback-free run
 
 A window still wrong after ``_MAX_PASSES`` passes is finished
 conservatively by the same handlers: each node stops at its next
-confirmed uplink until that uplink's bit is final, and the channel rules
-on every uplink before the earliest instant at which a stopped node
-could send again (``Engine._next_start_bound``).  A window whose
-predecessor had a lost confirmed uplink starts conservatively.  Every
-uplink lasts the same airtime, so an uplink overlaps another on its
-channel iff it overlaps the latest one.
+confirmed uplink until that uplink's bit is final.  Nodes on fixed
+channels meet only the nodes on their channel, so the conservative step
+keeps one frontier per channel (one for all channels when each uplink
+draws its channel): the channel rules on every uplink before the
+earliest instant at which a stopped node of the group could send again
+(``Engine._next_start_bound``), which makes the bit of every stopped
+uplink that ends by then final.  A window whose predecessor had a lost
+confirmed uplink starts conservatively.
+
+The channel rules on uplinks in start order; the order of uplinks that
+start together does not change a flag.  Every uplink lasts the same
+airtime, so an uplink overlaps another on its channel iff it overlaps
+the latest one.  The ruling is kept per row, so a bit can be read before
+its row is in the trace, and a window goes into the trace once, in the
+event queue's order.
 
 The tie rule: uplinks sort by true start.  An event queue pops the
 events at one instant by sequence number, which an event takes when the
@@ -82,7 +91,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import eq, gt, itemgetter, le, sub
+from operator import eq, ge, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .mac import MacPolicy, slot_start
@@ -132,7 +141,7 @@ _MAX_PASSES = 2
 _FLOAT_EXACT = float(1 << 40)
 _FLOAT_MARGIN = 0.499
 
-_START, _LOCAL, _SLOT, _CHANNEL, _ACK = map(itemgetter, range(5))
+_START, _LOCAL, _SLOT, _CHANNEL, _ACK, _NODE = map(itemgetter, range(6))
 
 
 def _narrowest(rows: Sequence[int]) -> array:
@@ -330,58 +339,57 @@ def _merge_window(
     leads = [d for d in due if d < end]
     instants = set(starts)
     instants.update(leads)
+    places = repeat(0)  # of each node's last event among its instant's
     if len(instants) == len(starts) + len(leads) and instants.isdisjoint(
         filter(None, acks)
     ):
+        merged = sorted(range(len(starts)), key=starts.__getitem__)
+    else:
+        # Some events share an instant: order every event, ACKs included.
+        events: list[int] = []
+        event_first = []
+        row_of = []  # the uplink an event is, or -1 for an ACK
         for i in range(n):
-            d = due[i]
-            if first[i + 1] > first[i]:
-                s = starts[first[i + 1] - 1]
-                d = acks[first[i + 1] - 1] or inf
-                if d < end:
-                    s, d = d, inf
-                carried[i] = (s, 0)
-                due[i] = d
-            elif d < end:
-                carried[i] = (d, 0)
-                due[i] = inf
-        return sorted(range(len(starts)), key=starts.__getitem__)
-    # Some events share an instant: order every event, ACKs included.
-    events: list[int] = []
-    event_first = []
-    row_of = []  # the uplink an event is, or -1 for an ACK
-    for i in range(n):
-        event_first.append(len(events))
-        d = due[i]
-        if d < end:
-            events.append(d)
-            row_of.append(-1)
-            due[i] = inf
-        for f in range(first[i], first[i + 1]):
-            s = starts[f]
-            events.append(s)
-            row_of.append(f)
-            d = acks[f] or inf
-            if d < end:
-                events.append(d)
+            event_first.append(len(events))
+            if due[i] < end:
+                events.append(due[i])
                 row_of.append(-1)
-                d = inf
-            due[i] = d
-    event_first.append(len(events))
-    order = _pop_order(events, event_first, carried)
-    return [row_of[e] for e in order if row_of[e] >= 0]
+            for f in range(first[i], first[i + 1]):
+                events.append(starts[f])
+                row_of.append(f)
+                if 0 < acks[f] < end:
+                    events.append(acks[f])
+                    row_of.append(-1)
+        event_first.append(len(events))
+        order, place = _pop_order(events, event_first, carried)
+        merged = [row_of[e] for e in order if row_of[e] >= 0]
+        places = (place.get(e - 1, 0) for e in event_first[1:])
+    # Each node's last event before `end` becomes its key; the ACK of
+    # its last uplink stays due if it lands later.
+    for i, rank in zip(range(n), places):
+        s, d = -1, due[i]
+        if d < end:
+            s, d = d, inf
+        if first[i + 1] > first[i]:
+            s, d = starts[first[i + 1] - 1], acks[first[i + 1] - 1] or inf
+            if d < end:
+                s, d = d, inf
+        if s >= 0:
+            carried[i] = (s, rank)
+        due[i] = d
+    return merged
 
 
 def _pop_order(
     starts: list[int], first: list[int], carried: list[tuple[int, int]]
-) -> list[int]:
-    """Indices of events in the order the event queue pops them.
+) -> tuple[list[int], dict[int, int]]:
+    """Indices of events in the order the event queue pops them, and the
+    place of each tied event among the events at its instant.
 
     Node ``i``'s events are ``starts[first[i]:first[i + 1]]``, in time
     order, each scheduled by the one before it; ``carried`` is as in
-    ``_merge_window`` and is updated to each node's last event.  Events
-    go by instant, and events at one instant by the key of the events
-    that scheduled them.
+    ``_merge_window``.  Events go by instant, and events at one instant
+    by the key of the events that scheduled them.
     """
     m = len(starts)
     order = sorted(range(m), key=starts.__getitem__)
@@ -414,10 +422,7 @@ def _pop_order(
             place.update((f, rank) for rank, f in enumerate(popped))
             order[at : at + len(group)] = popped
         at += len(group)
-    for i, end in enumerate(first[1:]):
-        if end > first[i]:
-            carried[i] = (starts[end - 1], place.get(end - 1, 0))
-    return order
+    return order, place
 
 
 class _Node:
@@ -426,6 +431,7 @@ class _Node:
         "drift_num",
         "drift_den",
         "inv_den",
+        "index",
         "rng",
         "channel",
         "phase",
@@ -439,7 +445,8 @@ class _Node:
         "max_mis_post_sync",
     )
 
-    def __init__(self, drift_ppm: float, offset: int) -> None:
+    def __init__(self, drift_ppm: float, offset: int, index: int = 0) -> None:
+        self.index = index  # in the engine's nodes
         self.base = offset  # plus the corrections applied so far
         # Exact integer ratio of the ppm value, scaled so that the drift
         # over `t` is t * drift_num / drift_den with drift_den > 0.
@@ -629,11 +636,6 @@ class Engine:
         # starts past the horizon, and an ACK lands at most the uplink's
         # airtime plus `_ack_lag` after its uplink starts.
         self._end = config.duration + self._uplink_toa + self._ack_lag + 1
-        # Start and record of the latest uplink on each channel.  Every
-        # uplink lasts _uplink_toa, so an uplink overlaps another on its
-        # channel iff it overlaps the one that started just before it.
-        self._last_start = [-self._uplink_toa] * config.n_channels
-        self._last_rec = [0] * config.n_channels
         # Rows not yet packed into the trace's int columns, in the order
         # node_id, true_start, local_start, slot_index, channel, duration.
         self._rows: tuple[list[int], ...] = ([], [], [], [], [], [])
@@ -651,7 +653,7 @@ class Engine:
             if cfg.initial_offset_max > 0
             else 0
         )
-        nd = _Node(sign * magnitude, offset)
+        nd = _Node(sign * magnitude, offset, node_id)
         nd.rng = rng
         phase_true = nd.rng.randint(0, cfg.app_period - 1)
         nd.next_ready_local = self._local_at(nd, phase_true)
@@ -717,9 +719,9 @@ class Engine:
         """The node's schedule, one uplink at a time.
 
         Each uplink is a row ``(true start, local start, slot index or
-        -1, channel, ACK)``, where ``ACK`` is the instant its ACK lands,
-        ``_uplink_toa + _ack_lag`` after its start, or 0 if it is
-        unconfirmed; at a confirmed uplink, ``nd.next_ready_local``
+        -1, channel, ACK, node index)``, where ``ACK`` is the instant its
+        ACK lands, ``_uplink_toa + _ack_lag`` after its start, or 0 if it
+        is unconfirmed; at a confirmed uplink, ``nd.next_ready_local``
         keeps the node's next ready instant on its period grid.  Primed
         with ``next``, the coroutine waits for the outcome of ``row``,
         the node's last uplink (None for a fresh schedule, which starts
@@ -771,11 +773,11 @@ class Engine:
         lim, margin = _FLOAT_EXACT, _FLOAT_MARGIN
         lag = dur + ack_lag
         next_ready = nd.next_ready_local
+        node = nd.index
         if row is None:
             tx_true, use_slots, ack = 0, False, 0
         else:
-            tx_true, _, slot, _, ack = row
-            use_slots = slot >= 0
+            tx_true, use_slots, ack = row[0], row[2] >= 0, row[4]
         bit = yield
         while True:
             shift = 0
@@ -910,6 +912,7 @@ class Engine:
                 tx_local // slot_t if use_slots else -1,
                 channel,
                 ack,
+                node,
             )
         done = (self._end, 0, -1, 0, 0)
         while True:
@@ -955,33 +958,58 @@ class Engine:
 
     def _run_windows(self) -> None:
         """Every run, one time window at a time (see the module
-        docstring): each node's uplinks from its schedule, ordered by
-        ``_merge_window`` and ruled on by the channel."""
+        docstring): each node's uplinks from its schedule, ruled on by
+        the channel, then put in the trace in ``_merge_window``'s order."""
         nodes = self.nodes
         n = len(nodes)
         dur = self._uplink_toa
+        lag = dur + self._ack_lag
         stop = self._end
         span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
         trace = self.trace
         collided, confirmed = trace.collided, trace.confirmed
-        last_start, last_rec = self._last_start, self._last_rec
+        n_channels = self._n_channels
+        # Each channel's latest ruled uplink: its start, its row, and its
+        # trace record once `commit` has put it in the trace.  Every
+        # uplink lasts `dur`, so an uplink overlaps another on its
+        # channel iff it overlaps the one that started just before it.
+        # A channel starts with a stand-in that ends at 0, which no
+        # uplink overlaps.
+        last_start = [-dur] * n_channels
+        last_row = [(-dur, 0, -1, c, 0) for c in range(n_channels)]
+        last_rec = [-1] * n_channels
+        # The ruling: every row the channel found collided and that is
+        # not yet in the trace or whose bit a node may still read, by
+        # identity, since two nodes' rows may be equal tuples.  The dict
+        # holds each row, so no other object can take its identity.
+        lost: dict[int, tuple] = {}
+        # Every uplink on channel c that starts before ruled_to[c] is ruled.
+        ruled_to = [0] * n_channels
+        # Nodes on fixed channels share a channel only with each other;
+        # nodes that draw a channel per uplink may meet on any.
+        if self.config.channel_selection == "uniform-random":
+            groups = [(range(n), range(n_channels))]
+        else:
+            groups = [
+                ([i for i, nd in enumerate(nodes) if nd.channel == c], [c])
+                for c in range(n_channels)
+            ]
+        fresh: list[list[tuple]] = [[] for _ in groups]  # not yet ruled on
         packed = self._rows
         sends = [self._resume(nd, None) for nd in nodes]
         heads = [send(None) for send in sends]  # each node's latest row
-        # Whether a node waits for the outcome of its head: None if not,
-        # -1 while the head is in `rows`, else the head's trace record.
-        wait: list[Optional[int]] = [None] * n
+        waiting = [False] * n  # whether a node waits for its head's bit
         rows: list[list[tuple]] = [[] for _ in range(n)]  # not yet in the trace
-        first_start = [stop] * n  # of each node's rows
         carried = [(-1, i) for i in range(n)]
         due = [inf] * n
         snaps: list[Optional[tuple]] = [None] * n
         known = [b""] * n  # a restored node's bits as the channel last ruled
-        raised: dict[int, tuple] = {}  # (ACK instant, node, SyncError)
+        raised: dict[int, tuple] = {}  # (ACK instant, row, SyncError)
+        # The uplinks in the trace whose ACK lands in the window, each run
+        # with the record of its first.
+        recent: list[tuple[int, list]] = []
         stopped = (stop, 0, -1, 0, 0)
         feedback = self._confirm_all or self._on_demand  # any ACK at all
-        slotted = self._slotted
-        lo = 0  # every uplink before lo is in the trace
 
         def advance(i: int, end: int, speculate: bool) -> None:
             # Drive node i's schedule up to `end`.  Each bit fed back is
@@ -993,44 +1021,42 @@ class Engine:
             out = rows[i]
             bits, k = known[i], 0
             try:
-                w = wait[i]
-                if w is not None:
+                if waiting[i]:
                     if row[4] >= end:
                         return
-                    if w >= 0 and (collided[w] or row[0] + dur <= lo):
-                        bit = collided[w]
+                    hit = id(row) in lost
+                    if hit or row[0] + dur <= ruled_to[row[3]]:
+                        bit = hit
                     elif speculate:
                         if snaps[i] is None:
-                            snapshot(i, row, w)
+                            snapshot(i, row)
                         bit = bits[0] if bits else 0
                         k = 1
                     else:
                         return
-                    wait[i] = None
+                    waiting[i] = False
                     row = send(bit)
                 while row[0] < end:
                     out.append(row)
                     if not row[4]:
                         row = send(None)
                     elif row[4] >= end or not speculate:
-                        wait[i] = -1
+                        waiting[i] = True
                         break
                     else:
                         if snaps[i] is None:
-                            snapshot(i, row, -1)
+                            snapshot(i, row)
                         row = send(bits[k] if k < len(bits) else 0)
                         k += 1
             except SyncError as exc:
-                raised[i] = (row[4], i, exc)
+                raised[i] = (row[4], row, exc)
                 row = stopped
-                wait[i] = None
+                waiting[i] = False
             heads[i] = row
-            if out:
-                first_start[i] = out[0][0]
 
-        def snapshot(i: int, row: tuple, w: int) -> None:
+        def snapshot(i: int, row: tuple) -> None:
             # The node's state just before it consumes its first bit
-            # that is not final: `row` is its head, and `w` its wait.
+            # that is not final, the bit of `row`, its head.
             nd = nodes[i]
             # The generator's words as 4-byte ints, a tenth of the tuple.
             version, words, gauss_next = nd.rng.getstate()
@@ -1048,7 +1074,6 @@ class Engine:
                 tuple(nd.duty),
                 row,
                 len(rows[i]),
-                w,
             )
 
         def restore(i: int) -> None:
@@ -1067,144 +1092,137 @@ class Engine:
                 duty,
                 row,
                 keep,
-                wait[i],
             ) = snaps[i]
             version, words, gauss_next = state
             nd.rng.setstate((version, tuple(words), gauss_next))
             nd.duty.clear()
             nd.duty.extend(duty)
-            out = rows[i]
-            del out[keep:]
-            first_start[i] = out[0][0] if out else stop
+            del rows[i][keep:]
             sends[i] = self._resume(nd, row)
             heads[i] = row
+            waiting[i] = True
             raised.pop(i, None)
 
-        def rule(cut: int) -> tuple:
-            # Order every uplink before `cut` not yet in the trace and
-            # let the channel rule on it; `commit` keeps the result and
-            # `undo` takes it back.
-            members = list(
-                compress(range(n), map(gt, repeat(cut), map(min, first_start, due)))
-            )
-            flat: list[tuple] = []
-            first = []
-            taken = []
-            for i in members:
-                out = rows[i]
-                first.append(len(flat))
-                k = len(out)
-                if k and out[-1][0] >= cut:
-                    k = bisect_left(out, cut, key=_START)
-                    flat += out[:k]
-                else:
-                    flat += out
-                taken.append(k)
-            first.append(len(flat))
-            keys = [carried[i] for i in members]
-            dues = [due[i] for i in members]
-            acks = list(map(_ACK, flat)) if feedback else [0] * len(flat)
-            order = _merge_window(list(map(_START, flat)), first, acks, keys, dues, cut)
-            ordered = list(map(flat.__getitem__, order))
-            base = len(collided)
-            # `undo` restores the channels' latest uplinks and their flags.
-            flags = [collided[r] for r in last_rec] if base else []
-            saved = (base, last_start[:], last_rec[:], flags)
-            collided.extend(bytes(len(order)))
-            for rec, (t, _, _, c, _) in zip(count(base), ordered):
+        def unruled() -> None:
+            # Every uplink not yet in the trace waits for the channel.
+            for out, (members, _) in zip(fresh, groups):
+                out[:] = chain.from_iterable(map(rows.__getitem__, members))
+
+        def rule(batch: list[tuple]) -> None:
+            # Let the channel rule on `batch`, uplinks of this window
+            # sorted by start that start after every uplink it has ruled
+            # on.  An uplink before the window is in the trace.
+            for row in batch:
+                t, c = row[0], row[3]
                 if t - last_start[c] < dur:
-                    collided[rec] = 1
-                    collided[last_rec[c]] = 1
+                    lost[id(row)] = row
+                    prev = last_row[c]
+                    lost[id(prev)] = prev
+                    if prev[0] < lo:
+                        collided[last_rec[c]] = 1
                 last_start[c] = t
-                last_rec[c] = rec
-            return members, first, taken, order, ordered, saved, keys, dues
+                last_row[c] = row
 
-        def undo(ruled: tuple) -> None:
-            base, starts, recs, flags = ruled[5]
-            del collided[base:]
-            for rec, flag in zip(recs, flags):
-                collided[rec] = flag
-            last_start[:] = starts
-            last_rec[:] = recs
+        def save() -> tuple:
+            # What `undo` needs to take back the rulings to come.
+            flags = [id(row) in lost for row in last_row]
+            return last_start[:], last_row[:], flags, ruled_to[:]
 
-        def commit(ruled: tuple) -> None:
-            members, first, taken, order, ordered, saved, keys, dues = ruled
-            m = len(order)
-            # Uplink f is node members[j]'s for first[j] <= f < first[j + 1].
-            owner = list(
-                chain.from_iterable(map(repeat, members, map(sub, first[1:], first)))
-            )
+        def undo(batch: list[tuple], saved: tuple) -> None:
+            # Take back the ruling of `batch`; `saved` is the state
+            # before it.
+            for row in batch:
+                lost.pop(id(row), None)
+            last_start[:], last_row[:], flags, ruled_to[:] = saved
+            for c, row, flag in zip(count(), last_row, flags):
+                if flag:
+                    lost[id(row)] = row
+                else:
+                    lost.pop(id(row), None)
+                if row[0] >= 0:  # not the stand-in
+                    collided[last_rec[c]] = flag
+
+        def merge(end: int) -> tuple:
+            # Every uplink not yet in the trace, all before `end`, in the
+            # event queue's order; `commit` puts them in the trace.
+            first = [0]
+            flat: list[tuple] = []
+            for out in rows:
+                flat += out
+                first.append(len(flat))
+            acks = list(map(_ACK, flat)) if feedback else [0] * len(flat)
+            keys, dues = carried[:], due[:]
+            order = _merge_window(list(map(_START, flat)), first, acks, keys, dues, end)
+            return list(map(flat.__getitem__, order)), keys, dues
+
+        def commit(merged: tuple) -> None:
+            # Put the merged uplinks, each ruled on, in the trace.
+            ordered, carried[:], due[:] = merged
+            m = len(ordered)
+            base = len(collided)
+            collided.extend(map(lost.__contains__, map(id, ordered)))
+            confirmed.extend(map(bool, map(_ACK, ordered)) if feedback else bytes(m))
             node_ids, true_starts, local_starts, slot_indices, channels, durations = (
                 packed
             )
             at = 0
             while at < m:
                 # Fill the buffer to one block at most, then pack it.
-                end = at + _TRACE_BLOCK - len(node_ids)
-                node_ids.extend(map(owner.__getitem__, order[at:end]))
-                piece = ordered[at:end]
+                stop_at = at + _TRACE_BLOCK - len(node_ids)
+                piece = ordered[at:stop_at]
+                node_ids.extend(map(_NODE, piece))
                 true_starts.extend(map(_START, piece))
                 local_starts.extend(map(_LOCAL, piece))
-                slot_indices.extend(
-                    map(_SLOT, piece) if slotted else repeat(-1, len(piece))
-                )
+                slot_indices.extend(map(_SLOT, piece))
                 channels.extend(map(_CHANNEL, piece))
                 durations.extend(repeat(dur, len(piece)))
-                at = end
+                at = stop_at
                 if len(node_ids) >= _TRACE_BLOCK:
                     self._pack_rows()
-            confirmed.extend(map(bool, map(_ACK, ordered)) if feedback else bytes(m))
-            for j, i in enumerate(members):
-                carried[i] = keys[j]
-                due[i] = dues[j]
-                k = taken[j]
-                if k:
-                    out = rows[i]
-                    if wait[i] == -1 and k == len(out):
-                        # The head whose bit the node awaits is in the trace.
-                        wait[i] = saved[0] + order.index(first[j + 1] - 1)
-                    del out[:k]
-                    first_start[i] = out[0][0] if out else stop
+            # Each channel's latest uplink of the window is in the trace
+            # now.  The rows that leave keep no place in the ruling.
+            left = sum(map(ge, last_start, repeat(lo)))
+            at = m
+            while left:
+                at -= 1
+                row = ordered[at]
+                if row is last_row[row[3]]:
+                    last_rec[row[3]] = base + at
+                    left -= 1
+            kept = [row for row in chain(last_row, heads) if id(row) in lost]
+            lost.clear()
+            lost.update(zip(map(id, kept), kept))
+            for out in rows:
+                out.clear()
+            recent.append((base, ordered))
 
-        def wrong_guesses(ruled: tuple, end: int) -> list[tuple[int, bytes]]:
+        def record(row: tuple) -> int:
+            # The trace record of `row`, an uplink whose ACK raised.
+            for base, tail in recent:
+                for at, other in enumerate(tail):
+                    if other is row:
+                        return base + at
+            raise AssertionError("unreachable: the uplink is in the trace")
+
+        def wrong_guesses(end: int) -> list[tuple[int, bytes]]:
             # The nodes whose guessed bits the channel's ruling
-            # contradicts, with the bits as ruled.
-            if not any(snaps):
-                return []  # no guess
-            members, first, _, order, ordered, (base, *_) = ruled[:6]
-            if not any(known):
-                # Every guess was 0: only a lost confirmed uplink, or a
-                # guessed one from before the window, can contradict one.
-                lost = int.from_bytes(collided[base:], "big") & int.from_bytes(
-                    bytes(map(bool, map(_ACK, ordered))), "big"
-                )
-                if not lost and not any(
-                    collided[snap[13]]
-                    for snap in snaps
-                    if snap is not None and snap[13] >= 0
-                ):
-                    return []
-            record = [0] * len(order)
-            for rec, f in zip(count(base), order):
-                record[f] = rec
-            at = dict(zip(members, first))
+            # contradicts, with the bits as ruled.  Only a node with a
+            # lost uplink or a guessed loss can have one.
+            suspects = {row[5] for row in lost.values()}
+            suspects.update(compress(range(n), known))
             wrong = []
-            for i, snap in enumerate(snaps):
-                if snap is None:
-                    continue
-                keep, w = snap[12], snap[13]
-                recs = [w] if w >= 0 else [record[at[i] + keep - 1]]
-                recs += [
-                    record[at[i] + j]
-                    for j in range(keep, len(rows[i]))
-                    if 0 < rows[i][j][4] < end
-                ]
-                bits = bytes(map(collided.__getitem__, recs))
-                if bits != known[i].ljust(len(bits), b"\0")[: len(bits)]:
-                    wrong.append((i, bits))
+            for i in sorted(suspects):
+                snap = snaps[i]
+                if snap is not None:
+                    head, keep = snap[11], snap[12]
+                    consumed = [head, *(r for r in rows[i][keep:] if 0 < r[4] < end)]
+                    bits = bytes(map(lost.__contains__, map(id, consumed)))
+                    if bits != known[i].ljust(len(bits), b"\0")[: len(bits)]:
+                        wrong.append((i, bits))
             return wrong
 
         optimistic = True
+        lo = 0  # every uplink before lo is in the trace
         while lo < stop:
             hi = min(lo + span, stop)
             window_start = len(collided)
@@ -1212,12 +1230,14 @@ class Engine:
             while passes:
                 for i in range(n):
                     advance(i, hi, True)
-                ruled = rule(hi)
-                wrong = wrong_guesses(ruled, hi)
+                saved = save()
+                merged = merge(hi)
+                rule(merged[0])
+                ruled_to[:] = repeat(hi, n_channels)
+                wrong = wrong_guesses(hi)
                 if not wrong:
-                    commit(ruled)
                     break
-                undo(ruled)
+                undo(merged[0], saved)
                 for i, bits in wrong:
                     known[i] = bits
                     restore(i)
@@ -1226,34 +1246,56 @@ class Engine:
                 for i in range(n):
                     if snaps[i] is not None:
                         restore(i)
-                # Each node stops where its next bit is not final; the
-                # channel then rules on every uplink before the earliest
-                # instant at which a stopped node could send again.
-                ends = [stop + 1] * n  # of each stopped node's head
-                bounds = [hi] * n
-                todo: Iterable[int] = range(n)
-                while todo:
-                    for i in todo:
-                        advance(i, hi, False)
-                        row = heads[i]
-                        if wait[i] is not None and row[4] < hi:
-                            ends[i] = row[0] + dur
-                            bounds[i] = self._next_start_bound(nodes[i], row)
-                        else:
-                            ends[i] = stop + 1
-                            bounds[i] = hi
-                    cut = min(hi, min(bounds))
-                    if lo < cut:
-                        commit(rule(cut))
-                        lo = cut
-                    todo = list(compress(range(n), map(le, ends, repeat(lo))))
+                unruled()
+                # Each node stops where its next bit is not final.  A
+                # group of nodes that share channels runs on its own: the
+                # channel rules on every uplink before the earliest
+                # instant at which a stopped node of the group could send
+                # again, and releases every stopped node whose uplink
+                # ends by then.
+                bound = self._next_start_bound
+                for (members, channels), out in zip(groups, fresh):
+                    waits: list[tuple] = []  # (bound, end, node) of each stopped node
+                    todo: Iterable[int] = members
+                    while todo:
+                        for i in todo:
+                            mine = rows[i]
+                            had = len(mine)
+                            advance(i, hi, False)
+                            out += mine[had:]
+                            row = heads[i]
+                            if waiting[i] and row[4] < hi:
+                                waits.append((bound(nodes[i], row), row[0] + dur, i))
+                        cut = min(waits)[0] if waits else hi
+                        if cut > hi:
+                            cut = hi
+                        out.sort(key=_START)
+                        k = bisect_left(out, cut, key=_START)
+                        rule(out[:k])
+                        del out[:k]
+                        for c in channels:
+                            ruled_to[c] = cut
+                        todo = [i for _, end, i in waits if end <= cut]
+                        waits = [w for w in waits if w[1] > cut]
+                merged = merge(hi)
+            commit(merged)
+            del merged  # free the window's rows before the next window
             if raised:
-                raise min(raised.values())[2]
+                # The event queue pops ACKs at one instant in the order of
+                # their uplinks, which is the trace's.
+                _, _, exc = min(raised.values(), key=lambda r: (r[0], record(r[1])))
+                raise exc
+            # Of this window, only an uplink whose ACK lands in the next
+            # one may raise there.
+            base, ordered = recent.pop()
+            tail = bisect_left(ordered, hi - lag, key=_START)
+            recent[:] = [(base + tail, ordered[tail:])]
+            del ordered
             # A lost confirmed uplink makes the next window conservative.
-            lost = int.from_bytes(collided[window_start:], "big") & int.from_bytes(
+            missed = int.from_bytes(collided[window_start:], "big") & int.from_bytes(
                 confirmed[window_start:], "big"
             )
-            optimistic = not lost
+            optimistic = not missed
             snaps[:] = repeat(None, n)
             known[:] = repeat(b"", n)
             lo = hi

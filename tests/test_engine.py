@@ -441,13 +441,15 @@ def short_scenarios(draw) -> ScenarioConfig:
 
 @st.composite
 def dense_slotted(draw) -> ScenarioConfig:
-    """The default slotted scenario with 20 to 60 nodes on 1 to 3 fixed
-    channels for 10 to 30 minutes: collisions in every window, so the
-    schedule's guesses fail and its conservative step runs."""
+    """The default slotted scenario with 20 to 60 nodes on 1 to 3
+    channels, fixed or drawn per uplink, for 10 to 30 minutes:
+    collisions in every window, so the schedule's guesses fail and its
+    conservative step runs, per channel or on all channels at once."""
     n_channels = draw(st.integers(1, 3))
+    selection = draw(st.sampled_from(["fixed", "uniform-random"]))
     return load_scenario(
         f"[scenario]\nn_nodes = {draw(st.integers(20, 60))}\n"
-        f"n_channels = {n_channels}\n"
+        f"n_channels = {n_channels}\nchannel_selection = {selection}\n"
         f"confirmed_uplinks = {draw(st.sampled_from(['all', 'on-demand']))}\n"
         f"duration = {draw(st.integers(10, 30))} min\nwarmup = 5 min\n",
         seed=draw(st.integers(0, 2**32)),
@@ -826,6 +828,15 @@ DEFERRING = [
     deferring(5, 3 * NS_PER_SEC, "round-robin", 3),
 ]
 
+#: Feedback-free scenarios: the schedule consumes no bit and takes no
+#: snapshot.
+UNCONFIRMED = (
+    short_scenarios()
+    .filter(lambda cfg: not cfg.policy.is_slotted)
+    .map(lambda cfg: replace(cfg, confirmed_mode="none"))
+)
+
+
 def lossy(n_nodes: int = 30, **overrides) -> ScenarioConfig:
     """The default slotted scenario crowded onto one channel for 20
     minutes: about a fifth of the uplinks collide."""
@@ -845,10 +856,6 @@ class TestEventLoopDifferential:
 
     # Derandomized: the same 150 scenarios run every time.
     @given(short_scenarios())
-    @example(DEFERRING[0])
-    @example(DEFERRING[1])
-    @example(DEFERRING[2])
-    @example(DEFERRING[3])
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_equals_the_event_loop(self, cfg):
         assert_equals_the_event_loop(cfg)
@@ -889,11 +896,19 @@ class TestEventLoopDifferential:
         monkeypatch.setattr(engine_module, "_MAX_PASSES", passes)
         assert_equals_the_event_loop(lossy(20))
 
-    @pytest.mark.parametrize("window_rows", [1, 64])
-    def test_any_window_gives_the_same_run(self, monkeypatch, window_rows):
+    # With 64-row windows and a third pass, a node that guessed a loss
+    # the channel no longer rules can have no lost uplink in the window.
+    @pytest.mark.parametrize(
+        "window_rows, passes, mode",
+        [(1, 2, "on-demand"), (64, 2, "on-demand"), (64, 3, "all")],
+    )
+    def test_any_window_gives_the_same_run(
+        self, monkeypatch, window_rows, passes, mode
+    ):
         monkeypatch.setattr(engine_module, "_WINDOW_ROWS", window_rows)
         monkeypatch.setattr(engine_module, "_WINDOW_PERIODS", 1)
-        assert_equals_the_event_loop(lossy(20, confirmed_mode="on-demand"))
+        monkeypatch.setattr(engine_module, "_MAX_PASSES", passes)
+        assert_equals_the_event_loop(lossy(20, confirmed_mode=mode))
 
     def test_next_start_bound_never_passes_the_next_uplink(self, monkeypatch):
         bounds = []
@@ -914,6 +929,55 @@ class TestEventLoopDifferential:
             later = starts[node][bisect_right(starts[node], start) :]
             assert not later or later[0] >= low
 
+    def test_sync_errors_at_one_instant_raise_in_the_event_queues_order(
+        self, monkeypatch
+    ):
+        # Exact clocks, no jitter, a 1 s period: an uplink after an ACK
+        # is clamped to the ACK's instant.  Node 0 sends at 1 s, and its
+        # next uplink starts with node 1's first, at its ACK's instant,
+        # on the other channel.  The queue pops node 1's first uplink
+        # before node 0's ACK, which schedules node 0's, so it pops
+        # node 1's ACK first: node 1's gateway error escapes, though
+        # node 0 has the lower index.
+        cfg = load_scenario(
+            "[scenario]\nn_nodes = 2\nn_channels = 2\nchannel_selection = round-robin\n"
+            "app_period = 1 s\ndrift_ppm = 0 .. 0\ninitial_offset = 0 s\njitter = 0 s\n"
+            "duty_cycle_cap = 100 %\nduration = 1 min\n[mac]\npolicy = pure\n"
+            "[sync]\nresidual_mean = 0 s\nresidual_std = 0 s\n"
+            "timestamp_error_max = 10 us\n",
+            seed=2,
+        )
+        errors = []  # (uplink end, gateway error) of every raise
+        real = Engine._gateway_timestamp_us
+
+        def second_round_raises(uplink_end, ts_err):
+            if uplink_end > together:
+                errors.append((uplink_end, ts_err))
+                raise SyncError(f"gateway error {ts_err} ns at {uplink_end}")
+            return real(uplink_end, ts_err)
+
+        monkeypatch.setattr(
+            Engine, "_gateway_timestamp_us", staticmethod(second_round_raises)
+        )
+
+        def staggered(engine):
+            engine.nodes[0].next_ready_local = NS_PER_SEC
+            engine.nodes[1].next_ready_local = together
+            return engine
+
+        probe = Engine(cfg)
+        together = NS_PER_SEC + probe._uplink_toa + probe._ack_lag
+        with pytest.raises(SyncError) as expected:
+            run_event_loop(staggered(Engine(cfg)))
+        assert len(errors) == 1
+        errors.clear()
+        with pytest.raises(SyncError) as got:
+            staggered(Engine(cfg)).run()
+        # Both nodes raised at one ACK instant, with different errors.
+        (end_0, err_0), (end_1, err_1) = errors
+        assert end_0 == end_1 and err_0 != err_1
+        assert str(got.value) == str(expected.value)
+
     def test_a_sync_error_escapes_only_where_the_event_loop_raises_it(
         self, monkeypatch
     ):
@@ -931,8 +995,18 @@ class TestEventLoopDifferential:
 class TestFeedbackFreeRun:
     """A run without confirmed uplinks generates each node's schedule a
     window at a time, with no guess and no snapshot; the event loop is
-    its reference for the duty slow path, and the exact clock map for
-    the float pre-filter."""
+    its reference for every uplink and for the duty slow path, and the
+    exact clock map for the float pre-filter."""
+
+    # Derandomized: the same 150 scenarios run every time.
+    @given(UNCONFIRMED)
+    @example(DEFERRING[0])
+    @example(DEFERRING[1])
+    @example(DEFERRING[2])
+    @example(DEFERRING[3])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_the_event_loop(self, cfg):
+        assert_equals_the_event_loop(cfg)
 
     @pytest.mark.parametrize("cfg", DEFERRING)
     def test_duty_slow_path_sees_the_event_loops_calls(self, monkeypatch, cfg):
