@@ -23,9 +23,12 @@ numerator is never negative, tests ``2*r >= den``).
 The sync exchange runs inline in ``Engine._uplinks``: it keeps the
 checks of ``sync.gateway_record_rx_end`` (timestamp error within
 ±20 µs) and of ``sync.SyncAck`` (timestamp fits 8 bytes of µs), each
-raising ``SyncError``.  The uncertainty bound (``Engine._uncertainty_at``)
-equals ``sync.current_uncertainty`` with the slope precomputed, and
-drives both the slot-use check and the on-demand resync decision.
+raising ``SyncError``.  ``ScenarioConfig.validate`` keeps both out of
+reach of a run: it bounds the gateway error to 19 µs, and every uplink
+ends between one airtime and 2^63 ns.  The uncertainty bound
+(``Engine._uncertainty_at``) equals ``sync.current_uncertainty`` with
+the slope precomputed, and drives both the slot-use check and the
+on-demand resync decision.
 
 Slot alignment: a node that may use the grid transmits at
 ``mac.slot_start(ready, T, phase)``, the one implementation of the
@@ -56,14 +59,12 @@ the event queue's schedule, byte for byte.  A feedback-free run
 
 A window still wrong after ``_MAX_PASSES`` passes is finished
 conservatively by the same handlers: each node stops at its next
-confirmed uplink until that uplink's bit is final.  Nodes on fixed
-channels meet only the nodes on their channel, so the conservative step
-keeps one frontier per channel (one for all channels when each uplink
-draws its channel): the channel rules on every uplink before the
-earliest instant at which a stopped node of the group could send again
-(``Engine._next_start_bound``), which makes the bit of every stopped
-uplink that ends by then final.  A window whose predecessor had a lost
-confirmed uplink starts conservatively.
+confirmed uplink until that uplink's bit is final.  The conservative
+step keeps one frontier over every stopped node: the channel rules on
+every uplink before the earliest instant at which a stopped node could
+send again (``Engine._next_start_bound``), which makes the bit of every
+stopped uplink that ends by then final.  A window whose predecessor had
+a lost confirmed uplink starts conservatively.
 
 The channel rules on uplinks in start order; the order of uplinks that
 start together does not change a flag.  Every uplink lasts the same
@@ -87,9 +88,10 @@ from __future__ import annotations
 import random
 from math import inf
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress, count, repeat
 from operator import eq, ge, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
@@ -331,98 +333,60 @@ def _merge_window(
     window, ``(instant, place among the events at that instant)``, or
     ``(-1, i)`` while it has none, and ``due[i]`` is the instant of its
     ACK still to land, or ``inf``.  Both are updated to the window's end.
-    Uplinks go by start, and the events at one instant by the keys of the
-    events that scheduled them (the module's tie rule); ACKs matter only
-    there.
+    When no two events share an instant, the uplinks go by start and
+    every place is 0.  Otherwise the window's events, ACKs included, are
+    replayed through a heap, each keyed by its instant and then by the
+    key of the event that scheduled it (the module's tie rule): a
+    node's first event by ``carried``, every later one by the node's
+    event that popped before it.
     """
     n = len(first) - 1
     leads = [d for d in due if d < end]
     instants = set(starts)
     instants.update(leads)
-    places = repeat(0)  # of each node's last event among its instant's
     if len(instants) == len(starts) + len(leads) and instants.isdisjoint(
         filter(None, acks)
     ):
         merged = sorted(range(len(starts)), key=starts.__getitem__)
-    else:
-        # Some events share an instant: order every event, ACKs included.
-        events: list[int] = []
-        event_first = []
-        row_of = []  # the uplink an event is, or -1 for an ACK
+        # A node's last event before `end` becomes its key.
         for i in range(n):
-            event_first.append(len(events))
+            f = first[i + 1] - 1
+            s = due[i] if f < first[i] else acks[f] if 0 < acks[f] < end else starts[f]
+            if s < end:
+                carried[i] = (s, 0)
+    else:
+        # Each node has one event in the heap, ``(instant, key, node, f,
+        # is_ack)``: uplink ``f``, or the ACK before it.  Keys are
+        # distinct, so the heap never compares further.
+        heap = []
+        for i in range(n):
+            f = first[i]
             if due[i] < end:
-                events.append(due[i])
-                row_of.append(-1)
-            for f in range(first[i], first[i + 1]):
-                events.append(starts[f])
-                row_of.append(f)
+                heap.append((due[i], carried[i], i, f, True))
+            elif f < first[i + 1]:
+                heap.append((starts[f], carried[i], i, f, False))
+        heapify(heap)
+        merged = []
+        at = place = -1
+        while heap:
+            t, _, i, f, is_ack = heappop(heap)
+            place = place + 1 if t == at else 0
+            at = t
+            carried[i] = key = (t, place)
+            if not is_ack:
+                merged.append(f)
                 if 0 < acks[f] < end:
-                    events.append(acks[f])
-                    row_of.append(-1)
-        event_first.append(len(events))
-        order, place = _pop_order(events, event_first, carried)
-        merged = [row_of[e] for e in order if row_of[e] >= 0]
-        places = (place.get(e - 1, 0) for e in event_first[1:])
-    # Each node's last event before `end` becomes its key; the ACK of
-    # its last uplink stays due if it lands later.
-    for i, rank in zip(range(n), places):
-        s, d = -1, due[i]
-        if d < end:
-            s, d = d, inf
-        if first[i + 1] > first[i]:
-            s, d = starts[first[i + 1] - 1], acks[first[i + 1] - 1] or inf
-            if d < end:
-                s, d = d, inf
-        if s >= 0:
-            carried[i] = (s, rank)
-        due[i] = d
+                    heappush(heap, (acks[f], key, i, f + 1, True))
+                    continue
+                f += 1
+            if f < first[i + 1]:
+                heappush(heap, (starts[f], key, i, f, False))
+    # The ACK of a node's last uplink stays due if it lands later.
+    for i in range(n):
+        f = first[i + 1] - 1
+        d = due[i] if f < first[i] else acks[f] or inf
+        due[i] = d if d >= end else inf
     return merged
-
-
-def _pop_order(
-    starts: list[int], first: list[int], carried: list[tuple[int, int]]
-) -> tuple[list[int], dict[int, int]]:
-    """Indices of events in the order the event queue pops them, and the
-    place of each tied event among the events at its instant.
-
-    Node ``i``'s events are ``starts[first[i]:first[i + 1]]``, in time
-    order, each scheduled by the one before it; ``carried`` is as in
-    ``_merge_window``.  Events go by instant, and events at one instant
-    by the key of the events that scheduled them.
-    """
-    m = len(starts)
-    order = sorted(range(m), key=starts.__getitem__)
-    place: dict[int, int] = {}  # rank of a tied event among those at its instant
-    firsts = set(first)
-    groups: dict[int, list[int]] = {}
-    for f in order:
-        groups.setdefault(starts[f], []).append(f)
-    at = 0
-    for group in groups.values():
-        if len(group) > 1:
-            members = set(group)
-            # An event whose scheduler shares its instant is pushed when
-            # that one pops: after every event already waiting.
-            chained = {f for f in group if f - 1 in members and f not in firsts}
-            waiting = sorted(
-                (
-                    carried[bisect_right(first, f) - 1]
-                    if f in firsts
-                    else (starts[f - 1], place.get(f - 1, 0)),
-                    f,
-                )
-                for f in group
-                if f not in chained
-            )
-            popped = [f for _key, f in waiting]
-            for f in popped:  # grows while it is walked
-                if f + 1 in chained:
-                    popped.append(f + 1)
-            place.update((f, rank) for rank, f in enumerate(popped))
-            order[at : at + len(group)] = popped
-        at += len(group)
-    return order, place
 
 
 class _Node:
@@ -522,17 +486,18 @@ class Column:
         return sum(block.count(value) for block in self.blocks)
 
     def extend(self, values: Sequence[int]) -> None:
-        """Append ``values`` as new blocks; a short last block is
-        replaced by one packed from its rows and the first new ones,
-        never resized.  Nothing changes if a value is outside int64."""
+        """Append ``values`` as new blocks.  Only a column whose last
+        block is full can grow (``ValueError`` otherwise), and nothing
+        changes if a value is outside int64."""
         blocks, size = self.blocks, self.block
-        short = bool(blocks) and len(blocks[-1]) < size
-        rows = [*blocks[-1], *values] if short else values
-        if len(rows) <= size:
-            new = [_narrowest(rows)] if rows else []  # the engine's case: no copy
+        if blocks and len(blocks[-1]) < size:
+            raise ValueError("the column's last block is short")
+        if len(values) <= size:
+            new = [_narrowest(values)] if values else []  # the engine's case: no copy
         else:
-            new = [_narrowest(rows[i : i + size]) for i in range(0, len(rows), size)]
-        blocks[len(blocks) - short :] = new
+            starts = range(0, len(values), size)
+            new = [_narrowest(values[i : i + size]) for i in starts]
+        blocks += new
 
 
 class Trace:
@@ -963,7 +928,6 @@ class Engine:
         nodes = self.nodes
         n = len(nodes)
         dur = self._uplink_toa
-        lag = dur + self._ack_lag
         stop = self._end
         span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
         trace = self.trace
@@ -983,18 +947,7 @@ class Engine:
         # identity, since two nodes' rows may be equal tuples.  The dict
         # holds each row, so no other object can take its identity.
         lost: dict[int, tuple] = {}
-        # Every uplink on channel c that starts before ruled_to[c] is ruled.
-        ruled_to = [0] * n_channels
-        # Nodes on fixed channels share a channel only with each other;
-        # nodes that draw a channel per uplink may meet on any.
-        if self.config.channel_selection == "uniform-random":
-            groups = [(range(n), range(n_channels))]
-        else:
-            groups = [
-                ([i for i, nd in enumerate(nodes) if nd.channel == c], [c])
-                for c in range(n_channels)
-            ]
-        fresh: list[list[tuple]] = [[] for _ in groups]  # not yet ruled on
+        ruled_to = 0  # every uplink that starts before it is ruled
         packed = self._rows
         sends = [self._resume(nd, None) for nd in nodes]
         heads = [send(None) for send in sends]  # each node's latest row
@@ -1004,11 +957,6 @@ class Engine:
         due = [inf] * n
         snaps: list[Optional[tuple]] = [None] * n
         known = [b""] * n  # a restored node's bits as the channel last ruled
-        raised: dict[int, tuple] = {}  # (ACK instant, row, SyncError)
-        # The uplinks in the trace whose ACK lands in the window, each run
-        # with the record of its first.
-        recent: list[tuple[int, list]] = []
-        stopped = (stop, 0, -1, 0, 0)
         feedback = self._confirm_all or self._on_demand  # any ACK at all
 
         def advance(i: int, end: int, speculate: bool) -> None:
@@ -1020,38 +968,33 @@ class Engine:
             send = sends[i]
             out = rows[i]
             bits, k = known[i], 0
-            try:
-                if waiting[i]:
-                    if row[4] >= end:
-                        return
-                    hit = id(row) in lost
-                    if hit or row[0] + dur <= ruled_to[row[3]]:
-                        bit = hit
-                    elif speculate:
-                        if snaps[i] is None:
-                            snapshot(i, row)
-                        bit = bits[0] if bits else 0
-                        k = 1
-                    else:
-                        return
-                    waiting[i] = False
-                    row = send(bit)
-                while row[0] < end:
-                    out.append(row)
-                    if not row[4]:
-                        row = send(None)
-                    elif row[4] >= end or not speculate:
-                        waiting[i] = True
-                        break
-                    else:
-                        if snaps[i] is None:
-                            snapshot(i, row)
-                        row = send(bits[k] if k < len(bits) else 0)
-                        k += 1
-            except SyncError as exc:
-                raised[i] = (row[4], row, exc)
-                row = stopped
+            if waiting[i]:
+                if row[4] >= end:
+                    return
+                hit = id(row) in lost
+                if hit or row[0] + dur <= ruled_to:
+                    bit = hit
+                elif speculate:
+                    if snaps[i] is None:
+                        snapshot(i, row)
+                    bit = bits[0] if bits else 0
+                    k = 1
+                else:
+                    return
                 waiting[i] = False
+                row = send(bit)
+            while row[0] < end:
+                out.append(row)
+                if not row[4]:
+                    row = send(None)
+                elif row[4] >= end or not speculate:
+                    waiting[i] = True
+                    break
+                else:
+                    if snaps[i] is None:
+                        snapshot(i, row)
+                    row = send(bits[k] if k < len(bits) else 0)
+                    k += 1
             heads[i] = row
 
         def snapshot(i: int, row: tuple) -> None:
@@ -1101,12 +1044,6 @@ class Engine:
             sends[i] = self._resume(nd, row)
             heads[i] = row
             waiting[i] = True
-            raised.pop(i, None)
-
-        def unruled() -> None:
-            # Every uplink not yet in the trace waits for the channel.
-            for out, (members, _) in zip(fresh, groups):
-                out[:] = chain.from_iterable(map(rows.__getitem__, members))
 
         def rule(batch: list[tuple]) -> None:
             # Let the channel rule on `batch`, uplinks of this window
@@ -1126,14 +1063,14 @@ class Engine:
         def save() -> tuple:
             # What `undo` needs to take back the rulings to come.
             flags = [id(row) in lost for row in last_row]
-            return last_start[:], last_row[:], flags, ruled_to[:]
+            return last_start[:], last_row[:], flags
 
         def undo(batch: list[tuple], saved: tuple) -> None:
             # Take back the ruling of `batch`; `saved` is the state
             # before it.
             for row in batch:
                 lost.pop(id(row), None)
-            last_start[:], last_row[:], flags, ruled_to[:] = saved
+            last_start[:], last_row[:], flags = saved
             for c, row, flag in zip(count(), last_row, flags):
                 if flag:
                     lost[id(row)] = row
@@ -1194,15 +1131,6 @@ class Engine:
             lost.update(zip(map(id, kept), kept))
             for out in rows:
                 out.clear()
-            recent.append((base, ordered))
-
-        def record(row: tuple) -> int:
-            # The trace record of `row`, an uplink whose ACK raised.
-            for base, tail in recent:
-                for at, other in enumerate(tail):
-                    if other is row:
-                        return base + at
-            raise AssertionError("unreachable: the uplink is in the trace")
 
         def wrong_guesses(end: int) -> list[tuple[int, bytes]]:
             # The nodes whose guessed bits the channel's ruling
@@ -1233,11 +1161,12 @@ class Engine:
                 saved = save()
                 merged = merge(hi)
                 rule(merged[0])
-                ruled_to[:] = repeat(hi, n_channels)
+                ruled_to = hi
                 wrong = wrong_guesses(hi)
                 if not wrong:
                     break
                 undo(merged[0], saved)
+                ruled_to = lo
                 for i, bits in wrong:
                     known[i] = bits
                     restore(i)
@@ -1246,51 +1175,37 @@ class Engine:
                 for i in range(n):
                     if snaps[i] is not None:
                         restore(i)
-                unruled()
-                # Each node stops where its next bit is not final.  A
-                # group of nodes that share channels runs on its own: the
+                # Every uplink not yet in the trace waits for the channel.
+                out = list(chain.from_iterable(rows))
+                # Each node stops where its next bit is not final.  The
                 # channel rules on every uplink before the earliest
-                # instant at which a stopped node of the group could send
-                # again, and releases every stopped node whose uplink
-                # ends by then.
+                # instant at which a stopped node could send again, and
+                # releases every stopped node whose uplink ends by then.
                 bound = self._next_start_bound
-                for (members, channels), out in zip(groups, fresh):
-                    waits: list[tuple] = []  # (bound, end, node) of each stopped node
-                    todo: Iterable[int] = members
-                    while todo:
-                        for i in todo:
-                            mine = rows[i]
-                            had = len(mine)
-                            advance(i, hi, False)
-                            out += mine[had:]
-                            row = heads[i]
-                            if waiting[i] and row[4] < hi:
-                                waits.append((bound(nodes[i], row), row[0] + dur, i))
-                        cut = min(waits)[0] if waits else hi
-                        if cut > hi:
-                            cut = hi
-                        out.sort(key=_START)
-                        k = bisect_left(out, cut, key=_START)
-                        rule(out[:k])
-                        del out[:k]
-                        for c in channels:
-                            ruled_to[c] = cut
-                        todo = [i for _, end, i in waits if end <= cut]
-                        waits = [w for w in waits if w[1] > cut]
+                waits: list[tuple] = []  # (bound, end, node) of each stopped node
+                todo: Iterable[int] = range(n)
+                while todo:
+                    for i in todo:
+                        mine = rows[i]
+                        had = len(mine)
+                        advance(i, hi, False)
+                        out += mine[had:]
+                        row = heads[i]
+                        if waiting[i] and row[4] < hi:
+                            waits.append((bound(nodes[i], row), row[0] + dur, i))
+                    cut = min(waits)[0] if waits else hi
+                    if cut > hi:
+                        cut = hi
+                    out.sort(key=_START)
+                    k = bisect_left(out, cut, key=_START)
+                    rule(out[:k])
+                    del out[:k]
+                    ruled_to = cut
+                    todo = [i for _, end, i in waits if end <= cut]
+                    waits = [w for w in waits if w[1] > cut]
                 merged = merge(hi)
             commit(merged)
             del merged  # free the window's rows before the next window
-            if raised:
-                # The event queue pops ACKs at one instant in the order of
-                # their uplinks, which is the trace's.
-                _, _, exc = min(raised.values(), key=lambda r: (r[0], record(r[1])))
-                raise exc
-            # Of this window, only an uplink whose ACK lands in the next
-            # one may raise there.
-            base, ordered = recent.pop()
-            tail = bisect_left(ordered, hi - lag, key=_START)
-            recent[:] = [(base + tail, ordered[tail:])]
-            del ordered
             # A lost confirmed uplink makes the next window conservative.
             missed = int.from_bytes(collided[window_start:], "big") & int.from_bytes(
                 confirmed[window_start:], "big"
@@ -1300,9 +1215,9 @@ class Engine:
             known[:] = repeat(b"", n)
             lo = hi
 
-    def _pack_rows(self, n: Optional[int] = None) -> None:
-        """Move the first ``n`` buffered rows, or all of them, into the
-        trace's int columns: one new block per column."""
+    def _pack_rows(self) -> None:
+        """Move the buffered rows into the trace's int columns: one new
+        block per column."""
         t = self.trace
         columns = (
             t.node_id,
@@ -1313,8 +1228,8 @@ class Engine:
             t.duration,
         )
         for column, rows in zip(columns, self._rows):
-            column.extend(rows if n is None else rows[:n])
-            del rows[:n]
+            column.extend(rows)
+            rows.clear()
 
     # -- reporting -------------------------------------------------------
 

@@ -4,6 +4,7 @@ block type, and the block layout of a real run."""
 
 from array import array
 from bisect import bisect_left
+from itertools import cycle
 from operator import is_
 
 import pytest
@@ -133,17 +134,24 @@ class TestColumnAgainstList:
         assert array("q", col) == array("q", values)
 
     def test_extend_in_pieces(self, monkeypatch, block, n, make):
+        # Whole blocks a piece, then the rest; a short last block takes
+        # no more rows.
         values = make(n)
         monkeypatch.setattr(engine_module, "_TRACE_BLOCK", block)
         col = Column()
-        start = 0
-        for size in (1, 0, 2, block + 2) * (n + 1):
-            col.extend(values[start : start + size])
-            start += size
+        whole = n - n % block
+        sizes = cycle((block, 0, 2 * block))
+        while len(col) < whole:
+            start = len(col)
+            col.extend(values[start : min(start + next(sizes), whole)])
             assert_layout(col, block)
-            if start >= n:
-                break
+        col.extend(values[whole:])
+        assert_layout(col, block)
         assert list(col) == values
+        if n % block:
+            with pytest.raises(ValueError, match="short"):
+                col.extend(values[:1])
+            assert list(col) == values
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -163,7 +171,7 @@ def test_item_assignment_widens_only_its_block(monkeypatch, block):
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("bad", [INT64_MIN - 1, INT64_MAX + 1])
 def test_a_value_outside_int64_changes_nothing(monkeypatch, block, bad):
-    values = limits(2 * block + 1)
+    values = limits(2 * block)
     col = make_column(monkeypatch, block, values)
     before = list(col.blocks)
     for rows in ([bad], [0] * (2 * block) + [bad]):
