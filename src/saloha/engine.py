@@ -18,7 +18,11 @@ division in them, in the drift bound and in the gateway's microsecond
 quantization rounds half away from zero by one rule: with
 ``q, r = divmod(x, den)``, the result is ``q + 1`` when
 ``2*r + (x >= 0) > den`` and ``q`` otherwise (the drift bound, whose
-numerator is never negative, tests ``2*r >= den``).
+numerator is never negative, tests ``2*r >= den``).  ``Engine._uplinks``
+takes every clock map, and the drift bound of both its uncertainty
+checks, through a float pre-filter (``_FLOAT_EXACT``) that computes the
+drift term in doubles and calls these integer formulas only where a
+double could come out on the other side of a rounding or a threshold.
 
 The sync exchange runs inline in ``Engine._uplinks``: it keeps the
 checks of ``sync.gateway_record_rx_end`` (timestamp error within
@@ -131,15 +135,21 @@ _WINDOW_PERIODS = 8
 #: Optimistic passes over a window before it is finished conservatively.
 _MAX_PASSES = 2
 
-#: Float pre-filter of the clock map fused into ``Engine._uplinks``.
-#: The drift term of an instant, ``t * num / den`` in ``_local_at`` and
-#: ``(local - base) * num / (den + num)`` in ``_true_at``, is computed
-#: as ``v``, an int times the ratio in doubles.  Three roundings (the
-#: ratio, the int-to-float conversion, the product) leave ``v`` within
-#: ``|v| * 2**-51`` of the exact term, under 5e-4 for ``|v| < 2**40``.
-#: There, a ``v`` whose fractional part lies more than 0.001 from one
-#: half rounds to the same integer as the exact term; any other ``v``
-#: takes the integer formula.
+#: Float pre-filter of the clock map and the drift bound fused into
+#: ``Engine._uplinks``.  The drift term of an instant, ``t * num / den``
+#: in ``_local_at``, ``(local - base) * num / (den + num)`` in
+#: ``_true_at`` and ``elapsed * num / den`` in ``_drift_bound``, is
+#: computed as ``v``, an int times the ratio in doubles.  Three roundings
+#: (the ratio, the int-to-float conversion, the product) leave ``v``
+#: within ``|v| * 2**-51`` of the exact term, under 5e-4 for
+#: ``|v| < 2**40``.  There, a ``v`` whose fractional part lies more than
+#: 0.001 from one half rounds to the same integer as the exact term, and
+#: a ``v`` more than 0.001 from a half-integer threshold lies on the same
+#: side of it as the exact term; any other ``v`` takes the integer
+#: formula.  A schedule checks once that every drift term it can reach
+#: stays below ``_FLOAT_EXACT`` (``Engine._float_margin``); if one may
+#: not, its margin is -inf and every map and bound takes the integer
+#: formula.  ``_FLOAT_EXACT = 0`` turns the pre-filter off everywhere.
 _FLOAT_EXACT = float(1 << 40)
 _FLOAT_MARGIN = 0.499
 
@@ -576,6 +586,7 @@ class Engine:
         # Worst-case drift slope as an exact integer ratio, so that
         # drift over `elapsed` is elapsed * num / den, rounded once.
         self._bound_num, self._bound_den = ppm_ratio(config.drift_bound_ppm)
+        self._bound_ratio = self._bound_num / self._bound_den
         # An ACK lands exactly rx1_delay + ack airtime after its uplink
         # ends, so the drift folded into every sync's bound is constant.
         self._ack_lag = config.rx1_delay + self._ack_toa
@@ -597,6 +608,38 @@ class Engine:
         self._dc_window = config.dc_window
         self._duration = config.duration
         self._n_channels = config.n_channels
+        # Bits per draw of the schedule's integer draws, in its order:
+        # the gateway error, the jitter, the channel, the slot phase and
+        # the grid shift (see `_uplinks`).
+        self._draw_bits = tuple(
+            width.bit_length()
+            for width in (
+                2 * config.timestamp_error_max_us + 1,
+                2 * config.jitter + 1,
+                config.n_channels,
+                self._max_phase,
+                config.app_period + 1,
+            )
+        )
+        # Every instant a schedule maps, true or local past `base`, and
+        # every elapsed time its drift bound takes lie below this: the
+        # horizon; the initial offset and the sync slack, by which a
+        # sync can move `base`; the ACK lag and the resync look-ahead;
+        # twice the period, the jitter and the phase span, since a ready
+        # instant lies at most a period, a grid shift and two jitters
+        # past the node's last uplink, and an aligned start at most the
+        # phase span past its ready instant, before and after a
+        # deferral; and one duty window, the most a deferral adds.  All
+        # of it is stretched by 1 % for the drift of both clocks.
+        self._reach = 1.01 * (
+            config.duration
+            + config.initial_offset_max
+            + self._sync_slack
+            + self._ack_lag
+            + self._resync_lookahead
+            + 2 * (config.app_period + config.jitter + self._max_phase * self._slot_t)
+            + config.dc_window
+        )
         # Every event of the run comes before this instant: no uplink
         # starts past the horizon, and an ACK lands at most the uplink's
         # airtime plus `_ack_lag` after its uplink starts.
@@ -660,6 +703,20 @@ class Engine:
             elapsed = 0
         return nd.uncertainty_at_sync + self._drift_bound(elapsed)
 
+    def _float_margin(self, nd: _Node) -> float:
+        """The float pre-filter's margin in ``nd``'s schedule (see
+        ``_FLOAT_EXACT``): ``_FLOAT_MARGIN`` if the drift terms of every
+        instant the schedule can reach (``_reach``), at the node's slope
+        either way and at the bound's, stay below ``_FLOAT_EXACT``, and
+        -inf otherwise, which leaves every clock map and bound of the
+        schedule to the integer formula."""
+        slope = max(
+            abs(nd.drift_num / nd.drift_den),
+            abs(nd.drift_num / nd.inv_den),
+            self._bound_ratio,
+        )
+        return _FLOAT_MARGIN if self._reach * slope < _FLOAT_EXACT else -inf
+
     @staticmethod
     def _gateway_timestamp_us(uplink_end: int, ts_err: int) -> int:
         """The ACK's timestamp: the gateway's end-of-reception instant,
@@ -706,13 +763,24 @@ class Engine:
         the slot grid when the node may use it, and deferred while the
         duty cycle forbids it; whether it asks for an ACK is decided and
         its channel drawn after that.  ``base``, ``synced`` and
-        ``phase`` are read per uplink, and every clock map takes the
-        float pre-filter (see ``_FLOAT_EXACT``)."""
+        ``phase`` are read per uplink.
+
+        Each integer draw (the gateway error, the jitter, the channel,
+        the slot phase, the grid shift) is ``randrange``'s own: CPython
+        computes ``randrange(a, b)`` as ``a + _randbelow(b - a)``, which
+        draws ``getrandbits((b - a).bit_length())`` until the value falls
+        below ``b - a``.  The schedule runs that loop inline, so every
+        draw, and the stream after it, stays the same.  Every clock map,
+        the duty deferral's included, and both uncertainty checks take
+        the float pre-filter (see ``_FLOAT_EXACT``).  A check compares
+        ``_uncertainty_at``, ``u0 + drift_bound(e)``, with a guard ``g``;
+        the bound rounds half up, so it lies below ``g`` iff the exact
+        drift term of ``e`` lies below ``g - u0 - 1/2``, and only a term
+        within the band around that threshold takes ``_uncertainty_at``."""
         ratio = nd.drift_num / nd.drift_den
         inv_ratio = nd.drift_num / nd.inv_den
         rng = nd.rng
-        # randint(a, b) is randrange(a, b + 1): the same draw, one call less.
-        gauss, uniform, randrange = rng.gauss, rng.random, rng.randrange
+        gauss, uniform, getrandbits = rng.gauss, rng.random, rng.getrandbits
         local_at, true_at = self._local_at, self._true_at
         uncertainty_at, gateway_us = self._uncertainty_at, self._gateway_timestamp_us
         period = self._app_period
@@ -722,11 +790,14 @@ class Engine:
         max_phase = self._max_phase
         confirm_all, on_demand = self._confirm_all, self._on_demand
         lookahead, resync_guard = self._resync_lookahead, self._resync_guard
+        bound_ratio = self._bound_ratio
         dur = self._uplink_toa
         ack_lag = self._ack_lag
         cfg = self.config
         r_max, r_mean, r_std = cfg.residual_max, cfg.residual_mean, cfg.residual_std
         ts_max = cfg.timestamp_error_max_us
+        ts_width, jitter_width = 2 * ts_max + 1, 2 * jitter + 1
+        ts_bits, jitter_bits, channel_bits, phase_bits, shift_bits = self._draw_bits
         sync_uncertainty = self._sync_uncertainty
         fixed_channel, n_channels = nd.channel, self._n_channels
         window = self._dc_window
@@ -735,7 +806,10 @@ class Engine:
         duty = nd.duty
         trim = duty.popleft
         log_duty = duty.append
-        lim, margin = _FLOAT_EXACT, _FLOAT_MARGIN
+        margin = self._float_margin(nd)
+        # The half-width of a bound's band around its threshold, and how
+        # far past the drift term a ready instant needs no clamp.
+        band, skip = 0.5 - margin, 1.0 - margin
         lag = dur + ack_lag
         next_ready = nd.next_ready_local
         node = nd.index
@@ -759,7 +833,10 @@ class Engine:
                 elif residual > r_max:
                     residual = r_max
                 residual = residual if uniform() < 0.5 else -residual
-                ts_err = randrange(-ts_max, ts_max + 1) * NS_PER_US
+                draw = getrandbits(ts_bits)
+                while draw >= ts_width:
+                    draw = getrandbits(ts_bits)
+                ts_err = (draw - ts_max) * NS_PER_US
                 if bit:
                     # ACK never sent: the uplink was lost.  Slotted
                     # senders pick a new slot phase so persistent
@@ -768,21 +845,26 @@ class Engine:
                     # shift their grid instead, otherwise two nodes that
                     # boot in lockstep would collide every period.
                     if use_slots and max_phase > 1:
-                        nd.phase = randrange(max_phase)
+                        phase = getrandbits(phase_bits)
+                        while phase >= max_phase:
+                            phase = getrandbits(phase_bits)
+                        nd.phase = phase
                     elif not use_slots:
-                        shift = randrange(0, period + 1)
+                        shift = getrandbits(shift_bits)
+                        while shift >= period + 1:
+                            shift = getrandbits(shift_bits)
                 else:
                     base = nd.base
                     uplink_end = tx_true + dur
                     v = uplink_end * ratio
                     q = round(v)
-                    if -margin < v - q < margin and -lim < v < lim:
+                    if -margin < v - q < margin:
                         end_local = base + uplink_end + q
                     else:
                         end_local = local_at(nd, uplink_end)
                     v = now * ratio
                     q = round(v)
-                    if -margin < v - q < margin and -lim < v < lim:
+                    if -margin < v - q < margin:
                         now_local = base + now + q
                     else:
                         now_local = local_at(nd, now)
@@ -808,7 +890,10 @@ class Engine:
             ready = next_ready
             next_ready += period
             if jitter:
-                ready += randrange(-jitter, jitter + 1)
+                draw = getrandbits(jitter_bits)
+                while draw >= jitter_width:
+                    draw = getrandbits(jitter_bits)
+                ready += draw - jitter
             if shift:
                 # Shift the whole ready grid, not just this attempt, so
                 # two nodes that booted in lockstep stay decorrelated.
@@ -816,23 +901,33 @@ class Engine:
                 next_ready += shift
             v = now * ratio
             # The clock reads base + now + v, rounded, at `now`: a ready
-            # instant more than v + 1 past base + now needs no clamp, so
-            # the reading is worked out only for one that may.
-            if ready - base - now <= v + 1.0 or not -lim < v < lim:
+            # instant more than `skip` past base + now + v needs no
+            # clamp, so the reading is worked out only for one that may.
+            if ready - base - now <= v + skip:
                 q = round(v)
-                if -margin < v - q < margin and -lim < v < lim:
+                if -margin < v - q < margin:
                     now_local = base + now + q
                 else:
                     now_local = local_at(nd, now)
                 if ready < now_local:
                     ready = now_local
-            use_slots = slotted and nd.synced and uncertainty_at(nd, ready) < guard
+            use_slots = slotted and nd.synced
+            if use_slots:
+                # Use the slot grid while the bound at `ready` is under
+                # the guard.
+                elapsed = ready - nd.last_sync_local
+                v = elapsed * bound_ratio if elapsed > 0 else 0.0
+                v -= guard - nd.uncertainty_at_sync - 0.5
+                if -band <= v <= band:
+                    use_slots = uncertainty_at(nd, ready) < guard
+                else:
+                    use_slots = v < 0
             while True:
                 tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready
                 elapsed = tx_local - base
                 v = elapsed * inv_ratio
                 q = round(v)
-                if -margin < v - q < margin and -lim < v < lim:
+                if -margin < v - q < margin:
                     tx_true = elapsed - q
                 else:
                     tx_true = true_at(nd, tx_local)
@@ -851,25 +946,41 @@ class Engine:
                 )
                 if defer is None:
                     break
-                ready = local_at(nd, defer)
+                v = defer * ratio
+                q = round(v)
+                if -margin < v - q < margin:
+                    ready = base + defer + q
+                else:
+                    ready = local_at(nd, defer)
             if tx_true > horizon:
                 break
-            if confirm_all or (
-                # Resync while unsynced, or once the bound at the next
-                # opportunity reaches the guard (threshold inclusive).
-                on_demand
-                and (
-                    not nd.synced
-                    or uncertainty_at(nd, tx_local + lookahead) >= resync_guard
-                )
-            ):
+            if on_demand and nd.synced:
+                # Resync once the bound at the next opportunity reaches
+                # the guard (threshold inclusive).
+                elapsed = tx_local + lookahead - nd.last_sync_local
+                v = elapsed * bound_ratio if elapsed > 0 else 0.0
+                v -= resync_guard - nd.uncertainty_at_sync - 0.5
+                if -band <= v <= band:
+                    confirm = uncertainty_at(nd, tx_local + lookahead) >= resync_guard
+                else:
+                    confirm = v > 0
+            else:
+                # Every uplink asks under "all", an unsynced node's
+                # under "on-demand".
+                confirm = confirm_all or on_demand
+            if confirm:
                 ack = tx_true + lag
                 # A schedule resumes, and is bounded, only at a confirmed
                 # uplink: the node keeps the grid from there.
                 nd.next_ready_local = next_ready
             else:
                 ack = 0
-            channel = fixed_channel if fixed_channel >= 0 else randrange(n_channels)
+            if fixed_channel >= 0:
+                channel = fixed_channel
+            else:
+                channel = getrandbits(channel_bits)
+                while channel >= n_channels:
+                    channel = getrandbits(channel_bits)
             log_duty((tx_true, dur))
             bit = yield (
                 tx_true,

@@ -6,6 +6,7 @@ mode, and the schedule's float pre-filter against the exact clock map."""
 
 import gc
 import math
+import random
 import tracemalloc
 import weakref
 from array import array
@@ -552,14 +553,15 @@ class TestClockMapOracle:
             assert Engine._true_at(nd, x) == round_half_away_div(x * den, den + num)
 
 
-def on_demand_engine() -> Engine:
-    """One on-demand slotted node whose clock reads 0 at true 0."""
+def on_demand_engine(**overrides) -> Engine:
+    """One on-demand slotted node whose clock reads 0 at true 0;
+    ``overrides`` replace scenario fields."""
     cfg = load_scenario(
         "[scenario]\nn_nodes = 1\nconfirmed_uplinks = on-demand\n",
         seed=1,
         duration=40 * DAY,
     )
-    engine = Engine(cfg)
+    engine = Engine(replace(cfg, **overrides))
     engine.nodes[0].base = 0
     return engine
 
@@ -891,11 +893,91 @@ def lossy(n_nodes: int = 30, **overrides) -> ScenarioConfig:
     return replace(cfg, **overrides)
 
 
+#: One scenario for each width of the schedule's integer draws, which
+#: the event loop takes with ``randint`` and ``randrange``: a gateway
+#: error of width 1, one and five random channels, a jitter of width 3,
+#: and the loss branch's draws, a slotted run's phase redraws and a pure
+#: confirmed run's grid shifts, each with the number of lost uplinks
+#: that make them.
+DRAW_WIDTHS = [
+    pytest.param(lossy(10, timestamp_error_max_us=0), 0, 0, id="gateway-error-0us"),
+    pytest.param(
+        lossy(10, channel_selection="uniform-random"), 0, 0, id="1-random-channel"
+    ),
+    pytest.param(
+        lossy(20, channel_selection="uniform-random", n_channels=5),
+        0,
+        0,
+        id="5-random-channels",
+    ),
+    pytest.param(lossy(10, jitter=1), 0, 0, id="jitter-1ns"),
+    pytest.param(lossy(), 100, 0, id="phase-redraws"),
+    pytest.param(
+        pure_config(n_nodes=20, confirmed_mode="all", duration=20 * 60 * NS_PER_SEC),
+        0,
+        10,
+        id="grid-shifts",
+    ),
+]
+
+
+class DrawsAtTheWidth(random.Random):
+    """A generator whose ``getrandbits(k)``, for a ``k`` in ``widths``,
+    returns on about one call in four that width of ``k`` bits, the
+    least value a rejection loop on ``k`` bits must draw again.  An
+    extra draw from the stream picks those calls, so the generator's
+    state decides them and ``getstate``/``setstate`` keep them."""
+
+    widths: dict[int, int] = {}
+
+    def getrandbits(self, k: int) -> int:
+        width = self.widths.get(k)
+        if width is not None and super().getrandbits(2) == 0:
+            return width
+        return super().getrandbits(k)
+
+
+def drawing_at_the_width(engine: Engine) -> Engine:
+    """``engine`` with every node's generator a ``DrawsAtTheWidth`` in
+    its state, for the widths of the schedule's integer draws."""
+    cfg = engine.config
+    widths = (
+        2 * cfg.timestamp_error_max_us + 1,
+        2 * cfg.jitter + 1,
+        cfg.n_channels,
+        engine._max_phase,
+        cfg.app_period + 1,
+    )
+    for nd in engine.nodes:
+        rng = DrawsAtTheWidth(0)
+        rng.setstate(nd.rng.getstate())
+        rng.widths = {width.bit_length(): width for width in widths}
+        nd.rng = rng
+    return engine
+
+
 class TestEventLoopDifferential:
     """``Engine.run`` against the reference event loop
     (``oracles.run_event_loop``), in every mode: merge order, channel
     draws, the channel rule, every ACK's branch, the guesses, their
     re-passes and the conservative step."""
+
+    @pytest.mark.parametrize("cfg, redraws, shifts", DRAW_WIDTHS)
+    def test_every_draw_width_equals_the_event_loop(self, cfg, redraws, shifts):
+        trace = assert_equals_the_event_loop(cfg).trace
+        lost = Counter(
+            slot >= 0
+            for slot, confirmed, collided in zip(
+                trace.slot_index, trace.confirmed, trace.collided
+            )
+            if confirmed and collided
+        )
+        assert lost[True] >= redraws and lost[False] >= shifts
+        # A draw of exactly the width is drawn again, as randrange does.
+        assert_same_run(
+            drawing_at_the_width(Engine(cfg)).run(),
+            run_event_loop(drawing_at_the_width(Engine(cfg))),
+        )
 
     # Derandomized: the same 150 scenarios run every time.
     @given(short_scenarios())
@@ -1128,8 +1210,11 @@ TIE_13_PPM = (157_500_000, 645_277_500_000)
 class TestFloatPreFilter:
     """The float pre-filter serves every run's schedule: confirmed runs
     against the exact clock map (feedback-free ones are in
-    ``TestFeedbackFreeRun``), and ties whose doubles land just inside
-    the margin, where only the integer formula rounds right."""
+    ``TestFeedbackFreeRun``); ties whose doubles land just inside the
+    margin, at a clamp, a sync or a deferral, where only the integer
+    formula rounds right, and drift bounds that reach a guard exactly,
+    where only the integer bound decides right; and the reach, past
+    which a schedule leaves every map and bound to the integer formula."""
 
     # Derandomized: the same 150 scenarios run every time.
     @given(short_scenarios().filter(lambda cfg: cfg.confirmed_mode != "none"))
@@ -1156,6 +1241,21 @@ class TestFloatPreFilter:
         row = engine._resume(nd, (t, 0, -1, 0, 0))(None)
         assert row[1] == Engine._local_at(nd, t)
 
+    @pytest.mark.parametrize("t", TIE_13_PPM)
+    def test_a_deferral_at_a_tie_reads_the_exact_clock(self, monkeypatch, t):
+        # The node's duty history is full at its first uplink, and the
+        # duty check defers it to t: the uplink starts at the clock's
+        # reading at t.
+        engine = Engine(pure_config(duration=DAY))
+        nd = node_at(engine, 13.0)
+        nd.next_ready_local = 0
+        dur = engine._uplink_toa
+        nd.duty.extend([(0, dur)] * (engine._budget // dur))
+        answers = iter([t, None])
+        monkeypatch.setattr(engine_module, "enforce_duty_cycle", lambda *_: next(answers))
+        row = engine._resume(nd, None)(None)
+        assert row[1] == Engine._local_at(nd, t)
+
     @pytest.mark.parametrize("lands", ["ack", "end"])
     def test_a_sync_at_a_tie_reads_the_exact_clock(self, lands):
         # The ACK of a delivered uplink lands at the tie instant, or the
@@ -1171,6 +1271,145 @@ class TestFloatPreFilter:
         fast = synced(Engine(pure_config(duration=DAY)))
         with mock.patch.object(engine_module, "_FLOAT_EXACT", 0.0):
             assert fast == synced(Engine(pure_config(duration=DAY)))
+
+    @pytest.mark.parametrize("check", ["slot", "resync"])
+    def test_a_bound_at_a_tie_reads_the_exact_bound(self, check):
+        # At a 13 ppm bound the drift over 157.5 ms is 2047.5 ns exactly
+        # and rounds up to 2048, while its double lies 2**-42 below the
+        # half.  With the guard 2048 ns past the bound at the sync, the
+        # bound reaches the guard exactly: the node may not use the slot
+        # grid, and it resyncs (the threshold is inclusive).  Doubles
+        # without a band around the threshold decide both the other way.
+        engine = on_demand_engine(drift_bound_ppm=13.0)
+        nd = engine.nodes[0]
+        elapsed = TIE_13_PPM[0]
+        assert 2047.5 - 2**-40 < elapsed * engine._bound_ratio < 2047.5
+        assert engine._float_margin(nd) == engine_module._FLOAT_MARGIN
+        tx_local = 600 * engine._slot_t
+        nd.synced = True
+        if check == "slot":
+            nd.last_sync_local = tx_local - elapsed
+            nd.uncertainty_at_sync = engine._guard - 2048
+            assert engine._uncertainty_at(nd, tx_local) == engine._guard
+            nd.next_ready_local = tx_local
+            assert engine._resume(nd, None)(None)[2] == -1
+        else:
+            nd.last_sync_local = tx_local + engine._resync_lookahead - elapsed
+            nd.uncertainty_at_sync = engine._resync_guard - 2048
+            assert first_uplink_wants_ack(engine, tx_local)
+
+    def test_a_sync_past_the_checked_instant_bounds_it_at_the_sync(self):
+        # The bound takes a negative elapsed time as 0: with the bound at
+        # the sync past the guard, the node neither uses the slot grid
+        # nor skips the resync, however far past the instant the sync is.
+        engine = on_demand_engine()
+        nd = engine.nodes[0]
+        tx_local = 600 * engine._slot_t
+        nd.synced, nd.last_sync_local, nd.uncertainty_at_sync = (
+            True,
+            tx_local + DAY,
+            NS_PER_SEC,
+        )
+        nd.next_ready_local = tx_local
+        row = engine._resume(nd, None)(None)
+        assert row[2] == -1 and row[4]
+
+    def test_the_exact_switch_sends_both_checks_to_the_bound(self, monkeypatch):
+        # Far from either threshold the doubles decide both checks alone,
+        # until _FLOAT_EXACT = 0 (run_exact_clock_map) turns the
+        # pre-filter off.
+        calls = []
+        uncertainty_at = Engine._uncertainty_at
+
+        def counted(engine, nd, local):
+            calls.append(local)
+            return uncertainty_at(engine, nd, local)
+
+        def checks_of_a_first_uplink() -> int:
+            engine = on_demand_engine()
+            nd = engine.nodes[0]
+            tx_local = 600 * engine._slot_t
+            nd.synced, nd.last_sync_local, nd.uncertainty_at_sync = True, tx_local, 0
+            calls.clear()
+            assert not first_uplink_wants_ack(engine, tx_local)
+            return len(calls)
+
+        monkeypatch.setattr(Engine, "_uncertainty_at", counted)
+        assert checks_of_a_first_uplink() == 0
+        monkeypatch.setattr(engine_module, "_FLOAT_EXACT", 0.0)
+        assert checks_of_a_first_uplink() == 2
+
+    def test_default_week_runs_keep_the_pre_filter(self):
+        # Every node of the 7-day default runs, slotted and its pure
+        # baseline, at each of the benchmark's scenario seeds, stays
+        # within the reach: no clock map or bound of theirs goes to the
+        # integer formula for it.
+        for seed in range(1, 9):
+            slotted = load_scenario("", seed=seed, duration=7 * DAY)
+            for cfg in (slotted, pure_baseline(slotted)):
+                engine = Engine(cfg)
+                for nd in engine.nodes:
+                    assert engine._float_margin(nd) == engine_module._FLOAT_MARGIN
+
+    def test_a_run_past_the_reach_takes_the_integer_formula(self, monkeypatch):
+        # At 500 ppm a drift term passes 2**40 ns after about 25.5 days:
+        # a 40-day run may reach past that, so every clock map and bound
+        # of its schedules takes the integer formula from the start.
+        cfg = load_scenario(
+            "[scenario]\nn_nodes = 3\napp_period = 6 h\ndrift_ppm = 500 .. 500\n"
+            "confirmed_uplinks = on-demand\nduration = 40 d\nwarmup = 0 s\n"
+            "[sync]\ndrift_bound_ppm = 500\n",
+            seed=1,
+        )
+        engine = Engine(cfg)
+        assert {engine._float_margin(nd) for nd in engine.nodes} == {-math.inf}
+        reference = run_exact_clock_map(Engine(cfg))
+        maps = []
+        true_at = Engine._true_at
+
+        def counted(nd, local):
+            maps.append(local)
+            return true_at(nd, local)
+
+        monkeypatch.setattr(Engine, "_true_at", staticmethod(counted))
+        trace, metrics = engine.run()
+        assert_same_run((trace, metrics), reference)
+        assert len(maps) >= len(trace) > 300
+
+    @given(short_scenarios())
+    @example(DEFERRING[3])
+    @example(pure_config(n_nodes=4, app_period=2 * NS_PER_SEC, jitter=5 * NS_PER_SEC))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_instant_a_schedule_maps_lies_within_the_reach(self, cfg):
+        # With the pre-filter off every map and bound goes through the
+        # engine's helpers: each true instant, each local one past
+        # `base` and each elapsed time of a bound stays within _reach.
+        engine = Engine(cfg)
+        seen = []
+        local_at, true_at = Engine._local_at, Engine._true_at
+        uncertainty_at = Engine._uncertainty_at
+
+        def local_at_seen(nd, t):
+            seen.append(t)
+            return local_at(nd, t)
+
+        def true_at_seen(nd, local):
+            seen.append(local - nd.base)
+            return true_at(nd, local)
+
+        def uncertainty_at_seen(engine, nd, local):
+            seen.append(local - nd.last_sync_local)
+            return uncertainty_at(engine, nd, local)
+
+        with mock.patch.multiple(
+            Engine,
+            _local_at=staticmethod(local_at_seen),
+            _true_at=staticmethod(true_at_seen),
+            _uncertainty_at=uncertainty_at_seen,
+        ):
+            trace, _ = run_exact_clock_map(engine)
+        assert len(seen) >= len(trace)
+        assert max(map(abs, seen)) < engine._reach
 
 
 def merge_in_windows(
