@@ -85,11 +85,30 @@ ACK by its uplink.  So the events at one instant go in the pop order of
 the events that scheduled them: every node's first uplink before all
 others, in node order; an event scheduled at the same instant goes after
 every event that instant already holds.
+
+Two processes, by channel group.  A node learns of the rest of the
+network only through its own channel's ruling: there is no capture,
+each node keeps its own duty history and its own sync state, and under
+``fixed`` and ``round-robin`` selection a node keeps one channel.  So
+the nodes of disjoint channel sets are independent runs.  When such a
+run has two or more channel groups, two or more CPUs, no other thread
+and more than ``_SPLIT_MIN_UPLINKS`` expected uplinks
+(``Engine._split``), a forked child drives the smaller half of the
+groups through ``_run_windows`` over the same windows, and sends each
+window's merged uplinks down a pipe.  The parent drives the other half
+and takes the child's uplinks at the start of the same window: they
+join its ruling, on channels none of its nodes use, its
+``_merge_window`` order and its trace, where a one-process run puts
+them.  At the end the child sends its nodes' state.  A run whose pipe
+or fork fails runs in one process; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
+import warnings
 from math import inf
 from array import array
 from bisect import bisect_left
@@ -134,6 +153,14 @@ _WINDOW_PERIODS = 8
 
 #: Optimistic passes over a window before it is finished conservatively.
 _MAX_PASSES = 2
+
+#: A run whose nodes fall into two or more channel groups splits over
+#: two processes when it expects more uplinks than this
+#: (``n_nodes * duration / app_period``; see ``Engine._split``).  The
+#: fork and the child cost a few milliseconds: on a 2-core host a split
+#: default run gained from about 2,500 uplinks slotted and from about
+#: 16,000 pure.
+_SPLIT_MIN_UPLINKS = 20_000
 
 #: Float pre-filter of the clock map and the drift bound fused into
 #: ``Engine._uplinks``.  The drift term of an instant, ``t * num / den``
@@ -397,6 +424,23 @@ def _merge_window(
         d = due[i] if f < first[i] else acks[f] or inf
         due[i] = d if d >= end else inf
     return merged
+
+
+def _node_state(nd: _Node) -> dict:
+    """Every slot of ``nd``, its generator as the generator's state."""
+    return {
+        name: nd.rng.getstate() if name == "rng" else getattr(nd, name)
+        for name in _Node.__slots__
+    }
+
+
+def _load_node_state(nd: _Node, state: dict) -> None:
+    """Give ``nd`` the state ``_node_state`` took, in its own generator."""
+    for name, value in state.items():
+        if name == "rng":
+            nd.rng.setstate(value)
+        else:
+            setattr(nd, name, value)
 
 
 class _Node:
@@ -1024,7 +1068,9 @@ class Engine:
         if self._ran:
             raise RuntimeError("engine instances are single-use")
         self._ran = True
-        self._run_windows()
+        halves = self._split()
+        if halves is None or not self._run_split(*halves):
+            self._run_windows(range(len(self.nodes)))
         self._pack_rows()
         trace = self.trace
         # Every confirmed uplink's ACK is sent unless the uplink collided.
@@ -1032,12 +1078,150 @@ class Engine:
         self.gateway_airtime = self._ack_toa * trace.acked.count(1)
         return trace, self.metrics()
 
-    def _run_windows(self) -> None:
+    def _split(self) -> Optional[tuple[list[int], list[int]]]:
+        """The nodes the parent and the child drive if the run splits
+        over two processes, or None if it runs in this one.  A run
+        splits when its nodes keep fixed channels that fall into two or
+        more groups, two or more CPUs are free to it, no other thread is
+        alive, and it expects more than ``_SPLIT_MIN_UPLINKS`` uplinks.
+        Whole groups go to the two halves, largest first to the smaller
+        half.  The child takes the smaller half, since the parent also
+        merges and packs every uplink."""
+        cfg = self.config
+        if (
+            cfg.n_nodes * cfg.duration <= _SPLIT_MIN_UPLINKS * cfg.app_period
+            or not hasattr(os, "fork")
+            or threading.active_count() > 1
+        ):
+            return None
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        if cpus < 2:
+            return None
+        # Nodes that draw a channel per uplink all hold channel -1: one
+        # group.
+        groups: dict[int, list[int]] = {}
+        for nd in self.nodes:
+            groups.setdefault(nd.channel, []).append(nd.index)
+        if len(groups) < 2:
+            return None
+        halves: tuple[list[int], list[int]] = ([], [])
+        for group in sorted(groups.values(), key=len, reverse=True):
+            min(halves, key=len).extend(group)
+        child, parent = sorted(halves, key=len)
+        return sorted(parent), sorted(child)
+
+    def _run_split(self, mine: list[int], theirs: list[int]) -> bool:
+        """Drive ``mine`` here and ``theirs`` in a forked child, window
+        by window: the child sends each window's merged uplinks down a
+        pipe, and this process takes them into the same window's ruling,
+        merge and trace.  At the end the child sends its nodes' state,
+        which is copied into ``self.nodes``.  False, with nothing run, if
+        the pipe or the process cannot be made."""
+        # Imported here, since only a split run needs them: they add
+        # about 0.5 MB to the resident set.
+        import pickle
+        import signal
+
+        try:
+            r, w = os.pipe()
+        except OSError:
+            return False
+        try:
+            # Python 3.12+ warns, in the parent, of a fork while another
+            # thread is alive, one ``threading`` does not know of since
+            # ``_split`` checks those; the run then stays here.
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always", DeprecationWarning)
+                pid = os.fork()
+            if pid and warned:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise OSError("fork with threads alive")
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return False
+        if pid == 0:  # the child: it leaves only through os._exit
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as out:
+
+                    def send(message: object) -> None:
+                        pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+
+                    try:
+                        self._run_windows(
+                            theirs,
+                            put=lambda ordered: send(
+                                array("q", chain.from_iterable(ordered))
+                            ),
+                        )
+                        send([_node_state(self.nodes[i]) for i in theirs])
+                        status = 0
+                    except BaseException as exc:
+                        # Raised again in the parent, which reaps this
+                        # process whatever the error: as a RuntimeError
+                        # with its type and message if pickle cannot
+                        # carry it.
+                        try:
+                            pickle.loads(pickle.dumps(exc))
+                        except Exception:
+                            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                        send(exc)
+            finally:
+                os._exit(status)
+        finished = False
+        try:
+            os.close(w)
+            with open(r, "rb") as feed:
+
+                def receive():
+                    try:
+                        message = pickle.load(feed)
+                    except EOFError:
+                        raise RuntimeError(
+                            "the child process of a split run ended early"
+                        ) from None
+                    if isinstance(message, BaseException):
+                        raise message
+                    return message
+
+                def take() -> Iterator[tuple]:
+                    return zip(*[iter(receive())] * 6)
+
+                self._run_windows(mine, take)
+                for i, state in zip(theirs, receive()):
+                    _load_node_state(self.nodes[i], state)
+            finished = True
+        finally:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        return True
+
+    def _run_windows(
+        self,
+        driven: Iterable[int],
+        take: Optional[Callable[[], Iterable[tuple]]] = None,
+        put: Optional[Callable[[list[tuple]], None]] = None,
+    ) -> None:
         """Every run, one time window at a time (see the module
-        docstring): each node's uplinks from its schedule, ruled on by
-        the channel, then put in the trace in ``_merge_window``'s order."""
+        docstring): the uplinks of the nodes ``driven`` from their
+        schedules, ruled on by the channel, then put in the trace in
+        ``_merge_window``'s order.  The windows span the same time
+        whichever nodes are driven.  ``take``, if given, returns the
+        next window's final uplinks of the other nodes, which join that
+        window's ruling and merge; ``put`` receives each window's merged
+        uplinks (by default they go into the trace's int columns)."""
         nodes = self.nodes
         n = len(nodes)
+        driven = list(driven)
+        put = put or self._append_rows
         dur = self._uplink_toa
         stop = self._end
         span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
@@ -1059,9 +1243,12 @@ class Engine:
         # holds each row, so no other object can take its identity.
         lost: dict[int, tuple] = {}
         ruled_to = 0  # every uplink that starts before it is ruled
-        packed = self._rows
-        sends = [self._resume(nd, None) for nd in nodes]
-        heads = [send(None) for send in sends]  # each node's latest row
+        # Each driven node's schedule and latest row.
+        sends: list[Optional[Callable]] = [None] * n
+        heads: list[Optional[tuple]] = [None] * n
+        for i in driven:
+            send = sends[i] = self._resume(nodes[i], None)
+            heads[i] = send(None)
         waiting = [False] * n  # whether a node waits for its head's bit
         rows: list[list[tuple]] = [[] for _ in range(n)]  # not yet in the trace
         carried = [(-1, i) for i in range(n)]
@@ -1210,23 +1397,7 @@ class Engine:
             base = len(collided)
             collided.extend(map(lost.__contains__, map(id, ordered)))
             confirmed.extend(map(bool, map(_ACK, ordered)) if feedback else bytes(m))
-            node_ids, true_starts, local_starts, slot_indices, channels, durations = (
-                packed
-            )
-            at = 0
-            while at < m:
-                # Fill the buffer to one block at most, then pack it.
-                stop_at = at + _TRACE_BLOCK - len(node_ids)
-                piece = ordered[at:stop_at]
-                node_ids.extend(map(_NODE, piece))
-                true_starts.extend(map(_START, piece))
-                local_starts.extend(map(_LOCAL, piece))
-                slot_indices.extend(map(_SLOT, piece))
-                channels.extend(map(_CHANNEL, piece))
-                durations.extend(repeat(dur, len(piece)))
-                at = stop_at
-                if len(node_ids) >= _TRACE_BLOCK:
-                    self._pack_rows()
+            put(ordered)
             # Each channel's latest uplink of the window is in the trace
             # now.  The rows that leave keep no place in the ruling.
             left = sum(map(ge, last_start, repeat(lo)))
@@ -1265,9 +1436,12 @@ class Engine:
         while lo < stop:
             hi = min(lo + span, stop)
             window_start = len(collided)
+            if take is not None:
+                for row in take():
+                    rows[row[5]].append(row)
             passes = _MAX_PASSES if optimistic else 0
             while passes:
-                for i in range(n):
+                for i in driven:
                     advance(i, hi, True)
                 saved = save()
                 merged = merge(hi)
@@ -1294,7 +1468,7 @@ class Engine:
                 # releases every stopped node whose uplink ends by then.
                 bound = self._next_start_bound
                 waits: list[tuple] = []  # (bound, end, node) of each stopped node
-                todo: Iterable[int] = range(n)
+                todo: Iterable[int] = driven
                 while todo:
                     for i in todo:
                         mine = rows[i]
@@ -1325,6 +1499,28 @@ class Engine:
             snaps[:] = repeat(None, n)
             known[:] = repeat(b"", n)
             lo = hi
+
+    def _append_rows(self, ordered: list[tuple]) -> None:
+        """Buffer a window's merged rows for the trace's int columns,
+        packing each block as it fills."""
+        node_ids, true_starts, local_starts, slot_indices, channels, durations = (
+            self._rows
+        )
+        dur = self._uplink_toa
+        at, m = 0, len(ordered)
+        while at < m:
+            # Fill the buffer to one block at most, then pack it.
+            stop_at = at + _TRACE_BLOCK - len(node_ids)
+            piece = ordered[at:stop_at]
+            node_ids.extend(map(_NODE, piece))
+            true_starts.extend(map(_START, piece))
+            local_starts.extend(map(_LOCAL, piece))
+            slot_indices.extend(map(_SLOT, piece))
+            channels.extend(map(_CHANNEL, piece))
+            durations.extend(repeat(dur, len(piece)))
+            at = stop_at
+            if len(node_ids) >= _TRACE_BLOCK:
+                self._pack_rows()
 
     def _pack_rows(self) -> None:
         """Move the buffered rows into the trace's int columns: one new

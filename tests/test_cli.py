@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from saloha import engine
 from saloha.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from saloha.config import load_scenario
 from saloha.phy import RadioProfile, time_on_air
@@ -458,3 +459,34 @@ def test_slot_longer_than_the_period_is_config_error(tmp_path, capsys):
         err
     )
     assert not (tmp_path / "o").exists()
+
+
+def test_a_split_run_writes_the_bytes_of_one_process(tmp_path, monkeypatch):
+    # With the uplink threshold down, every run of these commands splits
+    # over two processes on two CPUs and stays in one on one CPU.
+    monkeypatch.setattr(engine, "_SPLIT_MIN_UPLINKS", 0)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outputs = {}
+    for n in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, n=n: set(range(n)))
+        sim, cmp = tmp_path / f"sim{n}", tmp_path / f"cmp{n}"
+        common = ["--duration", "2 h", "--warmup", "10 min"]
+        assert main(["simulate", "--seed", "1", *common, "--out", str(sim)]) == EXIT_OK
+        assert main(["compare", "--seeds", "1,2", *common, "--out", str(cmp)]) == EXIT_OK
+        outputs[n] = [
+            (sim / "trace.csv").read_bytes(),
+            (sim / "summary.txt").read_bytes(),
+            (cmp / "compare.csv").read_bytes(),
+        ]
+    # The simulate run, and a pure and a slotted run per compare seed.
+    assert len(forks) == 5
+    assert outputs[1] == outputs[2]

@@ -4,14 +4,20 @@ fused clock and sync arithmetic against the oracles in ``oracles`` and
 ``sync``, the window driver against the reference event loop in every
 mode, and the schedule's float pre-filter against the exact clock map."""
 
+import errno
 import gc
 import math
+import os
 import random
+import signal
+import threading
 import tracemalloc
+import warnings
 import weakref
 from array import array
 from bisect import bisect_right
 from collections import Counter, deque
+from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
@@ -795,17 +801,30 @@ class TestCompactTrace:
         assert len(trace) == metrics.transmissions == 0
         assert_columns_complete(trace)
 
-    def test_trace_costs_at_most_50_bytes_per_uplink(self):
-        # Columns as lists of boxed ints peaked at about 157 B per uplink,
-        # and as int64 blocks at about 63 B.
+    @staticmethod
+    def peak_bytes_per_uplink(path) -> float:
+        """The traced heap's peak per uplink of the 1-day default
+        slotted run, in this process, under the patches ``path``."""
         cfg = load_scenario("", seed=1, duration=86_400 * NS_PER_SEC)
         tracemalloc.start()
         try:
-            trace, _ = Engine(cfg).run()
+            with path:
+                trace, _ = Engine(cfg).run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / len(trace) <= 50
+        return peak / len(trace)
+
+    def test_trace_costs_at_most_50_bytes_per_uplink(self):
+        # Columns as lists of boxed ints peaked at about 157 B per uplink,
+        # and as int64 blocks at about 63 B.
+        assert self.peak_bytes_per_uplink(cpus(1)) <= 50
+
+    def test_a_split_run_costs_at_most_50_bytes_per_uplink_in_the_parent(self):
+        # The child's uplinks reach the parent one window at a time.
+        forks: list = []
+        assert self.peak_bytes_per_uplink(splitting(forks)) <= 50
+        assert len(forks) == 1
 
 
 def run_exact_clock_map(engine: Engine):
@@ -1471,6 +1490,24 @@ def tied_rows_with_acks(draw):
     return starts, acks, bounds
 
 
+#: Exact clocks and syncs, and three nodes on three channels (see
+#: ``ready_together``).
+TIED = load_scenario(
+    "[scenario]\nn_nodes = 3\nchannel_selection = round-robin\n"
+    "drift_ppm = 0 .. 0\ninitial_offset = 0 s\njitter = 0 s\nduration = 1 h\n"
+    "[sync]\nresidual_mean = 0 s\nresidual_std = 0 s\n"
+    "timestamp_error_max = 0 us\n",
+    seed=1,
+)
+
+
+def ready_together(engine: Engine) -> Engine:
+    """``engine`` with every node ready at one instant, 5 s."""
+    for nd in engine.nodes:
+        nd.next_ready_local = 5 * NS_PER_SEC
+    return engine
+
+
 class TestWindowMerge:
     """``_merge_window`` against a replay of the event heap."""
 
@@ -1521,25 +1558,384 @@ class TestWindowMerge:
         assert merge_in_windows(starts, [3], acks) == heap_pop_order(starts, acks)
 
     def test_slotted_rows_sharing_instants_pop_as_the_event_loop(self):
-        # Exact clocks and syncs, and three nodes on three channels ready
-        # at one instant: every uplink and every ACK shares its instant
-        # with two others, all run long.
-        cfg = load_scenario(
-            "[scenario]\nn_nodes = 3\nchannel_selection = round-robin\n"
-            "drift_ppm = 0 .. 0\ninitial_offset = 0 s\njitter = 0 s\nduration = 1 h\n"
-            "[sync]\nresidual_mean = 0 s\nresidual_std = 0 s\n"
-            "timestamp_error_max = 0 us\n",
-            seed=1,
-        )
-
-        def ready_together(engine):
-            for nd in engine.nodes:
-                nd.next_ready_local = 5 * NS_PER_SEC
-            return engine
-
-        engine, reference = ready_together(Engine(cfg)), ready_together(Engine(cfg))
+        # Every uplink and every ACK shares its instant with two others,
+        # all run long.
+        engine, reference = ready_together(Engine(TIED)), ready_together(Engine(TIED))
         trace, metrics = engine.run()
         assert_same_run((trace, metrics), run_event_loop(reference))
         starts = list(trace.true_start)
         assert len(set(starts)) * 3 == len(starts) > 300
         assert metrics.conflicts == 0
+
+
+def cpus(n: int):
+    """Patch the process's CPU affinity set to ``n`` CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", lambda _pid: set(range(n)))
+
+
+def splitting(forks: Optional[list] = None, waits: Optional[list] = None):
+    """Patches under which every run with two or more channel groups
+    splits: two CPUs and no uplink threshold.  ``forks`` collects the
+    pid of each fork, ``waits`` the (pid, status) of each child reaped."""
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if forks is not None and pid:
+            forks.append(pid)
+        return pid
+
+    def counted_waitpid(pid, options):
+        got = waitpid(pid, options)
+        if waits is not None and got[0]:
+            waits.append(got)
+        return got
+
+    stack = ExitStack()
+    stack.enter_context(cpus(2))
+    stack.enter_context(mock.patch.object(engine_module, "_SPLIT_MIN_UPLINKS", 0))
+    stack.enter_context(mock.patch.object(os, "fork", counted_fork))
+    stack.enter_context(mock.patch.object(os, "waitpid", counted_waitpid))
+    return stack
+
+
+def channel_groups(cfg: ScenarioConfig) -> int:
+    return len({nd.channel for nd in Engine(cfg).nodes})
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_engine(got: Engine, want: Engine) -> None:
+    """The two finished engines agree on the trace, the metrics, every
+    slot of every node, the generator's state included, and the
+    gateway's ACK airtime."""
+    assert_same_run((got.trace, got.metrics()), (want.trace, want.metrics()))
+    for nd, ref in zip(got.nodes, want.nodes):
+        for name in NODE_STATE + ("next_ready_local", "duty", "channel"):
+            assert getattr(nd, name) == getattr(ref, name), name
+        assert nd.rng.getstate() == ref.rng.getstate()
+    assert got.gateway_airtime == want.gateway_airtime
+
+
+def split_and_in_process(cfg: ScenarioConfig) -> tuple[Engine, Engine, int]:
+    """``cfg`` run with the split forced, and on one CPU; returns both
+    engines and the number of forks the first made."""
+    forks: list = []
+    split = Engine(cfg)
+    with splitting(forks):
+        split.run()
+    assert_no_child_left()
+    alone = Engine(cfg)
+    with cpus(1):
+        alone.run()
+    return split, alone, len(forks)
+
+
+@st.composite
+def grouped_scenarios(draw, mode: str) -> ScenarioConfig:
+    """``short_scenarios`` on 2 to 8 fixed or round-robin channels, in
+    confirmed mode ``mode`` (pure, for ``none``)."""
+    cfg = draw(
+        short_scenarios().filter(lambda c: mode != "none" or not c.policy.is_slotted)
+    )
+    return replace(
+        cfg,
+        channel_selection=draw(st.sampled_from(["fixed", "round-robin"])),
+        n_channels=draw(st.integers(2, 8)),
+        confirmed_mode=mode,
+    )
+
+
+class TestSplitRun:
+    """A run split over two processes by channel group
+    (``Engine._split``, ``Engine._run_split``) against the same run in
+    one process, and against the reference event loop."""
+
+    @pytest.mark.parametrize("mode", ["all", "on-demand", "none"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_grouped_runs_equal_the_one_process_run(self, mode, data):
+        cfg = data.draw(grouped_scenarios(mode))
+        split, alone, forks = split_and_in_process(cfg)
+        assert forks == (channel_groups(cfg) >= 2)
+        assert_same_engine(split, alone)
+
+    @given(
+        dense_slotted().filter(
+            lambda c: c.channel_selection != "uniform-random" and c.n_channels > 1
+        )
+    )
+    @example(
+        load_scenario(
+            "[scenario]\nn_nodes = 40\nn_channels = 8\n"
+            "channel_selection = round-robin\nconfirmed_uplinks = all\n"
+            "duration = 20 min\nwarmup = 5 min\n",
+            seed=1,
+        )
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_dense_slotted_runs_equal_the_one_process_run(self, cfg):
+        split, alone, forks = split_and_in_process(cfg)
+        assert forks == (channel_groups(cfg) >= 2)
+        assert_same_engine(split, alone)
+
+    def test_the_parent_takes_the_conservative_step_for_its_own_nodes(
+        self, monkeypatch
+    ):
+        # Fifteen nodes crowd each of two channels, so windows end
+        # conservatively; the parent bounds only its own stopped nodes.
+        bounded = []
+        bound = Engine._next_start_bound
+
+        def counted(engine, nd, row):
+            bounded.append(nd.index)
+            return bound(engine, nd, row)
+
+        cfg = lossy(n_channels=2, channel_selection="round-robin")
+        with splitting():
+            parent, child = Engine(cfg)._split()
+        assert len(parent) == len(child) == 15
+        monkeypatch.setattr(Engine, "_next_start_bound", counted)
+        forks: list = []
+        split = Engine(cfg)
+        with splitting(forks):
+            split.run()
+        assert len(forks) == 1 and bounded and set(bounded) <= set(parent)
+        alone = Engine(cfg)
+        with cpus(1):
+            alone.run()
+        assert_same_engine(split, alone)
+        # In one process the child's nodes are bounded too.
+        assert set(bounded) & set(child)
+
+    def test_tied_instants_across_the_halves_equal_the_event_loop(self):
+        # Every uplink and ACK of the child's node shares its instant
+        # with the parent's two nodes; the heap replay orders them.
+        with splitting():
+            assert Engine(TIED)._split() == ([0, 2], [1])
+        forks: list = []
+        split = ready_together(Engine(TIED))
+        with splitting(forks):
+            split.run()
+        assert len(forks) == 1
+        alone = ready_together(Engine(TIED))
+        with cpus(1):
+            alone.run()
+        assert_same_engine(split, alone)
+        reference = ready_together(Engine(TIED))
+        assert_same_run((split.trace, split.metrics()), run_event_loop(reference))
+        starts = list(split.trace.true_start)
+        assert len(set(starts)) * 3 == len(starts) > 300
+        assert split.metrics().conflicts == 0
+
+
+#: A 2-hour default run: 4,800 expected uplinks on three fixed channels.
+TWO_HOURS = load_scenario("", seed=3, duration=2 * 3600 * NS_PER_SEC)
+
+
+@pytest.fixture(scope="module")
+def two_hours_split() -> Engine:
+    engine = Engine(TWO_HOURS)
+    forks: list = []
+    with splitting(forks):
+        engine.run()
+    assert len(forks) == 1
+    return engine
+
+
+class TestSplitFallback:
+    """Each condition that keeps a run in one process gives the bytes
+    of the split run, and forks no child or leaves none."""
+
+    @staticmethod
+    def run_unsplit(patch) -> Engine:
+        forks: list = []
+        engine = Engine(TWO_HOURS)
+        with splitting(forks), patch:
+            engine.run()
+        assert forks == []
+        assert_no_child_left()
+        return engine
+
+    @pytest.mark.parametrize(
+        "error", [OSError(errno.ENOMEM, "no memory"), OSError(errno.EMFILE, "no fds")]
+    )
+    def test_a_pipe_error_runs_in_one_process(self, two_hours_split, error):
+        patch = mock.patch.object(os, "pipe", side_effect=error)
+        assert_same_engine(self.run_unsplit(patch), two_hours_split)
+
+    @pytest.mark.parametrize(
+        "error",
+        [BlockingIOError(errno.EAGAIN, "no process"), OSError(errno.ENOMEM, "no memory")],
+    )
+    def test_a_fork_error_runs_in_one_process_and_closes_the_pipe(
+        self, two_hours_split, error
+    ):
+        pipes = []
+        pipe = os.pipe
+
+        def recorded():
+            pipes.extend(pipe())
+            return pipes[-2:]
+
+        with mock.patch.object(os, "pipe", recorded):
+            patch = mock.patch.object(os, "fork", side_effect=error)
+            assert_same_engine(self.run_unsplit(patch), two_hours_split)
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_a_live_thread_runs_in_one_process(self, two_hours_split):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            engine = self.run_unsplit(ExitStack())
+        finally:
+            stop.set()
+            thread.join()
+        assert_same_engine(engine, two_hours_split)
+
+    def test_a_fork_warning_reaps_the_child_and_runs_in_one_process(
+        self, two_hours_split
+    ):
+        # As Python 3.12+ warns when it forks beside a thread that
+        # `threading` does not list.
+        waits = []
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("fork with threads", DeprecationWarning)
+            return pid
+
+        engine = Engine(TWO_HOURS)
+        with splitting(waits=waits), mock.patch.object(os, "fork", warning_fork):
+            engine.run()
+        assert_no_child_left()
+        ((_, status),) = waits
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert_same_engine(engine, two_hours_split)
+
+    def test_one_cpu_runs_in_one_process(self, two_hours_split):
+        assert_same_engine(self.run_unsplit(cpus(1)), two_hours_split)
+
+    @pytest.mark.parametrize("count, splits", [(1, False), (None, False), (2, True)])
+    def test_without_an_affinity_set_the_cpu_count_decides(
+        self, monkeypatch, count, splits
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(engine_module, "_SPLIT_MIN_UPLINKS", 0)
+        assert (Engine(TWO_HOURS)._split() is not None) == splits
+
+    def test_a_run_under_the_threshold_or_on_random_channels_stays(self):
+        with cpus(2):
+            assert Engine(TWO_HOURS)._split() is None
+            assert Engine(load_scenario("", seed=3, duration=DAY))._split()
+            random_channels = replace(TWO_HOURS, channel_selection="uniform-random")
+            with mock.patch.object(engine_module, "_SPLIT_MIN_UPLINKS", 0):
+                assert Engine(random_channels)._split() is None
+                assert Engine(replace(TWO_HOURS, n_channels=1))._split() is None
+
+
+class TestSplitChild:
+    """The child of a split run leaves through ``os._exit`` on every
+    path, and the parent reaps it whichever side fails."""
+
+    def test_a_finished_split_run_reaps_its_child(self, two_hours_split):
+        waits: list = []
+        engine = Engine(TWO_HOURS)
+        with splitting(waits=waits):
+            engine.run()
+        assert_no_child_left()
+        ((_, status),) = waits
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert_same_engine(engine, two_hours_split)
+
+    def test_a_child_error_is_raised_in_the_parent(self, monkeypatch):
+        with splitting():
+            _, child = Engine(TWO_HOURS)._split()
+        uplinks = Engine._uplinks
+
+        def failing(engine, nd, row=None):
+            if nd.index == child[0] and row is not None:
+                raise SyncError(f"node {nd.index} lost its clock")
+            return uplinks(engine, nd, row)
+
+        monkeypatch.setattr(Engine, "_uplinks", failing)
+        waits: list = []
+        with splitting(waits=waits), pytest.raises(SyncError) as raised:
+            Engine(TWO_HOURS).run()
+        assert str(raised.value) == f"node {child[0]} lost its clock"
+        assert_no_child_left()
+        ((_, status),) = waits
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1
+
+    def test_an_unpicklable_child_error_keeps_its_type_name_and_message(
+        self, monkeypatch
+    ):
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        with splitting():
+            _, child = Engine(TWO_HOURS)._split()
+        uplinks = Engine._uplinks
+
+        def failing(engine, nd, row=None):
+            if nd.index == child[0]:
+                raise Unpicklable("this", "that")
+            return uplinks(engine, nd, row)
+
+        monkeypatch.setattr(Engine, "_uplinks", failing)
+        with splitting(), pytest.raises(RuntimeError) as raised:
+            Engine(TWO_HOURS).run()
+        assert str(raised.value) == "Unpicklable: this and that"
+        assert_no_child_left()
+
+    def test_a_parent_error_kills_and_reaps_the_child(self, monkeypatch):
+        with splitting():
+            parent, _ = Engine(TWO_HOURS)._split()
+        uplinks = Engine._uplinks
+
+        def failing(engine, nd, row=None):
+            if nd.index == parent[0] and row is not None:
+                raise ValueError("the parent fails")
+            return uplinks(engine, nd, row)
+
+        monkeypatch.setattr(Engine, "_uplinks", failing)
+        waits: list = []
+        with splitting(waits=waits), pytest.raises(ValueError, match="the parent"):
+            Engine(TWO_HOURS).run()
+        assert_no_child_left()
+        ((_, status),) = waits
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+    def test_a_deadline_in_the_parent_kills_and_reaps_the_child(self):
+        # As the benchmark's SIGALRM deadline does, 0.2 s into a 7-day
+        # run, which takes seconds.
+        class Deadline(Exception):
+            pass
+
+        def fire(_signum, _frame):
+            raise Deadline
+
+        cfg = load_scenario("", seed=1, duration=7 * DAY)
+        waits: list = []
+        previous = signal.signal(signal.SIGALRM, fire)
+        try:
+            with splitting(waits=waits), pytest.raises(Deadline):
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+                Engine(cfg).run()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+        ((_, status),) = waits
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
