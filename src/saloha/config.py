@@ -40,7 +40,9 @@ _DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([a-zµ]+)\s*$")
 def parse_duration(text: str) -> int:
     """Parse e.g. '400 ms', '1.5 h', '30s' into integer nanoseconds.
 
-    Exact: a fraction of a nanosecond rounds half away from zero."""
+    Exact: a fraction of a nanosecond rounds half away from zero.  Every
+    duration must lie below 2^63 ns, as every instant of a run does; a
+    longer one could overflow a float in ``ScenarioConfig.validate``."""
     m = _DURATION_RE.match(text.lower())
     if not m:
         raise ConfigError(f"cannot parse duration {text!r} (expected '<number> <unit>')")
@@ -48,7 +50,10 @@ def parse_duration(text: str) -> int:
     if unit not in _UNIT_NS:
         raise ConfigError(f"unknown duration unit {unit!r} in {text!r}")
     whole, _, frac = value.partition(".")
-    return round_half_away_div(int(whole + frac) * _UNIT_NS[unit], 10 ** len(frac))
+    ns = round_half_away_div(int(whole + frac) * _UNIT_NS[unit], 10 ** len(frac))
+    if ns >= 1 << 63:
+        raise ConfigError(f"duration {text!r} must be below 2^63 ns")
+    return ns
 
 
 def parse_fraction(text: str) -> float:

@@ -51,24 +51,26 @@ every draw happens in the order an event queue would make it.
 A window is first generated optimistically, node by node: a confirmed
 uplink's bit is the one the channel has already ruled, or 0 (success)
 while it has not.  ``_merge_window`` orders the window's uplinks as an
-event queue would pop them and the channel rules on them.  Every node
-that consumed a bit the ruling contradicts is restored from its
-snapshot, its state just before it consumed its first bit that was not
-final, and regenerated with the bits now known; this repeats until no
-bit changes.  A bit is final once every uplink that starts before that
-uplink's end has been ruled on.  An uplink depends only on the bits of
-uplinks that ended an ACK delay before it starts, so that fixed point is
-the event queue's schedule, byte for byte.  A feedback-free run
+event queue would pop them and the channel rules on them.  A bit is
+final once every uplink that starts before that uplink's end has been
+ruled on.  If the ruling loses no uplink whose bit was guessed, every
+guess was right, and the window is the event queue's schedule, byte for
+byte: an uplink depends only on the bits of uplinks that ended an ACK
+delay before it starts.  A feedback-free run
 (``confirmed_mode = "none"``) consumes no bit and takes no snapshot.
 
-A window still wrong after ``_MAX_PASSES`` passes is finished
+If a guess was wrong, the ruling is undone, every node that guessed
+restarts from its snapshot (``_node_state``, its state just before it
+consumed its first bit that was not final), and the window is finished
 conservatively by the same handlers: each node stops at its next
 confirmed uplink until that uplink's bit is final.  The conservative
 step keeps one frontier over every stopped node: the channel rules on
 every uplink before the earliest instant at which a stopped node could
 send again (``Engine._next_start_bound``), which makes the bit of every
 stopped uplink that ends by then final.  A window whose predecessor had
-a lost confirmed uplink starts conservatively.
+a lost confirmed uplink starts conservatively.  A window gets one
+optimistic pass: optimism pays while wrong guesses are rare and cheap,
+and a second pass saved no time on any bench workload.
 
 The channel rules on uplinks in start order; the order of uplinks that
 start together does not change a flag.  Every uplink lasts the same
@@ -116,7 +118,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, count, repeat
-from operator import eq, ge, gt, itemgetter
+from operator import attrgetter, eq, ge, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .mac import MacPolicy, slot_start
@@ -150,9 +152,6 @@ _TRACE_BLOCK = 4096
 #: it visits every node.
 _WINDOW_ROWS = 768
 _WINDOW_PERIODS = 8
-
-#: Optimistic passes over a window before it is finished conservatively.
-_MAX_PASSES = 2
 
 #: A run whose nodes fall into two or more channel groups splits over
 #: two processes when it expects more uplinks than this
@@ -426,23 +425,6 @@ def _merge_window(
     return merged
 
 
-def _node_state(nd: _Node) -> dict:
-    """Every slot of ``nd``, its generator as the generator's state."""
-    return {
-        name: nd.rng.getstate() if name == "rng" else getattr(nd, name)
-        for name in _Node.__slots__
-    }
-
-
-def _load_node_state(nd: _Node, state: dict) -> None:
-    """Give ``nd`` the state ``_node_state`` took, in its own generator."""
-    for name, value in state.items():
-        if name == "rng":
-            nd.rng.setstate(value)
-        else:
-            setattr(nd, name, value)
-
-
 class _Node:
     __slots__ = (
         "base",
@@ -478,6 +460,30 @@ class _Node:
         self.n_syncs = 0
         self.max_mis_pre_sync = 0
         self.max_mis_post_sync = 0
+
+
+#: Every slot of a `_Node` but its generator and its duty history.
+_PLAIN_SLOTS = tuple(name for name in _Node.__slots__ if name not in ("rng", "duty"))
+_plain_slots = attrgetter(*_PLAIN_SLOTS)
+
+
+def _node_state(nd: _Node) -> tuple:
+    """One record of ``nd``'s state: its generator's state, with the
+    words as an ``array("I")`` (a tenth of the tuple's size), its duty
+    history by value, and every other slot."""
+    version, words, gauss_next = nd.rng.getstate()
+    return (version, array("I", words), gauss_next), tuple(nd.duty), _plain_slots(nd)
+
+
+def _load_node_state(nd: _Node, state: tuple) -> None:
+    """Give ``nd`` the state ``_node_state`` took, in its own generator
+    and duty history."""
+    (version, words, gauss_next), duty, values = state
+    nd.rng.setstate((version, tuple(words), gauss_next))
+    nd.duty.clear()
+    nd.duty.extend(duty)
+    for name, value in zip(_PLAIN_SLOTS, values):
+        setattr(nd, name, value)
 
 
 class Column:
@@ -1175,9 +1181,8 @@ class Engine:
                         send(exc)
             finally:
                 os._exit(status)
-        finished = False
+        sent: list[BaseException] = []  # the child's error, once it sent one
         try:
-            os.close(w)
             with open(r, "rb") as feed:
 
                 def receive():
@@ -1188,19 +1193,26 @@ class Engine:
                             "the child process of a split run ended early"
                         ) from None
                     if isinstance(message, BaseException):
+                        sent.append(message)
                         raise message
                     return message
 
                 def take() -> Iterator[tuple]:
                     return zip(*[iter(receive())] * 6)
 
-                self._run_windows(mine, take)
-                for i, state in zip(theirs, receive()):
-                    _load_node_state(self.nodes[i], state)
-            finished = True
+                try:
+                    os.close(w)
+                    self._run_windows(mine, take)
+                    for i, state in zip(theirs, receive()):
+                        _load_node_state(self.nodes[i], state)
+                except BaseException:
+                    # A child that sent its error exits 1 by itself.  Any
+                    # other is killed while the pipe is still open, so
+                    # that it cannot exit on a closed pipe first.
+                    if not sent:
+                        os.kill(pid, signal.SIGKILL)
+                    raise
         finally:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         return True
 
@@ -1254,18 +1266,15 @@ class Engine:
         carried = [(-1, i) for i in range(n)]
         due = [inf] * n
         snaps: list[Optional[tuple]] = [None] * n
-        known = [b""] * n  # a restored node's bits as the channel last ruled
         feedback = self._confirm_all or self._on_demand  # any ACK at all
 
         def advance(i: int, end: int, speculate: bool) -> None:
             # Drive node i's schedule up to `end`.  Each bit fed back is
-            # final, or if `speculate` a guess: the bit the channel last
-            # ruled, else 0.  Without `speculate`, stop at a bit that is
-            # not final.
+            # final, or if `speculate` a guess: 0, a success.  Without
+            # `speculate`, stop at a bit that is not final.
             row = heads[i]
             send = sends[i]
             out = rows[i]
-            bits, k = known[i], 0
             if waiting[i]:
                 if row[4] >= end:
                     return
@@ -1274,9 +1283,8 @@ class Engine:
                     bit = hit
                 elif speculate:
                     if snaps[i] is None:
-                        snapshot(i, row)
-                    bit = bits[0] if bits else 0
-                    k = 1
+                        snaps[i] = (_node_state(nodes[i]), row, len(out))
+                    bit = 0
                 else:
                     return
                 waiting[i] = False
@@ -1290,58 +1298,11 @@ class Engine:
                     break
                 else:
                     if snaps[i] is None:
-                        snapshot(i, row)
-                    row = send(bits[k] if k < len(bits) else 0)
-                    k += 1
+                        # The node's state just before it consumes its
+                        # first bit that is not final, the bit of `row`.
+                        snaps[i] = (_node_state(nodes[i]), row, len(out))
+                    row = send(0)
             heads[i] = row
-
-        def snapshot(i: int, row: tuple) -> None:
-            # The node's state just before it consumes its first bit
-            # that is not final, the bit of `row`, its head.
-            nd = nodes[i]
-            # The generator's words as 4-byte ints, a tenth of the tuple.
-            version, words, gauss_next = nd.rng.getstate()
-            snaps[i] = (
-                (version, array("I", words), gauss_next),
-                nd.base,
-                nd.phase,
-                nd.synced,
-                nd.last_sync_local,
-                nd.uncertainty_at_sync,
-                nd.n_syncs,
-                nd.max_mis_pre_sync,
-                nd.max_mis_post_sync,
-                nd.next_ready_local,
-                tuple(nd.duty),
-                row,
-                len(rows[i]),
-            )
-
-        def restore(i: int) -> None:
-            nd = nodes[i]
-            (
-                state,
-                nd.base,
-                nd.phase,
-                nd.synced,
-                nd.last_sync_local,
-                nd.uncertainty_at_sync,
-                nd.n_syncs,
-                nd.max_mis_pre_sync,
-                nd.max_mis_post_sync,
-                nd.next_ready_local,
-                duty,
-                row,
-                keep,
-            ) = snaps[i]
-            version, words, gauss_next = state
-            nd.rng.setstate((version, tuple(words), gauss_next))
-            nd.duty.clear()
-            nd.duty.extend(duty)
-            del rows[i][keep:]
-            sends[i] = self._resume(nd, row)
-            heads[i] = row
-            waiting[i] = True
 
         def rule(batch: list[tuple]) -> None:
             # Let the channel rule on `batch`, uplinks of this window
@@ -1414,22 +1375,20 @@ class Engine:
             for out in rows:
                 out.clear()
 
-        def wrong_guesses(end: int) -> list[tuple[int, bytes]]:
-            # The nodes whose guessed bits the channel's ruling
-            # contradicts, with the bits as ruled.  Only a node with a
-            # lost uplink or a guessed loss can have one.
-            suspects = {row[5] for row in lost.values()}
-            suspects.update(compress(range(n), known))
-            wrong = []
-            for i in sorted(suspects):
+        def guessed_wrong(end: int) -> bool:
+            # Whether the channel's ruling contradicts a guess: every
+            # guess is a success, so one is wrong iff the channel lost a
+            # confirmed uplink whose bit a node consumed since its
+            # snapshot.
+            for i in {row[5] for row in lost.values()}:
                 snap = snaps[i]
                 if snap is not None:
-                    head, keep = snap[11], snap[12]
-                    consumed = [head, *(r for r in rows[i][keep:] if 0 < r[4] < end)]
-                    bits = bytes(map(lost.__contains__, map(id, consumed)))
-                    if bits != known[i].ljust(len(bits), b"\0")[: len(bits)]:
-                        wrong.append((i, bits))
-            return wrong
+                    _, head, keep = snap
+                    if id(head) in lost or any(
+                        0 < r[4] < end and id(r) in lost for r in rows[i][keep:]
+                    ):
+                        return True
+            return False
 
         optimistic = True
         lo = 0  # every uplink before lo is in the trace
@@ -1439,27 +1398,26 @@ class Engine:
             if take is not None:
                 for row in take():
                     rows[row[5]].append(row)
-            passes = _MAX_PASSES if optimistic else 0
-            while passes:
+            if optimistic:
                 for i in driven:
                     advance(i, hi, True)
                 saved = save()
                 merged = merge(hi)
                 rule(merged[0])
                 ruled_to = hi
-                wrong = wrong_guesses(hi)
-                if not wrong:
-                    break
-                undo(merged[0], saved)
-                ruled_to = lo
-                for i, bits in wrong:
-                    known[i] = bits
-                    restore(i)
-                passes -= 1
-            else:
+                if guessed_wrong(hi):
+                    undo(merged[0], saved)
+                    ruled_to = lo
+                    optimistic = False
+            if not optimistic:
                 for i in range(n):
                     if snaps[i] is not None:
-                        restore(i)
+                        state, row, keep = snaps[i]
+                        _load_node_state(nodes[i], state)
+                        del rows[i][keep:]
+                        sends[i] = self._resume(nodes[i], row)
+                        heads[i] = row
+                        waiting[i] = True
                 # Every uplink not yet in the trace waits for the channel.
                 out = list(chain.from_iterable(rows))
                 # Each node stops where its next bit is not final.  The
@@ -1497,7 +1455,6 @@ class Engine:
             )
             optimistic = not missed
             snaps[:] = repeat(None, n)
-            known[:] = repeat(b"", n)
             lo = hi
 
     def _append_rows(self, ordered: list[tuple]) -> None:

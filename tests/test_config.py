@@ -4,6 +4,8 @@ import configparser
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saloha import config as config_module
 from saloha.config import (
@@ -19,7 +21,7 @@ from saloha.config import (
     parse_range,
     pure_baseline,
 )
-from saloha.engine import Engine
+from saloha.engine import Engine, ScenarioConfig
 from saloha.timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC
 
 _RADIO_NON_DEFAULT = {
@@ -107,6 +109,14 @@ class TestParsers:
     def test_bad_durations(self, text):
         with pytest.raises(ConfigError):
             parse_duration(text)
+
+    def test_a_duration_must_lie_below_2_pow_63_ns(self):
+        # A 300-digit dc_window used to raise OverflowError in validate.
+        assert parse_duration(f"{2**63 - 1} ns") == 2**63 - 1
+        with pytest.raises(ConfigError, match="2\\^63"):
+            parse_duration(f"{2**63} ns")
+        with pytest.raises(ConfigError, match="2\\^63"):
+            load_scenario(f"[scenario]\ndc_window = {'9' * 300} s\n", seed=1)
 
     def test_fractions(self):
         assert parse_fraction("1 %") == 0.01
@@ -400,3 +410,71 @@ def int64_edge_scenario(horizon: int) -> str:
         f"app_period = {app_period} ns\ninitial_offset = {offset} ns\n"
         f"duration = {horizon - app_period - offset} ns\n"
     )
+
+
+#: Valid scenario text that sets every key, the seed included, one
+#: ``key = value`` line each.
+FUZZ_BASE = DEFAULT_SCENARIO.replace("[scenario]\n", "[scenario]\nseed = 1\n")
+FUZZ_KEYS = [line.split(" = ")[0] for line in FUZZ_BASE.splitlines() if " = " in line]
+
+_NUMBERS = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),  # nan, inf and -inf included
+    st.integers(300, 5000).map(lambda digits: "9" * digits),
+    st.sampled_from(["nan", "-inf", "1e999", "-0", "0", "0.5", "1.", ".5"]),
+)
+_UNITS = st.sampled_from(
+    ["", " ns", " us", " ms", " s", " min", " h", " d", " %", " kHz", " parsecs", "x"]
+)
+#: Bad values of every kind: junk or empty, unknown units, nan and inf,
+#: negative and 5000-digit numbers, broken ranges and rates.
+BAD_VALUES = st.one_of(
+    st.builds(str.__add__, _NUMBERS, _UNITS),
+    st.builds("{} .. {}".format, _NUMBERS, _NUMBERS),
+    st.sampled_from(["", "junk", "..", "4/0", "4/x", "5/5", "%", "auto", "none"]),
+    st.text(max_size=12),
+)
+
+
+def assert_loads_or_config_error(text: str) -> None:
+    try:
+        cfg = load_scenario(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
+    cfg.validate()
+
+
+class TestScenarioFuzz:
+    """Scenario text mutated in every section: ``load_scenario`` returns
+    a validated config or raises ``ConfigError``, never another error."""
+
+    @pytest.mark.parametrize("key", FUZZ_KEYS)
+    @given(value=BAD_VALUES)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_a_bad_value_loads_or_raises_config_error(self, key, value):
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} = ") else line
+            for line in FUZZ_BASE.splitlines()
+        ]
+        assert_loads_or_config_error("\n".join(lines))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_edited_lines_load_or_raise_config_error(self, data):
+        # Lines duplicated (keys and section headers), dropped, emptied
+        # or given a bad value, several at a time.
+        lines = FUZZ_BASE.splitlines()
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            edit = data.draw(st.sampled_from(["duplicate", "drop", "empty", "bad"]))
+            key = lines[at].split(" = ")[0]
+            if edit == "duplicate":
+                lines.insert(data.draw(st.integers(0, len(lines))), lines[at])
+            elif edit == "drop":
+                del lines[at]
+            elif edit == "empty":
+                lines[at] = f"{key} ="
+            else:
+                lines[at] = f"{key} = {data.draw(BAD_VALUES)}"
+        assert_loads_or_config_error("\n".join(lines))

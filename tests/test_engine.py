@@ -978,8 +978,8 @@ def drawing_at_the_width(engine: Engine) -> Engine:
 class TestEventLoopDifferential:
     """``Engine.run`` against the reference event loop
     (``oracles.run_event_loop``), in every mode: merge order, channel
-    draws, the channel rule, every ACK's branch, the guesses, their
-    re-passes and the conservative step."""
+    draws, the channel rule, every ACK's branch, the guesses, the
+    restores from snapshots and the conservative step."""
 
     @pytest.mark.parametrize("cfg, redraws, shifts", DRAW_WIDTHS)
     def test_every_draw_width_equals_the_event_loop(self, cfg, redraws, shifts):
@@ -1045,23 +1045,27 @@ class TestEventLoopDifferential:
         assert sum(row is not None for row in resumed) >= cfg.n_nodes
         assert min(bounded) < first_window
 
-    @pytest.mark.parametrize("passes", [1, 3, 8])
-    def test_any_pass_bound_gives_the_same_run(self, monkeypatch, passes):
-        monkeypatch.setattr(engine_module, "_MAX_PASSES", passes)
-        assert_equals_the_event_loop(lossy(20))
+    def test_no_node_resumes_twice_from_one_row(self, monkeypatch):
+        # A window restores each guessing node once, and no row's bit is
+        # guessed in two windows.
+        resumed = []
+        resume = Engine._resume
 
-    # With 64-row windows and a third pass, a node that guessed a loss
-    # the channel no longer rules can have no lost uplink in the window.
-    @pytest.mark.parametrize(
-        "window_rows, passes, mode",
-        [(1, 2, "on-demand"), (64, 2, "on-demand"), (64, 3, "all")],
-    )
-    def test_any_window_gives_the_same_run(
-        self, monkeypatch, window_rows, passes, mode
-    ):
+        def counted_resume(engine, nd, row):
+            if row is not None:
+                resumed.append((nd.index, row))
+            return resume(engine, nd, row)
+
+        monkeypatch.setattr(Engine, "_resume", counted_resume)
+        Engine(lossy()).run()
+        assert resumed
+        assert max(Counter(resumed).values()) == 1
+
+    @pytest.mark.parametrize("mode", ["on-demand", "all"])
+    @pytest.mark.parametrize("window_rows", [1, 64])
+    def test_any_window_gives_the_same_run(self, monkeypatch, window_rows, mode):
         monkeypatch.setattr(engine_module, "_WINDOW_ROWS", window_rows)
         monkeypatch.setattr(engine_module, "_WINDOW_PERIODS", 1)
-        monkeypatch.setattr(engine_module, "_MAX_PASSES", passes)
         assert_equals_the_event_loop(lossy(20, confirmed_mode=mode))
 
     def test_next_start_bound_never_passes_the_next_uplink(self, monkeypatch):
@@ -1082,6 +1086,38 @@ class TestEventLoopDifferential:
         for node, start, low in bounds:
             later = starts[node][bisect_right(starts[node], start) :]
             assert not later or later[0] >= low
+
+
+class TestNodeState:
+    """``_node_state`` is the one record of a node's state: a window's
+    snapshot and a split child's final message."""
+
+    def test_a_loaded_state_restores_every_slot_and_the_next_draws(self):
+        engine = Engine(lossy())
+        nd = engine.nodes[0]
+        send = engine._resume(nd, None)
+        row = send(None)
+        for bit in (0, 1, 0, 0):
+            row = send(bit)
+        state = engine_module._node_state(nd)
+        names = [n for n in engine_module._Node.__slots__ if n not in ("rng", "duty")]
+        slots = {name: getattr(nd, name) for name in names}
+        rng, history, duty = nd.rng, nd.duty, list(nd.duty)
+        assert nd.synced and duty
+
+        def next_rows() -> list[tuple]:
+            # Lost and delivered uplinks: phase redraws, syncs, draws.
+            send = engine._resume(nd, row)
+            return [send(bit) for bit in (1, 0, 1, 0, 0, 0)]
+
+        expected = next_rows()
+        assert list(nd.duty) != duty
+        for name in slots:
+            setattr(nd, name, None)
+        engine_module._load_node_state(nd, state)
+        assert {name: getattr(nd, name) for name in slots} == slots
+        assert nd.rng is rng and nd.duty is history and list(history) == duty
+        assert next_rows() == expected
 
 
 class TestFeedbackFreeRun:
