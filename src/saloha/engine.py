@@ -49,35 +49,28 @@ every draw happens in the order an event queue would make it.
 
 ``Engine._run_windows`` drives the coroutines one time window at a time.
 A window is first generated optimistically, node by node: a confirmed
-uplink's bit is the one the channel has already ruled, or 0 (success)
+uplink's bit is the one the medium has already ruled, or 0 (success)
 while it has not.  ``_merge_window`` orders the window's uplinks as an
-event queue would pop them and the channel rules on them.  A bit is
-final once every uplink that starts before that uplink's end has been
-ruled on.  If the ruling loses no uplink whose bit was guessed, every
-guess was right, and the window is the event queue's schedule, byte for
-byte: an uplink depends only on the bits of uplinks that ended an ACK
-delay before it starts.  A feedback-free run
-(``confirmed_mode = "none"``) consumes no bit and takes no snapshot.
+event queue would pop them, and ``_Medium``, which holds the whole
+channel ruling, rules on them.  A bit is final once every uplink that
+starts before that uplink's end has been ruled on.  If the ruling loses
+no uplink whose bit was guessed, every guess was right, and the window
+is the event queue's schedule, byte for byte: an uplink depends only on
+the bits of uplinks that ended an ACK delay before it starts.  A
+feedback-free run (``confirmed_mode = "none"``) consumes no bit and
+takes no snapshot.
 
-If a guess was wrong, the ruling is undone, every node that guessed
+If a guess was wrong, the ruling is rewound, every node that guessed
 restarts from its snapshot (``_node_state``, its state just before it
 consumed its first bit that was not final), and the window is finished
-conservatively by the same handlers: each node stops at its next
-confirmed uplink until that uplink's bit is final.  The conservative
-step keeps one frontier over every stopped node: the channel rules on
-every uplink before the earliest instant at which a stopped node could
-send again (``Engine._next_start_bound``), which makes the bit of every
-stopped uplink that ends by then final.  A window whose predecessor had
-a lost confirmed uplink starts conservatively.  A window gets one
-optimistic pass: optimism pays while wrong guesses are rare and cheap,
-and a second pass saved no time on any bench workload.
-
-The channel rules on uplinks in start order; the order of uplinks that
-start together does not change a flag.  Every uplink lasts the same
-airtime, so an uplink overlaps another on its channel iff it overlaps
-the latest one.  The ruling is kept per row, so a bit can be read before
-its row is in the trace, and a window goes into the trace once, in the
-event queue's order.
+conservatively: each node stops at its next confirmed uplink until that
+uplink's bit is final.  One frontier runs over every stopped node: the
+medium rules on every uplink before the earliest instant at which a
+stopped node could send again (``Engine._next_start_bound``), which
+makes the bit of every stopped uplink that ends by then final.  A window
+whose predecessor had a lost confirmed uplink starts conservatively.  A
+window gets one optimistic pass: a second saved no time on any bench
+workload.  The trace takes each window once, in the event queue's order.
 
 The tie rule: uplinks sort by true start.  An event queue pops the
 events at one instant by sequence number, which an event takes when the
@@ -88,21 +81,20 @@ the events that scheduled them: every node's first uplink before all
 others, in node order; an event scheduled at the same instant goes after
 every event that instant already holds.
 
-Two processes, by channel group.  A node learns of the rest of the
-network only through its own channel's ruling: there is no capture,
-each node keeps its own duty history and its own sync state, and under
-``fixed`` and ``round-robin`` selection a node keeps one channel.  So
-the nodes of disjoint channel sets are independent runs.  When such a
-run has two or more channel groups, two or more CPUs, no other thread
-and more than ``_SPLIT_MIN_UPLINKS`` expected uplinks
-(``Engine._split``), a forked child drives the smaller half of the
-groups through ``_run_windows`` over the same windows, and sends each
-window's merged uplinks down a pipe.  The parent drives the other half
-and takes the child's uplinks at the start of the same window: they
-join its ruling, on channels none of its nodes use, its
-``_merge_window`` order and its trace, where a one-process run puts
-them.  At the end the child sends its nodes' state.  A run whose pipe
-or fork fails runs in one process; the bytes are the same either way.
+Two processes, by channel group.  Under ``_Medium``'s assumptions a node
+learns of the rest of the network only through its own channel; each
+node keeps its own duty history and sync state, and under ``fixed`` and
+``round-robin`` selection one channel.  So the nodes of disjoint channel
+sets are independent runs.  When a run has two or more such groups, two
+or more CPUs, no other thread and more than ``_SPLIT_MIN_UPLINKS``
+expected uplinks (``Engine._split``), a forked child drives the smaller
+half of the groups through ``_run_windows`` over the same windows and
+sends each window's merged uplinks down a pipe.  The parent drives the
+other half and takes the child's uplinks at the start of the same
+window: they join its ruling, on channels none of its nodes use, its
+``_merge_window`` order and its trace.  At the end the child sends its
+nodes' state.  A run whose pipe or fork fails runs in one process; the
+bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -117,8 +109,8 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, count, repeat
-from operator import attrgetter, eq, ge, gt, itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .mac import MacPolicy, slot_start
@@ -138,6 +130,16 @@ from .timebase import drift_error, round_half_away_div  # noqa: F401
 
 #: Every stored instant must fit the trace's int64 columns.
 _INT64_LIMIT = 1 << 63
+
+#: The most nodes a scenario may hold.  Each costs about 3.9 KB of
+#: resident memory and 15 µs to build, so this many take about 390 MB.
+_MAX_NODES = 100_000
+
+#: The fields of ``ScenarioConfig`` that hold a duration in ns.
+_DURATION_FIELDS = (
+    "app_period", "duration", "jitter", "initial_offset_max", "dc_window",
+    "rx1_delay", "warmup", "residual_mean", "residual_std", "residual_max",
+)
 
 #: Rows per block of a trace column.  The engine buffers this many rows
 #: in plain lists, since a list append is several times cheaper than an
@@ -232,9 +234,14 @@ class ScenarioConfig:
     capture_effect: bool = False
 
     def validate(self) -> None:
+        # Checked first, as the load does: the checks below take floats
+        # of some durations, and the engine of most.
+        for name in _DURATION_FIELDS:
+            if abs(getattr(self, name)) >= _INT64_LIMIT:
+                raise ConfigError(f"{name} must be below 2^63 ns in magnitude")
         problems = []
-        if self.n_nodes < 1:
-            problems.append("n_nodes must be >= 1")
+        if not 1 <= self.n_nodes <= _MAX_NODES:
+            problems.append(f"n_nodes must be in [1, {_MAX_NODES}]")
         if self.app_period <= time_on_air(self.uplink_profile):
             problems.append("app_period must exceed the uplink time-on-air")
         if self.duration <= 0:
@@ -423,6 +430,81 @@ def _merge_window(
         d = due[i] if f < first[i] else acks[f] or inf
         due[i] = d if d >= end else inf
     return merged
+
+
+class _Medium:
+    """The gateway's channels: the one ruling on which uplinks collide.
+
+    Two uplinks collide iff they share a channel and their airtimes
+    overlap; every party to a collision is lost (no capture).  The ruling,
+    and ``Engine._split``'s independence of channel groups, rest on two
+    assumptions: the channel alone is the shared resource, and every
+    uplink lasts the same airtime ``dur``, so an uplink overlaps another
+    on its channel iff it overlaps the latest one that started before it.
+
+    ``rule`` takes uplinks in start order; the order of uplinks that start
+    together changes no flag.  ``lost`` holds each ruled row found collided
+    that a reader may still ask about, by identity, since two rows may be
+    equal tuples; it holds the row, so no other object takes its id.  The
+    trace's flags are written only once a window is final, so ``rewind``
+    touches no trace."""
+
+    __slots__ = ("dur", "collided", "last_row", "tails", "lost")
+
+    def __init__(self, n_channels: int, dur: int, collided: bytearray) -> None:
+        self.dur = dur
+        self.collided = collided  # the trace's flags
+        # Each channel's latest ruled row, at first a stand-in that ends
+        # at 0, and its latest (record, row) in the trace.
+        self.last_row = [(-dur, 0, -1, c, 0) for c in range(n_channels)]
+        self.tails = [(-1, row) for row in self.last_row]
+        self.lost: dict[int, tuple] = {}
+
+    def rule(self, batch: list[tuple]) -> None:
+        """Rule on ``batch``, uplinks sorted by start that start after
+        every uplink ruled on so far."""
+        last_row, lost, dur = self.last_row, self.lost, self.dur
+        for row in batch:
+            c = row[3]
+            prev = last_row[c]
+            if row[0] - prev[0] < dur:
+                lost[id(row)] = row
+                lost[id(prev)] = prev
+            last_row[c] = row
+
+    def mark(self) -> tuple:
+        """What ``rewind`` needs to take back the rulings to come."""
+        return self.last_row[:], self.lost.copy()
+
+    def rewind(self, mark: tuple) -> None:
+        """Take back every ruling since ``mark`` was taken."""
+        self.last_row[:], self.lost = mark
+
+    def settle(self, ordered: list[tuple], heads: Iterable) -> None:
+        """Close the ruling of a window whose uplinks, all ruled on, go
+        into the trace as ``ordered``: write their flags and each earlier
+        tail's that this window overlapped, take each channel's latest
+        uplink as its tail, and keep in ``lost`` only the rows a later
+        window may ask about, each channel's latest and the nodes'
+        ``heads``."""
+        collided, tails, last_row = self.collided, self.tails, self.last_row
+        lost = self.lost
+        first = len(collided)
+        collided.extend(map(lost.__contains__, map(id, ordered)))
+        left = 0
+        for c, (rec, row) in enumerate(tails):
+            if id(row) in lost:
+                collided[rec] = 1
+            left += row is not last_row[c]
+        at = len(ordered)
+        while left:
+            at -= 1
+            row = ordered[at]
+            if row is last_row[row[3]]:
+                tails[row[3]] = (first + at, row)
+                left -= 1
+        kept = [row for row in chain(last_row, heads) if id(row) in lost]
+        self.lost = dict(zip(map(id, kept), kept))
 
 
 class _Node:
@@ -1088,8 +1170,9 @@ class Engine:
         """The nodes the parent and the child drive if the run splits
         over two processes, or None if it runs in this one.  A run
         splits when its nodes keep fixed channels that fall into two or
-        more groups, two or more CPUs are free to it, no other thread is
-        alive, and it expects more than ``_SPLIT_MIN_UPLINKS`` uplinks.
+        more groups, which ``_Medium``'s assumptions make independent,
+        two or more CPUs are free to it, no other thread is alive, and
+        it expects more than ``_SPLIT_MIN_UPLINKS`` uplinks.
         Whole groups go to the two halves, largest first to the smaller
         half.  The child takes the smaller half, since the parent also
         merges and packs every uplink."""
@@ -1224,7 +1307,7 @@ class Engine:
     ) -> None:
         """Every run, one time window at a time (see the module
         docstring): the uplinks of the nodes ``driven`` from their
-        schedules, ruled on by the channel, then put in the trace in
+        schedules, ruled on by the medium, then put in the trace in
         ``_merge_window``'s order.  The windows span the same time
         whichever nodes are driven.  ``take``, if given, returns the
         next window's final uplinks of the other nodes, which join that
@@ -1237,23 +1320,8 @@ class Engine:
         dur = self._uplink_toa
         stop = self._end
         span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
-        trace = self.trace
-        collided, confirmed = trace.collided, trace.confirmed
-        n_channels = self._n_channels
-        # Each channel's latest ruled uplink: its start, its row, and its
-        # trace record once `commit` has put it in the trace.  Every
-        # uplink lasts `dur`, so an uplink overlaps another on its
-        # channel iff it overlaps the one that started just before it.
-        # A channel starts with a stand-in that ends at 0, which no
-        # uplink overlaps.
-        last_start = [-dur] * n_channels
-        last_row = [(-dur, 0, -1, c, 0) for c in range(n_channels)]
-        last_rec = [-1] * n_channels
-        # The ruling: every row the channel found collided and that is
-        # not yet in the trace or whose bit a node may still read, by
-        # identity, since two nodes' rows may be equal tuples.  The dict
-        # holds each row, so no other object can take its identity.
-        lost: dict[int, tuple] = {}
+        collided, confirmed = self.trace.collided, self.trace.confirmed
+        medium = _Medium(self._n_channels, dur, collided)
         ruled_to = 0  # every uplink that starts before it is ruled
         # Each driven node's schedule and latest row.
         sends: list[Optional[Callable]] = [None] * n
@@ -1278,7 +1346,7 @@ class Engine:
             if waiting[i]:
                 if row[4] >= end:
                     return
-                hit = id(row) in lost
+                hit = id(row) in medium.lost
                 if hit or row[0] + dur <= ruled_to:
                     bit = hit
                 elif speculate:
@@ -1304,43 +1372,9 @@ class Engine:
                     row = send(0)
             heads[i] = row
 
-        def rule(batch: list[tuple]) -> None:
-            # Let the channel rule on `batch`, uplinks of this window
-            # sorted by start that start after every uplink it has ruled
-            # on.  An uplink before the window is in the trace.
-            for row in batch:
-                t, c = row[0], row[3]
-                if t - last_start[c] < dur:
-                    lost[id(row)] = row
-                    prev = last_row[c]
-                    lost[id(prev)] = prev
-                    if prev[0] < lo:
-                        collided[last_rec[c]] = 1
-                last_start[c] = t
-                last_row[c] = row
-
-        def save() -> tuple:
-            # What `undo` needs to take back the rulings to come.
-            flags = [id(row) in lost for row in last_row]
-            return last_start[:], last_row[:], flags
-
-        def undo(batch: list[tuple], saved: tuple) -> None:
-            # Take back the ruling of `batch`; `saved` is the state
-            # before it.
-            for row in batch:
-                lost.pop(id(row), None)
-            last_start[:], last_row[:], flags = saved
-            for c, row, flag in zip(count(), last_row, flags):
-                if flag:
-                    lost[id(row)] = row
-                else:
-                    lost.pop(id(row), None)
-                if row[0] >= 0:  # not the stand-in
-                    collided[last_rec[c]] = flag
-
         def merge(end: int) -> tuple:
             # Every uplink not yet in the trace, all before `end`, in the
-            # event queue's order; `commit` puts them in the trace.
+            # event queue's order.
             first = [0]
             flat: list[tuple] = []
             for out in rows:
@@ -1351,35 +1385,12 @@ class Engine:
             order = _merge_window(list(map(_START, flat)), first, acks, keys, dues, end)
             return list(map(flat.__getitem__, order)), keys, dues
 
-        def commit(merged: tuple) -> None:
-            # Put the merged uplinks, each ruled on, in the trace.
-            ordered, carried[:], due[:] = merged
-            m = len(ordered)
-            base = len(collided)
-            collided.extend(map(lost.__contains__, map(id, ordered)))
-            confirmed.extend(map(bool, map(_ACK, ordered)) if feedback else bytes(m))
-            put(ordered)
-            # Each channel's latest uplink of the window is in the trace
-            # now.  The rows that leave keep no place in the ruling.
-            left = sum(map(ge, last_start, repeat(lo)))
-            at = m
-            while left:
-                at -= 1
-                row = ordered[at]
-                if row is last_row[row[3]]:
-                    last_rec[row[3]] = base + at
-                    left -= 1
-            kept = [row for row in chain(last_row, heads) if id(row) in lost]
-            lost.clear()
-            lost.update(zip(map(id, kept), kept))
-            for out in rows:
-                out.clear()
-
         def guessed_wrong(end: int) -> bool:
             # Whether the channel's ruling contradicts a guess: every
             # guess is a success, so one is wrong iff the channel lost a
             # confirmed uplink whose bit a node consumed since its
             # snapshot.
+            lost = medium.lost
             for i in {row[5] for row in lost.values()}:
                 snap = snaps[i]
                 if snap is not None:
@@ -1401,12 +1412,12 @@ class Engine:
             if optimistic:
                 for i in driven:
                     advance(i, hi, True)
-                saved = save()
+                mark = medium.mark()
                 merged = merge(hi)
-                rule(merged[0])
+                medium.rule(merged[0])
                 ruled_to = hi
                 if guessed_wrong(hi):
-                    undo(merged[0], saved)
+                    medium.rewind(mark)
                     ruled_to = lo
                     optimistic = False
             if not optimistic:
@@ -1441,14 +1452,21 @@ class Engine:
                         cut = hi
                     out.sort(key=_START)
                     k = bisect_left(out, cut, key=_START)
-                    rule(out[:k])
+                    medium.rule(out[:k])
                     del out[:k]
                     ruled_to = cut
                     todo = [i for _, end, i in waits if end <= cut]
                     waits = [w for w in waits if w[1] > cut]
                 merged = merge(hi)
-            commit(merged)
-            del merged  # free the window's rows before the next window
+            # Put the merged uplinks, each ruled on, in the trace.
+            ordered, carried[:], due[:] = merged
+            medium.settle(ordered, heads)
+            m = len(ordered)
+            confirmed.extend(map(bool, map(_ACK, ordered)) if feedback else bytes(m))
+            put(ordered)
+            for out in rows:
+                out.clear()
+            del merged, ordered  # free the window's rows before the next window
             # A lost confirmed uplink makes the next window conservative.
             missed = int.from_bytes(collided[window_start:], "big") & int.from_bytes(
                 confirmed[window_start:], "big"

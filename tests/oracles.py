@@ -159,6 +159,8 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
             )
             if defer is None:
                 break
+            # `defer` can map back 1 ns early: clamp to it, or loop.
+            now = defer
             ready = Engine._local_at(nd, defer)
         if tx_true <= horizon:
             pending[i] = (tx_true, tx_local, use_slots)

@@ -185,6 +185,26 @@ def test_rejected_scenario_is_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
+def test_too_many_nodes_is_config_error(tmp_path, capsys):
+    # Used to load, and the engine then tried to build 10^19 nodes.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[scenario]\nn_nodes = 9999999999999999999\n")
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "1",
+            "--duration", "60 s",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "n_nodes" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_drift_bound_out_of_range_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text("[sync]\ndrift_bound_ppm = inf\n")

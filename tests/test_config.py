@@ -1,7 +1,7 @@
 """Scenario parsing: units, defaults, strict key checking."""
 
 import configparser
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,20 @@ from saloha.config import (
 )
 from saloha.engine import Engine, ScenarioConfig
 from saloha.timebase import MAX_ABS_DRIFT_PPM, NS_PER_SEC
+
+#: Every field of ``ScenarioConfig`` that holds a duration in ns.
+DURATION_FIELDS = [
+    "app_period",
+    "duration",
+    "jitter",
+    "initial_offset_max",
+    "dc_window",
+    "rx1_delay",
+    "warmup",
+    "residual_mean",
+    "residual_std",
+    "residual_max",
+]
 
 _RADIO_NON_DEFAULT = {
     "spreading_factor": "8",
@@ -380,6 +394,36 @@ class TestLoadScenario:
         # Both used to run and write instants above 2^63 - 1 to trace.csv.
         with pytest.raises(ConfigError, match="2\\^63"):
             load_scenario(f"[scenario]\n{text}\n", seed=1)
+
+    @pytest.mark.parametrize("field", DURATION_FIELDS)
+    @pytest.mark.parametrize("value", [2**63, 10**400, -(2**63), -(10**400)])
+    def test_a_duration_outside_int64_is_a_config_error(self, field, value):
+        # 10^400 ns used to raise OverflowError, from validate (dc_window)
+        # or from Engine (rx1_delay), where a float took it.
+        cfg = replace(load_scenario("", seed=1), **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must be below 2\\^63"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=field):
+            Engine(cfg)
+
+    def test_every_int_field_but_counts_and_seed_is_a_checked_duration(self):
+        ints = {f.name for f in fields(ScenarioConfig) if f.type == "int"}
+        counts = {"n_nodes", "n_channels", "seed", "timestamp_error_max_us"}
+        assert ints - counts == set(DURATION_FIELDS)
+
+    def test_a_long_rx1_delay_inside_int64_is_kept(self):
+        text = "[mac]\npolicy = pure\nrx1_delay = 100000000000000000 ns\n"
+        Engine(load_scenario(text, seed=1))
+
+    @pytest.mark.parametrize("n_nodes", [0, 100_001, 9_999_999_999_999_999_999])
+    def test_a_node_count_outside_its_range_is_rejected(self, n_nodes):
+        # 10^19 nodes used to load; Engine then built one node per id.
+        with pytest.raises(ConfigError, match="n_nodes must be in \\[1, 100000\\]"):
+            load_scenario(f"[scenario]\nn_nodes = {n_nodes}\n", seed=1)
+
+    def test_the_largest_node_count_is_kept(self):
+        cfg = load_scenario("[scenario]\nn_nodes = 100000\n", seed=1)
+        assert cfg.n_nodes == 100_000
 
     def test_negative_initial_offset_is_rejected(self):
         # Used to validate, and the engine then ran as if it were 0.

@@ -1,8 +1,9 @@
 """Event engine: collision semantics, duty enforcement, determinism,
 whole-run invariants against independent trace checks, the engine's
 fused clock and sync arithmetic against the oracles in ``oracles`` and
-``sync``, the window driver against the reference event loop in every
-mode, and the schedule's float pre-filter against the exact clock map."""
+``sync``, the channel ruling (``_Medium``) against the arbitration oracle, the window
+driver against the reference event loop in every mode, and the
+schedule's float pre-filter against the exact clock map."""
 
 import errno
 import gc
@@ -17,9 +18,10 @@ import weakref
 from array import array
 from bisect import bisect_right
 from collections import Counter, deque
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 from unittest import mock
 
@@ -33,6 +35,7 @@ from saloha.engine import (
     ConfigError,
     Engine,
     ScenarioConfig,
+    _Medium,
     _merge_window,
     _Node,
     enforce_duty_cycle,
@@ -118,6 +121,118 @@ class TestChannelArbitrate:
     def test_three_way_pileup(self):
         txs = [(0, 100, 0), (50, 100, 0), (120, 100, 0), (500, 10, 0)]
         assert channel_arbitrate(txs) == [True, True, True, False]
+
+
+@st.composite
+def ruled_windows(draw):
+    """``(dur, n_channels, windows)`` for the channel ruling alone.  Each
+    window is ``(batches, ordered, end)``: its rows ``(start, 0, -1,
+    channel, ACK or 0, k)`` in ``ordered``, the order of the trace, and
+    in ``batches``, one or more runs in start order that break ties
+    another way, as the ruling sees them.  Starts are dense enough that
+    uplinks overlap, and each window edge gets one uplink just before it
+    and one just after it on one channel, which overlap about half the
+    time: a window's tail then collides across the edge."""
+    dur = draw(st.integers(1, 40))
+    n_channels = draw(st.integers(1, 3))
+    channel = st.integers(0, n_channels - 1)
+    edges = sorted(set(draw(st.lists(st.integers(1, 400), min_size=1, max_size=6))))
+    starts = draw(st.lists(st.integers(0, 450), max_size=40))
+    pairs = [(t, draw(channel)) for t in starts]
+    for edge in edges:
+        c = draw(channel)
+        pairs.append((max(0, edge - draw(st.integers(1, dur))), c))
+        pairs.append((edge + draw(st.integers(0, dur - 1)), c))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [
+        (t, 0, -1, c, t + dur + rng.randint(1, 300) if rng.random() < 0.5 else 0, k)
+        for k, (t, c) in enumerate(pairs)
+    ]
+    windows = []
+    for lo, end in zip([0, *edges], [*edges, 1000]):
+        mine = [row for row in rows if lo <= row[0] < end]
+        ordered = sorted(mine, key=lambda row: (row[0], rng.random()))
+        ruled = sorted(mine, key=lambda row: (row[0], rng.random()))
+        cuts = sorted(rng.sample(range(len(ruled) + 1), min(3, len(ruled) + 1)))
+        batches = [ruled[a:b] for a, b in zip([0, *cuts], [*cuts, len(ruled)])]
+        windows.append((batches, ordered, end))
+    return dur, n_channels, windows
+
+
+def medium_state(medium: _Medium) -> tuple:
+    """Everything ``_Medium`` holds, with every row by identity."""
+    return (
+        medium.lost.copy(),
+        list(map(id, medium.lost.values())),
+        list(map(id, medium.last_row)),
+        [(rec, id(row)) for rec, row in medium.tails],
+        bytes(medium.collided),
+    )
+
+
+class TestMedium:
+    """The channel ruling, window by window as the driver runs it:
+    ``rule`` on batches in start order, then ``settle`` with the window
+    in the trace's order."""
+
+    @staticmethod
+    def commit(medium: _Medium, ordered: list, end: int, sent: list) -> None:
+        # `sent` holds every row so far; a node still waits for the bit
+        # of each one whose ACK lands at or after `end`.
+        sent += ordered
+        heads = [row for row in sent if row[4] >= end]
+        medium.settle(ordered, heads)
+        # What a later window may ask about stays, and nothing else.
+        asked = set(map(id, chain(medium.last_row, heads)))
+        assert set(medium.lost) <= asked
+        for row, flag in zip(sent, medium.collided):
+            if flag and id(row) in asked:
+                assert id(row) in medium.lost
+
+    @given(ruled_windows())
+    @settings(max_examples=300)
+    def test_flags_equal_the_arbitration_oracle(self, run):
+        dur, n_channels, windows = run
+        medium = _Medium(n_channels, dur, bytearray())
+        sent: list = []
+        for batches, ordered, end in windows:
+            for batch in batches:
+                medium.rule(batch)
+            self.commit(medium, ordered, end, sent)
+        trace = [row for _, ordered, _ in windows for row in ordered]
+        expected = channel_arbitrate([(row[0], dur, row[3]) for row in trace])
+        assert list(map(bool, medium.collided)) == expected
+
+    @given(ruled_windows())
+    @settings(max_examples=200)
+    def test_rewind_takes_back_any_ruling_and_leaves_the_trace(self, run):
+        dur, n_channels, windows = run
+        medium = _Medium(n_channels, dur, bytearray())
+        sent: list = []
+        for batches, ordered, end in windows:
+            for k in range(len(batches) + 1):
+                before = medium_state(medium)
+                mark = medium.mark()
+                for batch in batches[:k]:
+                    medium.rule(batch)
+                medium.rewind(mark)
+                assert medium_state(medium) == before
+            for batch in batches:
+                medium.rule(batch)
+            self.commit(medium, ordered, end, sent)
+
+    def test_a_tail_lost_across_the_edge_is_flagged_at_the_next_settle(self):
+        # Uplink 0 ends its window at 100; uplink 1 starts the next
+        # window at 100, inside uplink 0's airtime.
+        medium = _Medium(1, 10, bytearray())
+        first, second = (95, 0, -1, 0, 0, 0), (100, 0, -1, 0, 0, 1)
+        sent: list = []
+        medium.rule([first])
+        self.commit(medium, [first], 100, sent)
+        medium.rule([second])
+        assert medium.collided == bytearray([0])  # ruled, not yet settled
+        self.commit(medium, [second], 200, sent)
+        assert medium.collided == bytearray([1, 1])
 
 
 @st.composite
@@ -346,7 +461,62 @@ class TestEngineBasics:
         assert metrics.steady_conflicts + metrics.warmup_conflicts == metrics.conflicts
 
 
+#: Each of 4 pure nodes offers 1.15 % of airtime on one channel against
+#: the 1 % cap for a day.  On seed 7 a deferral's instant, mapped to the
+#: node's clock and back, comes out 1 ns early, and ``Engine._uplinks``
+#: defers to the same instant forever; ``run_event_loop`` clamps to the
+#: deferral and ends.
+LIVENESS = load_scenario(
+    "[scenario]\nn_nodes = 4\napp_period = 15 s\nn_channels = 1\n"
+    "confirmed_uplinks = none\nduration = 1 d\n[mac]\npolicy = pure\n",
+    seed=7,
+)
+
+
+class Deadline(Exception):
+    """A run went past its deadline.  Not an ``OSError``, which the
+    split's fallback would take for a failed fork or pipe."""
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise ``Deadline`` in the main thread after ``seconds``, as the
+    benchmark's SIGALRM deadline does, so that a run that never ends
+    fails instead of hanging the suite."""
+
+    def fire(_signum, _frame):
+        raise Deadline(f"missed its {seconds:g} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestDutyEnforcementInRun:
+    # The engine's clamp (`now = defer` in `Engine._uplinks`' deferral
+    # loop) lands with the benchmark revision, whose liveness self-test
+    # still expects this scenario to miss its deadline.  With the clamp
+    # the test takes 0.2 s.
+    @pytest.mark.xfail(raises=Deadline, strict=True, reason="the duty livelock")
+    def test_a_deferral_mapped_back_early_ends(self, monkeypatch):
+        real = engine_module.enforce_duty_cycle
+        deferrals = []
+
+        def counted(*args):
+            defer = real(*args)
+            deferrals.append(defer is not None)
+            return defer
+
+        monkeypatch.setattr(engine_module, "enforce_duty_cycle", counted)
+        with deadline(3):
+            engine = assert_equals_the_event_loop(LIVENESS)
+        assert len(engine.trace) == 19_968
+        assert sum(deferrals) > 1000
+
     def test_aggressive_period_gets_throttled_not_violated(self):
         # A 5 s period wants 12x more airtime than the 1% cap allows;
         # the engine must defer, and an independent scan of the emitted
@@ -1954,24 +2124,11 @@ class TestSplitChild:
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
     def test_a_deadline_in_the_parent_kills_and_reaps_the_child(self):
-        # As the benchmark's SIGALRM deadline does, 0.2 s into a 7-day
-        # run, which takes seconds.
-        class Deadline(Exception):
-            pass
-
-        def fire(_signum, _frame):
-            raise Deadline
-
+        # 0.2 s into a 7-day run, which takes seconds.
         cfg = load_scenario("", seed=1, duration=7 * DAY)
         waits: list = []
-        previous = signal.signal(signal.SIGALRM, fire)
-        try:
-            with splitting(waits=waits), pytest.raises(Deadline):
-                signal.setitimer(signal.ITIMER_REAL, 0.2)
-                Engine(cfg).run()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        with splitting(waits=waits), pytest.raises(Deadline), deadline(0.2):
+            Engine(cfg).run()
         assert_no_child_left()
         ((_, status),) = waits
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
