@@ -50,15 +50,14 @@ every draw happens in the order an event queue would make it.
 ``Engine._run_windows`` drives the coroutines one time window at a time.
 A window is first generated optimistically, node by node: a confirmed
 uplink's bit is the one the medium has already ruled, or 0 (success)
-while it has not.  ``_merge_window`` orders the window's uplinks as an
-event queue would pop them, and ``_Medium``, which holds the whole
-channel ruling, rules on them.  A bit is final once every uplink that
-starts before that uplink's end has been ruled on.  If the ruling loses
-no uplink whose bit was guessed, every guess was right, and the window
-is the event queue's schedule, byte for byte: an uplink depends only on
-the bits of uplinks that ended an ACK delay before it starts.  A
-feedback-free run (``confirmed_mode = "none"``) consumes no bit and
-takes no snapshot.
+while it has not.  The window's uplinks go in the tie rule's order, and
+``_Medium``, which holds the whole channel ruling, rules on them.  A bit
+is final once every uplink that starts before that uplink's end has been
+ruled on.  If the ruling loses no uplink whose bit was guessed, every
+guess was right, and the window is the event queue's schedule, byte for
+byte: an uplink depends only on the bits of uplinks that ended an ACK
+delay before it starts.  A feedback-free run
+(``confirmed_mode = "none"``) consumes no bit and takes no snapshot.
 
 If a guess was wrong, the ruling is rewound, every node that guessed
 restarts from its snapshot (``_node_state``, its state just before it
@@ -70,16 +69,10 @@ stopped node could send again (``Engine._next_start_bound``), which
 makes the bit of every stopped uplink that ends by then final.  A window
 whose predecessor had a lost confirmed uplink starts conservatively.  A
 window gets one optimistic pass: a second saved no time on any bench
-workload.  The trace takes each window once, in the event queue's order.
+workload.  The trace takes each window once, in the tie rule's order.
 
-The tie rule: uplinks sort by true start.  An event queue pops the
-events at one instant by sequence number, which an event takes when the
-event that scheduled it pops: an uplink is scheduled by the node's
-previous uplink, or by that uplink's ACK if it was confirmed, and an
-ACK by its uplink.  So the events at one instant go in the pop order of
-the events that scheduled them: every node's first uplink before all
-others, in node order; an event scheduled at the same instant goes after
-every event that instant already holds.
+The tie rule: uplinks go by true start; uplinks that start together go
+by node index, and a node's own in the order it sent them.
 
 Two processes, by channel group.  Under ``_Medium``'s assumptions a node
 learns of the rest of the network only through its own channel; each
@@ -89,12 +82,12 @@ sets are independent runs.  When a run has two or more such groups, two
 or more CPUs, no other thread and more than ``_SPLIT_MIN_UPLINKS``
 expected uplinks (``Engine._split``), a forked child drives the smaller
 half of the groups through ``_run_windows`` over the same windows and
-sends each window's merged uplinks down a pipe.  The parent drives the
+sends each window's ordered uplinks down a pipe.  The parent drives the
 other half and takes the child's uplinks at the start of the same
-window: they join its ruling, on channels none of its nodes use, its
-``_merge_window`` order and its trace.  At the end the child sends its
-nodes' state.  A run whose pipe or fork fails runs in one process; the
-bytes are the same either way.
+window: they join its ruling, on channels none of its nodes use, and
+its trace.  At the end the child sends its nodes' state.  A run whose
+pipe or fork fails runs in one process; the bytes are the same either
+way.
 """
 
 from __future__ import annotations
@@ -108,7 +101,6 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
 from operator import attrgetter, eq, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
@@ -134,6 +126,11 @@ _INT64_LIMIT = 1 << 63
 #: The most nodes a scenario may hold.  Each costs about 3.9 KB of
 #: resident memory and 15 µs to build, so this many take about 390 MB.
 _MAX_NODES = 100_000
+
+#: The most channels a scenario may hold (US915 has 72 uplink channels).
+#: Each costs the channel ruling about 220 bytes and 0.5 µs to build,
+#: and a list copy per window, so this many take about 0.2 MB.
+_MAX_CHANNELS = 1_000
 
 #: The fields of ``ScenarioConfig`` that hold a duration in ns.
 _DURATION_FIELDS = (
@@ -250,8 +247,8 @@ class ScenarioConfig:
             problems.append("jitter must be non-negative")
         if self.initial_offset_max < 0:
             problems.append("initial_offset_max must be non-negative")
-        if self.n_channels < 1:
-            problems.append("n_channels must be >= 1")
+        if not 1 <= self.n_channels <= _MAX_CHANNELS:
+            problems.append(f"n_channels must be in [1, {_MAX_CHANNELS}]")
         if self.channel_selection not in ("fixed", "round-robin", "uniform-random"):
             problems.append(f"unknown channel_selection {self.channel_selection!r}")
         lo, hi = self.drift_ppm_range
@@ -356,80 +353,6 @@ def enforce_duty_cycle(
             return lo + excess + window - duration
         excess -= avail
     raise AssertionError("unreachable: budget check bounds the walk")
-
-
-def _merge_window(
-    starts: list[int],
-    first: list[int],
-    acks: list[int],
-    carried: list[tuple[int, int]],
-    due: list[int],
-    end: int,
-) -> list[int]:
-    """Indices of one window's uplinks in the order an event queue pops them.
-
-    ``starts`` holds the true start of every uplink of the window, node
-    by node: node ``i``'s are ``starts[first[i]:first[i + 1]]``, in time
-    order, and ``acks[f]`` is the instant uplink ``f``'s ACK lands, or 0
-    if it is unconfirmed; the window holds the events before ``end``.
-    ``carried[i]`` is the key of node ``i``'s last event before the
-    window, ``(instant, place among the events at that instant)``, or
-    ``(-1, i)`` while it has none, and ``due[i]`` is the instant of its
-    ACK still to land, or ``inf``.  Both are updated to the window's end.
-    When no two events share an instant, the uplinks go by start and
-    every place is 0.  Otherwise the window's events, ACKs included, are
-    replayed through a heap, each keyed by its instant and then by the
-    key of the event that scheduled it (the module's tie rule): a
-    node's first event by ``carried``, every later one by the node's
-    event that popped before it.
-    """
-    n = len(first) - 1
-    leads = [d for d in due if d < end]
-    instants = set(starts)
-    instants.update(leads)
-    if len(instants) == len(starts) + len(leads) and instants.isdisjoint(
-        filter(None, acks)
-    ):
-        merged = sorted(range(len(starts)), key=starts.__getitem__)
-        # A node's last event before `end` becomes its key.
-        for i in range(n):
-            f = first[i + 1] - 1
-            s = due[i] if f < first[i] else acks[f] if 0 < acks[f] < end else starts[f]
-            if s < end:
-                carried[i] = (s, 0)
-    else:
-        # Each node has one event in the heap, ``(instant, key, node, f,
-        # is_ack)``: uplink ``f``, or the ACK before it.  Keys are
-        # distinct, so the heap never compares further.
-        heap = []
-        for i in range(n):
-            f = first[i]
-            if due[i] < end:
-                heap.append((due[i], carried[i], i, f, True))
-            elif f < first[i + 1]:
-                heap.append((starts[f], carried[i], i, f, False))
-        heapify(heap)
-        merged = []
-        at = place = -1
-        while heap:
-            t, _, i, f, is_ack = heappop(heap)
-            place = place + 1 if t == at else 0
-            at = t
-            carried[i] = key = (t, place)
-            if not is_ack:
-                merged.append(f)
-                if 0 < acks[f] < end:
-                    heappush(heap, (acks[f], key, i, f + 1, True))
-                    continue
-                f += 1
-            if f < first[i + 1]:
-                heappush(heap, (starts[f], key, i, f, False))
-    # The ACK of a node's last uplink stays due if it lands later.
-    for i in range(n):
-        f = first[i + 1] - 1
-        d = due[i] if f < first[i] else acks[f] or inf
-        due[i] = d if d >= end else inf
-    return merged
 
 
 class _Medium:
@@ -578,7 +501,9 @@ class Column:
     growing run allocates blocks one by one instead of reallocating one
     large buffer, which would leave holes in the heap that stay
     resident.  Indexing and item assignment take an integer and follow
-    list semantics over the int64 range; there is no slicing."""
+    list semantics, but an assigned value must fit its block's type:
+    any other raises ``OverflowError`` and leaves the column unchanged.
+    There is no slicing."""
 
     __slots__ = ("block", "blocks")
 
@@ -609,15 +534,7 @@ class Column:
 
     def __setitem__(self, index: int, value: int) -> None:
         b, i = self._locate(index)
-        block = self.blocks[b]
-        try:
-            block[i] = value
-        except OverflowError:
-            # Too wide for this block: widen a copy, so that a value
-            # outside int64 still raises and leaves the column unchanged.
-            block = array("q", block)
-            block[i] = value
-            self.blocks[b] = block
+        self.blocks[b][i] = value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Column):
@@ -1175,7 +1092,7 @@ class Engine:
         it expects more than ``_SPLIT_MIN_UPLINKS`` uplinks.
         Whole groups go to the two halves, largest first to the smaller
         half.  The child takes the smaller half, since the parent also
-        merges and packs every uplink."""
+        orders and packs every uplink."""
         cfg = self.config
         if (
             cfg.n_nodes * cfg.duration <= _SPLIT_MIN_UPLINKS * cfg.app_period
@@ -1204,9 +1121,9 @@ class Engine:
 
     def _run_split(self, mine: list[int], theirs: list[int]) -> bool:
         """Drive ``mine`` here and ``theirs`` in a forked child, window
-        by window: the child sends each window's merged uplinks down a
+        by window: the child sends each window's ordered uplinks down a
         pipe, and this process takes them into the same window's ruling,
-        merge and trace.  At the end the child sends its nodes' state,
+        order and trace.  At the end the child sends its nodes' state,
         which is copied into ``self.nodes``.  False, with nothing run, if
         the pipe or the process cannot be made."""
         # Imported here, since only a split run needs them: they add
@@ -1307,12 +1224,12 @@ class Engine:
     ) -> None:
         """Every run, one time window at a time (see the module
         docstring): the uplinks of the nodes ``driven`` from their
-        schedules, ruled on by the medium, then put in the trace in
-        ``_merge_window``'s order.  The windows span the same time
-        whichever nodes are driven.  ``take``, if given, returns the
-        next window's final uplinks of the other nodes, which join that
-        window's ruling and merge; ``put`` receives each window's merged
-        uplinks (by default they go into the trace's int columns)."""
+        schedules, ruled on by the medium, then put in the trace in the
+        tie rule's order.  The windows span the same time whichever
+        nodes are driven.  ``take``, if given, returns the next window's
+        final uplinks of the other nodes, which join that window's
+        ruling and order; ``put`` receives each window's ordered uplinks
+        (by default they go into the trace's int columns)."""
         nodes = self.nodes
         n = len(nodes)
         driven = list(driven)
@@ -1331,8 +1248,6 @@ class Engine:
             heads[i] = send(None)
         waiting = [False] * n  # whether a node waits for its head's bit
         rows: list[list[tuple]] = [[] for _ in range(n)]  # not yet in the trace
-        carried = [(-1, i) for i in range(n)]
-        due = [inf] * n
         snaps: list[Optional[tuple]] = [None] * n
         feedback = self._confirm_all or self._on_demand  # any ACK at all
 
@@ -1372,18 +1287,14 @@ class Engine:
                     row = send(0)
             heads[i] = row
 
-        def merge(end: int) -> tuple:
-            # Every uplink not yet in the trace, all before `end`, in the
-            # event queue's order.
-            first = [0]
-            flat: list[tuple] = []
-            for out in rows:
-                flat += out
-                first.append(len(flat))
-            acks = list(map(_ACK, flat)) if feedback else [0] * len(flat)
-            keys, dues = carried[:], due[:]
-            order = _merge_window(list(map(_START, flat)), first, acks, keys, dues, end)
-            return list(map(flat.__getitem__, order)), keys, dues
+        def merge() -> list[tuple]:
+            # Every uplink not yet in the trace in the tie rule's order:
+            # `rows` goes node by node, each node's in time order, so a
+            # stable sort by start leaves those that start together in
+            # node order.
+            flat = list(chain.from_iterable(rows))
+            flat.sort(key=_START)
+            return flat
 
         def guessed_wrong(end: int) -> bool:
             # Whether the channel's ruling contradicts a guess: every
@@ -1413,8 +1324,8 @@ class Engine:
                 for i in driven:
                     advance(i, hi, True)
                 mark = medium.mark()
-                merged = merge(hi)
-                medium.rule(merged[0])
+                ordered = merge()
+                medium.rule(ordered)
                 ruled_to = hi
                 if guessed_wrong(hi):
                     medium.rewind(mark)
@@ -1457,16 +1368,15 @@ class Engine:
                     ruled_to = cut
                     todo = [i for _, end, i in waits if end <= cut]
                     waits = [w for w in waits if w[1] > cut]
-                merged = merge(hi)
-            # Put the merged uplinks, each ruled on, in the trace.
-            ordered, carried[:], due[:] = merged
+                ordered = merge()
+            # Put the window's uplinks, each ruled on, in the trace.
             medium.settle(ordered, heads)
             m = len(ordered)
             confirmed.extend(map(bool, map(_ACK, ordered)) if feedback else bytes(m))
             put(ordered)
             for out in rows:
                 out.clear()
-            del merged, ordered  # free the window's rows before the next window
+            del ordered  # free the window's rows before the next window
             # A lost confirmed uplink makes the next window conservative.
             missed = int.from_bytes(collided[window_start:], "big") & int.from_bytes(
                 confirmed[window_start:], "big"
@@ -1476,7 +1386,7 @@ class Engine:
             lo = hi
 
     def _append_rows(self, ordered: list[tuple]) -> None:
-        """Buffer a window's merged rows for the trace's int columns,
+        """Buffer a window's ordered rows for the trace's int columns,
         packing each block as it fills."""
         node_ids, true_starts, local_starts, slot_indices, channels, durations = (
             self._rows

@@ -57,45 +57,14 @@ def narrowest_typecode(rows) -> str:
     raise OverflowError("rows do not fit int64")
 
 
-def heap_pop_order(
-    starts: list[list[int]], acks: Optional[list[list[Optional[int]]]] = None
-) -> list[tuple[int, int]]:
-    """``(node, k)`` for every uplink, in the order an event heap pops
-    them, where ``starts[node][k]`` is the true start of the node's
-    ``k``-th uplink and ``acks[node][k]`` the instant its ACK lands, or
-    None if it is unconfirmed (no ACKs at all if ``acks`` is None).
-
-    The heap holds uplinks and ACKs, keyed ``(instant, seq)`` with one
-    counter for every push: each node's first uplink is pushed in node
-    order before anything pops; an ACK is pushed when its uplink pops,
-    and each later uplink when the node's previous event pops, its
-    uplink's or its ACK's.
-    """
-    heap = []
-    seq = count(1)
-    for node, rows in enumerate(starts):
-        if rows:
-            heappush(heap, (rows[0], next(seq), node, 0, False))
-    order = []
-    while heap:
-        _instant, _seq, node, k, is_ack = heappop(heap)
-        if not is_ack:
-            order.append((node, k))
-            ack = acks[node][k] if acks else None
-            if ack is not None:
-                heappush(heap, (ack, next(seq), node, k, True))
-                continue
-        if k + 1 < len(starts[node]):
-            heappush(heap, (starts[node][k + 1], next(seq), node, k + 1, False))
-    return order
-
-
 def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
     """``engine.run()`` as the event loop that every schedule is checked
     against: a heap of ``(instant, seq, kind, node)`` events with one
     counter for every push, each node's next uplink decided when its
     previous event pops, the ACK's branch when the ACK lands, and every
-    clock map through ``Engine._local_at``/``_true_at``.
+    clock map through ``Engine._local_at``/``_true_at``.  The trace
+    takes the uplinks sorted by ``(true_start, node_id)``, the tie rule
+    of ``saloha.engine``, not in the heap's pop order.
 
     It fills the engine's trace, nodes and ``gateway_airtime`` as a run
     does, sharing the engine's clock maps, uncertainty bound, gateway
@@ -235,11 +204,17 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
             on_tx_start(i, now)
         else:
             on_ack(i, now)
+    # Records were numbered in pop order; the trace holds them in the
+    # tie rule's.
+    node_ids, starts = columns[0], columns[1]
+    order = sorted(range(len(starts)), key=lambda r: (starts[r], node_ids[r]))
     for name, values in zip(
         ("node_id", "true_start", "local_start", "slot_index", "channel", "duration"),
         columns,
     ):
-        getattr(trace, name).extend(values)
+        getattr(trace, name).extend([values[r] for r in order])
+    for flags in (trace.collided, trace.acked, trace.confirmed):
+        flags[:] = bytes(flags[r] for r in order)
     return trace, engine.metrics()
 
 

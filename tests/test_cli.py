@@ -205,6 +205,28 @@ def test_too_many_nodes_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_too_many_channels_is_config_error(tmp_path, capsys):
+    # Used to load, and the run then built one channel row per channel
+    # until memory ran out.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text("[scenario]\nn_channels = 1000000000\n")
+    code = main(
+        [
+            "simulate",
+            "--config", str(scenario),
+            "--seed", "1",
+            "--duration", "60 s",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "n_channels must be in [1, 1000]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_drift_bound_out_of_range_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text("[sync]\ndrift_bound_ppm = inf\n")

@@ -425,6 +425,17 @@ class TestLoadScenario:
         cfg = load_scenario("[scenario]\nn_nodes = 100000\n", seed=1)
         assert cfg.n_nodes == 100_000
 
+    @pytest.mark.parametrize("n_channels", [0, 1_001, 10**9])
+    def test_a_channel_count_outside_its_range_is_rejected(self, n_channels):
+        # 10^9 channels used to load; the channel ruling then built one
+        # stand-in row per channel until memory ran out.
+        with pytest.raises(ConfigError, match="n_channels must be in \\[1, 1000\\]"):
+            load_scenario(f"[scenario]\nn_channels = {n_channels}\n", seed=1)
+
+    def test_the_largest_channel_count_is_kept(self):
+        cfg = load_scenario("[scenario]\nn_channels = 1000\n", seed=1)
+        assert cfg.n_channels == 1_000
+
     def test_negative_initial_offset_is_rejected(self):
         # Used to validate, and the engine then ran as if it were 0.
         cfg = replace(load_scenario("", seed=1), initial_offset_max=-1)

@@ -36,13 +36,12 @@ from saloha.engine import (
     Engine,
     ScenarioConfig,
     _Medium,
-    _merge_window,
     _Node,
     enforce_duty_cycle,
 )
 from saloha.mac import BackoffPolicy, MacPolicy, plan_slot
 from saloha.phy import ALLOWED_BANDWIDTHS_HZ, RadioProfile, time_on_air
-from saloha.report import scan_duty_cycle
+from saloha.report import emit_conflict_series, scan_duty_cycle
 from saloha.sync import (
     MAX_TIMESTAMP_ERROR_NS,
     SyncAck,
@@ -65,7 +64,6 @@ from saloha.timebase import (
 from oracles import (
     channel_arbitrate,
     enforce_duty_cycle_oracle,
-    heap_pop_order,
     local_now,
     local_to_true,
     metrics_oracle,
@@ -658,9 +656,10 @@ class TestWholeRunOracle:
             list(zip(trace.true_start, trace.duration, trace.channel))
         )
         assert [bool(c) for c in trace.collided] == expected
-        # The metrics fold relies on the log being in start order.
-        starts = list(trace.true_start)
-        assert all(a <= b for a, b in zip(starts, starts[1:]))
+        # The metrics fold relies on the log being in start order, and
+        # uplinks that start together go in node order.
+        rows = list(zip(trace.true_start, trace.node_id))
+        assert rows == sorted(rows)
         assert metrics == metrics_oracle(trace, cfg.n_nodes, cfg.warmup, cfg.duration)
         cap, window = cfg.duty_cycle_cap, cfg.dc_window
         violations = scan_duty_cycle(trace, cfg.n_nodes, cap, window)
@@ -1637,65 +1636,6 @@ class TestFloatPreFilter:
         assert max(map(abs, seen)) < engine._reach
 
 
-def merge_in_windows(
-    starts: list[list[int]], bounds: list[int], acks: Optional[list[list]] = None
-):
-    """``(node, k)`` of every row of ``starts[node][k]`` in the order
-    ``_merge_window`` gives, with the windows cut at ``bounds``, where
-    ``acks[node][k]`` is the instant the row's ACK lands or None."""
-    n = len(starts)
-    carried = [(-1, node) for node in range(n)]
-    due = [math.inf] * n
-    taken = [0] * n
-    order = []
-    for w_end in [*bounds, math.inf]:
-        flat, first, owner, flat_acks = [], [], [], []
-        for node, rows in enumerate(starts):
-            first.append(len(flat))
-            while taken[node] < len(rows) and rows[taken[node]] < w_end:
-                k = taken[node]
-                flat.append(rows[k])
-                owner.append((node, k))
-                flat_acks.append((acks[node][k] if acks else None) or 0)
-                taken[node] += 1
-        first.append(len(flat))
-        order += [
-            owner[f] for f in _merge_window(flat, first, flat_acks, carried, due, w_end)
-        ]
-    return order
-
-
-@st.composite
-def tied_rows(draw):
-    """Per-node start lists drawn from a few instants, so rows share
-    instants across nodes and within one node, and window bounds."""
-    n = draw(st.integers(1, 6))
-    starts = [sorted(draw(st.lists(st.integers(0, 8), max_size=6))) for _ in range(n)]
-    bounds = sorted(set(draw(st.lists(st.integers(1, 9), max_size=4))))
-    return starts, bounds
-
-
-@st.composite
-def tied_rows_with_acks(draw):
-    """As ``tied_rows``, with some rows confirmed: an ACK lands 1 to 3
-    after its row, and the node's next row starts no earlier, at times
-    at that very instant, so ACKs share instants with rows and ACKs."""
-    n = draw(st.integers(1, 5))
-    starts, acks = [], []
-    for _ in range(n):
-        t = draw(st.integers(0, 4))
-        rows, lands = [], []
-        for _ in range(draw(st.integers(0, 5))):
-            rows.append(t)
-            ack = t + draw(st.integers(1, 3)) if draw(st.booleans()) else None
-            lands.append(ack)
-            t = (ack if ack is not None else t) + draw(st.integers(0, 2))
-        starts.append(rows)
-        acks.append(lands)
-    bounds = sorted(set(draw(st.lists(st.integers(1, 14), max_size=4))))
-    return starts, acks, bounds
-
-
 #: Exact clocks and syncs, and three nodes on three channels (see
 #: ``ready_together``).
 TIED = load_scenario(
@@ -1714,54 +1654,39 @@ def ready_together(engine: Engine) -> Engine:
     return engine
 
 
-class TestWindowMerge:
-    """``_merge_window`` against a replay of the event heap."""
+#: Two pure nodes with exact clocks on two channels, for two minutes
+#: (see ``ready_apart``).
+APART = load_scenario(
+    "[scenario]\nn_nodes = 2\nchannel_selection = round-robin\n"
+    "confirmed_uplinks = none\ndrift_ppm = 0 .. 0\ninitial_offset = 0 s\n"
+    "jitter = 0 s\nduration = 2 min\nwarmup = 0 s\n[mac]\npolicy = pure\n",
+    seed=1,
+)
 
-    @given(tied_rows())
-    # Node 1's first row pops before node 0's second at instant 5.
-    @example(([[0, 5], [5]], []))
-    # Node 0 sends three times at instant 3; node 2's second row there
-    # goes before node 0's second, whose previous row popped later.
-    @example(([[3, 3, 3], [3], [1, 3]], [2]))
-    # A tie at instant 2 decides the order of the next tie, a window on.
-    @example(([[1, 2, 7], [2, 7]], [2, 5]))
-    @settings(max_examples=500, derandomize=True)
-    def test_equals_the_heap_replay(self, case):
-        starts, bounds = case
-        assert merge_in_windows(starts, bounds) == heap_pop_order(starts)
 
-    @given(tied_rows_with_acks())
-    # Node 0's ACK at 2 pops after node 1's row there, so node 0's row
-    # at 2, pushed by that ACK, goes last.
-    @example(([[0, 2], [1, 2], [2]], [[2, None], [None, None], [None]], []))
-    # An ACK scheduled in one window lands in the next and orders the
-    # rows it shares an instant with there.
-    @example(([[0, 4], [1, 4]], [[3, None], [4, None]], [2]))
-    @settings(max_examples=500, derandomize=True)
-    def test_acks_equal_the_heap_replay(self, case):
-        starts, acks, bounds = case
-        assert merge_in_windows(starts, bounds, acks) == heap_pop_order(starts, acks)
+def ready_apart(engine: Engine) -> Engine:
+    """``engine`` with node 0 ready at 5 s and node 1 at 35 s, so that
+    from 35 s on both send together.  An event heap would pop node 1's
+    uplink first at each of those instants: it was pushed before node
+    0's first uplink popped and pushed node 0's next."""
+    node0, node1 = engine.nodes
+    node0.next_ready_local = 5 * NS_PER_SEC
+    node1.next_ready_local = 35 * NS_PER_SEC
+    return engine
 
-    def test_a_stable_sort_by_start_is_not_the_rule(self):
-        starts = [[0, 5], [5]]
-        rows = [(t, node, k) for node, ts in enumerate(starts) for k, t in enumerate(ts)]
-        stable = [(node, k) for _t, node, k in sorted(rows, key=lambda row: row[0])]
-        assert stable != heap_pop_order(starts) == merge_in_windows(starts, [])
 
-    def test_a_row_scheduled_by_an_ack_takes_the_acks_place(self):
-        # Node 0's row at 3 is pushed when its ACK lands at 2, node 1's
-        # when its row at 1 pops: node 1's pops first, although node 0's
-        # previous row popped before node 1's.
-        starts, acks = [[0, 3], [1, 3]], [[2, None], [None, None]]
-        assert heap_pop_order(starts, acks) == [(0, 0), (1, 0), (1, 1), (0, 1)]
-        assert merge_in_windows(starts, [], acks) == heap_pop_order(starts, acks)
-        assert merge_in_windows(starts, []) != heap_pop_order(starts, acks)
-        # An ACK sharing its instant with a row, and no row with a row,
-        # in one window: their places there order their successors'
-        # rows at 5, a window on.
-        starts, acks = [[0, 5], [2, 5]], [[2, None], [None, None]]
-        assert heap_pop_order(starts, acks) == [(0, 0), (1, 0), (1, 1), (0, 1)]
-        assert merge_in_windows(starts, [3], acks) == heap_pop_order(starts, acks)
+class TestTieOrder:
+    """The trace's one order: by true start, uplinks that start together
+    by node index."""
+
+    def test_uplinks_that_start_together_go_in_node_order(self):
+        engine = ready_apart(Engine(APART))
+        trace, metrics = engine.run()
+        sent = [(5, 0), (35, 0), (35, 1), (65, 0), (65, 1), (95, 0), (95, 1)]
+        rows = list(zip(trace.true_start, trace.node_id))
+        assert rows == [(t * NS_PER_SEC, node) for t, node in sent]
+        assert metrics.conflicts == 0
+        assert_same_run((trace, metrics), run_event_loop(ready_apart(Engine(APART))))
 
     def test_slotted_rows_sharing_instants_pop_as_the_event_loop(self):
         # Every uplink and every ACK shares its instant with two others,
@@ -1772,6 +1697,26 @@ class TestWindowMerge:
         starts = list(trace.true_start)
         assert len(set(starts)) * 3 == len(starts) > 300
         assert metrics.conflicts == 0
+
+    def test_a_tie_across_the_halves_writes_the_bytes_of_one_process(self, tmp_path):
+        # Node 0 is the child's: its uplinks cross the pipe and still go
+        # before the parent's node 1 at every shared instant.
+        with splitting():
+            assert Engine(APART)._split() == ([1], [0])
+        forks: list = []
+        split = ready_apart(Engine(APART))
+        with splitting(forks):
+            split.run()
+        assert len(forks) == 1
+        alone = ready_apart(Engine(APART))
+        with cpus(1):
+            alone.run()
+        assert_same_engine(split, alone)
+        paths = tmp_path / "split.csv", tmp_path / "alone.csv"
+        for engine, path in zip((split, alone), paths):
+            emit_conflict_series(engine.trace, str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert list(split.trace.node_id) == [0, 0, 1, 0, 1, 0, 1]
 
 
 def cpus(n: int):
@@ -1919,7 +1864,7 @@ class TestSplitRun:
 
     def test_tied_instants_across_the_halves_equal_the_event_loop(self):
         # Every uplink and ACK of the child's node shares its instant
-        # with the parent's two nodes; the heap replay orders them.
+        # with the parent's two nodes; they go in node order.
         with splitting():
             assert Engine(TIED)._split() == ([0, 2], [1])
         forks: list = []

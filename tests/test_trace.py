@@ -155,17 +155,31 @@ class TestColumnAgainstList:
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-def test_item_assignment_widens_only_its_block(monkeypatch, block):
+def test_item_assignment_keeps_each_blocks_type(monkeypatch, block):
+    # A value the block's type cannot hold is an OverflowError, even
+    # inside int64, and nothing changes.
     values = [0] * (3 * block)
     col = make_column(monkeypatch, block, values)
     before = list(col.blocks)
-    col[block] = values[block] = 1 << 31
+    col[block] = values[block] = 127
+    col[-1] = values[-1] = -128
+    for bad in (128, -129, 1 << 31, INT64_MAX):
+        with pytest.raises(OverflowError):
+            col[block] = bad
     assert list(col) == values
-    assert [b.typecode for b in col.blocks] == ["b", "q", "b"]
-    assert col.blocks[0] is before[0] and col.blocks[2] is before[2]
-    col[-1] = values[-1] = -1
-    assert list(col) == values
-    assert col.blocks[2] is before[2]
+    assert all(map(is_, col.blocks, before))
+    assert [b.typecode for b in col.blocks] == ["b"] * 3
+
+
+def test_a_real_runs_clock_reading_takes_one_more_ns():
+    # A run's clock readings fill int64 blocks, so a reading moved by
+    # 1 ns, as the bench's digest self-test moves one, is kept.
+    cfg = load_scenario("", seed=1, duration=3600 * NS_PER_SEC)
+    trace, _ = Engine(cfg).run()
+    first = trace.local_start[0]
+    trace.local_start[0] += 1
+    assert trace.local_start[0] == first + 1
+    assert trace.local_start.blocks[0].typecode == "q"
 
 
 @pytest.mark.parametrize("block", BLOCKS)
