@@ -28,7 +28,7 @@ from .config import (
     pure_baseline,
     radio_profile,
 )
-from .engine import Engine, ScenarioConfig
+from .engine import _MAX_NODES, Engine, ScenarioConfig
 from .mac import plan_slot
 from .phy import RadioProfile, duty_cycle, time_on_air
 from .timebase import NS_PER_MS, NS_PER_SEC
@@ -94,6 +94,10 @@ def _cmd_plan_slot(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dc_curve(ns: argparse.Namespace) -> int:
+    # The curve holds every row before it writes: bound it by the most
+    # nodes a scenario may hold.
+    if ns.n_max > _MAX_NODES:
+        raise ValueError(f"--n-max must be at most {_MAX_NODES}, got {ns.n_max}")
     policies = [p.strip() for p in ns.policies.split(",") if p.strip()]
     report.emit_dc_curve(
         policies,

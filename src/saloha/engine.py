@@ -98,11 +98,11 @@ import threading
 import warnings
 from math import inf
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import attrgetter, eq, gt, itemgetter
+from operator import attrgetter, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .mac import MacPolicy, slot_start
@@ -138,17 +138,11 @@ _DURATION_FIELDS = (
     "rx1_delay", "warmup", "residual_mean", "residual_std", "residual_max",
 )
 
-#: Rows per block of a trace column.  The engine buffers this many rows
-#: in plain lists, since a list append is several times cheaper than an
-#: array append of a large int, and then packs each column's rows into
-#: one new block of the narrowest array type that holds them.
-_TRACE_BLOCK = 4096
-
 #: Uplinks per window of ``Engine._run_windows``, on average.  The
-#: window's rows are buffered as lists of tuples; the trace still packs
-#: one block of ``_TRACE_BLOCK`` rows at a time.  A window spans at
-#: least ``_WINDOW_PERIODS`` application periods, since every pass over
-#: it visits every node.
+#: window's rows are buffered as lists of tuples, and each int column of
+#: the trace takes them as one new block.  A window spans at least
+#: ``_WINDOW_PERIODS`` application periods, since every pass over it
+#: visits every node.
 _WINDOW_ROWS = 768
 _WINDOW_PERIODS = 8
 
@@ -492,8 +486,10 @@ def _load_node_state(nd: _Node, state: tuple) -> None:
 
 
 class Column:
-    """One trace column of int64 values: array blocks of exactly
-    ``block`` rows, of which only the last may be shorter.
+    """One trace column of int64 values: a list of array ``blocks``, one
+    per non-empty ``extend``, and ``ends``, the row count up to the end
+    of each block.  The engine extends every column once per window of
+    ``Engine._run_windows``, so a block holds one window's uplinks.
 
     Each block is packed in the narrowest signed type of ``b``, ``h``,
     ``i`` and ``q`` that holds its rows, so node ids and channels cost
@@ -505,16 +501,15 @@ class Column:
     any other raises ``OverflowError`` and leaves the column unchanged.
     There is no slicing."""
 
-    __slots__ = ("block", "blocks")
+    __slots__ = ("blocks", "ends")
 
     def __init__(self) -> None:
-        # Read once, so a column keeps one layout for its whole life.
-        self.block = _TRACE_BLOCK
         self.blocks: list[array] = []
+        self.ends: list[int] = []
 
     def __len__(self) -> int:
-        blocks = self.blocks
-        return (len(blocks) - 1) * self.block + len(blocks[-1]) if blocks else 0
+        ends = self.ends
+        return ends[-1] if ends else 0
 
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(self.blocks)
@@ -526,7 +521,8 @@ class Column:
             index += n
         if not 0 <= index < n:
             raise IndexError("trace column index out of range")
-        return divmod(index, self.block)
+        b = bisect_right(self.ends, index)
+        return b, (index - self.ends[b - 1]) if b else index
 
     def __getitem__(self, index: int) -> int:
         b, i = self._locate(index)
@@ -536,27 +532,16 @@ class Column:
         b, i = self._locate(index)
         self.blocks[b][i] = value
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Column):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
     def count(self, value: int) -> int:
         return sum(block.count(value) for block in self.blocks)
 
     def extend(self, values: Sequence[int]) -> None:
-        """Append ``values`` as new blocks.  Only a column whose last
-        block is full can grow (``ValueError`` otherwise), and nothing
-        changes if a value is outside int64."""
-        blocks, size = self.blocks, self.block
-        if blocks and len(blocks[-1]) < size:
-            raise ValueError("the column's last block is short")
-        if len(values) <= size:
-            new = [_narrowest(values)] if values else []  # the engine's case: no copy
-        else:
-            starts = range(0, len(values), size)
-            new = [_narrowest(values[i : i + size]) for i in starts]
-        blocks += new
+        """Append ``values``, if there are any, as one new block; nothing
+        changes if a value is outside int64 (``OverflowError``)."""
+        block = _narrowest(values)
+        if block:
+            self.ends.append(len(self) + len(block))
+            self.blocks.append(block)
 
 
 class Trace:
@@ -565,11 +550,10 @@ class Trace:
 
     The six int columns are ``Column`` objects, each block packed in the
     narrowest signed array type that holds it, and the three flags are
-    ``bytearray``; compare a column with a list through
-    ``list(col)``.  During a run the engine packs the int columns a
-    block at a time and fills ``acked`` at the end, so they are complete
-    once ``Engine.run`` returns; ``collided`` and ``confirmed``, and so
-    ``len``, grow a window at a time."""
+    ``bytearray``; compare a column through ``list(col)``.  During a run
+    every column but ``acked``, and so ``len``, grows a window at a
+    time; the engine fills ``acked`` at the end, so every column is
+    complete once ``Engine.run`` returns."""
 
     def __init__(self) -> None:
         self.node_id = Column()
@@ -693,9 +677,6 @@ class Engine:
         # starts past the horizon, and an ACK lands at most the uplink's
         # airtime plus `_ack_lag` after its uplink starts.
         self._end = config.duration + self._uplink_toa + self._ack_lag + 1
-        # Rows not yet packed into the trace's int columns, in the order
-        # node_id, true_start, local_start, slot_index, channel, duration.
-        self._rows: tuple[list[int], ...] = ([], [], [], [], [], [])
         self.nodes = [self._make_node(i) for i in range(config.n_nodes)]
         self._ran = False
 
@@ -1076,7 +1057,6 @@ class Engine:
         halves = self._split()
         if halves is None or not self._run_split(*halves):
             self._run_windows(range(len(self.nodes)))
-        self._pack_rows()
         trace = self.trace
         # Every confirmed uplink's ACK is sent unless the uplink collided.
         trace.acked = bytearray(map(gt, trace.confirmed, trace.collided))
@@ -1386,42 +1366,15 @@ class Engine:
             lo = hi
 
     def _append_rows(self, ordered: list[tuple]) -> None:
-        """Buffer a window's ordered rows for the trace's int columns,
-        packing each block as it fills."""
-        node_ids, true_starts, local_starts, slot_indices, channels, durations = (
-            self._rows
-        )
-        dur = self._uplink_toa
-        at, m = 0, len(ordered)
-        while at < m:
-            # Fill the buffer to one block at most, then pack it.
-            stop_at = at + _TRACE_BLOCK - len(node_ids)
-            piece = ordered[at:stop_at]
-            node_ids.extend(map(_NODE, piece))
-            true_starts.extend(map(_START, piece))
-            local_starts.extend(map(_LOCAL, piece))
-            slot_indices.extend(map(_SLOT, piece))
-            channels.extend(map(_CHANNEL, piece))
-            durations.extend(repeat(dur, len(piece)))
-            at = stop_at
-            if len(node_ids) >= _TRACE_BLOCK:
-                self._pack_rows()
-
-    def _pack_rows(self) -> None:
-        """Move the buffered rows into the trace's int columns: one new
-        block per column."""
+        """Pack a window's ordered rows into the trace's int columns: one
+        new block per column."""
         t = self.trace
-        columns = (
-            t.node_id,
-            t.true_start,
-            t.local_start,
-            t.slot_index,
-            t.channel,
-            t.duration,
-        )
-        for column, rows in zip(columns, self._rows):
-            column.extend(rows)
-            rows.clear()
+        t.node_id.extend(list(map(_NODE, ordered)))
+        t.true_start.extend(list(map(_START, ordered)))
+        t.local_start.extend(list(map(_LOCAL, ordered)))
+        t.slot_index.extend(list(map(_SLOT, ordered)))
+        t.channel.extend(list(map(_CHANNEL, ordered)))
+        t.duration.extend([self._uplink_toa] * len(ordered))
 
     # -- reporting -------------------------------------------------------
 

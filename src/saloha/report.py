@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .config import config_digest
 from .engine import Metrics, ScenarioConfig, Trace
 from .mac import max_node_dc
-from .timebase import NS_PER_MS, NS_PER_SEC, drift_error
+from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_MS, NS_PER_SEC, drift_error
 
 
 def emit_conflict_series(trace: Trace, path: str) -> None:
@@ -67,8 +67,12 @@ def emit_drift_curve(
         raise ValueError("horizon and step must be positive")
     if not ppm_values:
         raise ValueError("empty ppm values for drift curve")
-    if not all(math.isfinite(ppm) for ppm in ppm_values):
-        raise ValueError(f"ppm values must be finite, got {list(ppm_values)}")
+    # Past the drift a scenario may hold, an error can overflow a float.
+    if not all(abs(ppm) <= MAX_ABS_DRIFT_PPM for ppm in ppm_values):
+        raise ValueError(
+            f"ppm values must be finite and within ±{MAX_ABS_DRIFT_PPM:g}, "
+            f"got {list(ppm_values)}"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("elapsed_s,ppm,error_ms\n")
         elapsed = 0

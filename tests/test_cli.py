@@ -338,6 +338,18 @@ def test_drift_curve_non_finite_ppm_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_drift_curve_beyond_the_drift_limit_is_config_error(tmp_path, capsys):
+    # A huge drift used to overflow a float after the first rows.
+    out = tmp_path / "drift.csv"
+    args = ["drift-curve", "--horizon", "1 h", "--out", str(out)]
+    for ppm in ("1e308", "-500.5"):
+        assert main([*args, f"--ppm=20,{ppm}"]) == EXIT_CONFIG
+        assert "within ±500" in capsys.readouterr().err
+        assert not out.exists()
+    assert main([*args, "--ppm=-500,500"]) == EXIT_OK
+    assert out.read_text().count("\n") == 1 + 2 * 61
+
+
 def test_drift_curve_zero_step_is_config_error(tmp_path, capsys):
     out = tmp_path / "drift.csv"
     assert main(["drift-curve", "--step", "0 s", "--out", str(out)]) == EXIT_CONFIG
@@ -350,6 +362,13 @@ def test_dc_curve_empty_node_range_is_config_error(tmp_path, capsys):
     code = main(["dc-curve", "--n-min", "5", "--n-max", "1", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "empty n_range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dc_curve_beyond_the_node_limit_is_config_error(tmp_path, capsys):
+    out = tmp_path / "dc.csv"
+    assert main(["dc-curve", "--n-max", "100001", "--out", str(out)]) == EXIT_CONFIG
+    assert "--n-max must be at most 100000" in capsys.readouterr().err
     assert not out.exists()
 
 
