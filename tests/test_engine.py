@@ -71,6 +71,7 @@ from oracles import (
     run_event_loop,
     scan_duty_cycle_oracle,
 )
+from test_golden import GOLDEN, run_digests
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 UPLINK = RadioProfile(
@@ -945,6 +946,32 @@ class TestCompactTrace:
         for name in FLAG_COLUMNS:
             assert isinstance(getattr(trace, name), bytearray), name
         assert_columns_complete(trace)
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_block_size_leaves_every_golden_digest(self, monkeypatch, name, block):
+        # A block is a window's uplinks, so windows of `block` application
+        # periods set the layout; 4096 periods hold a whole golden run.
+        # The trace digest covers every column's length and content.
+        monkeypatch.setattr(engine_module, "_WINDOW_ROWS", 1)
+        monkeypatch.setattr(engine_module, "_WINDOW_PERIODS", block)
+        assert run_digests(name) == GOLDEN[name]
+
+    def test_a_run_ending_on_a_block_boundary_is_complete(self, monkeypatch):
+        cfg = pure_config(n_nodes=3)
+        reference, _ = Engine(cfg).run()
+        assert len(reference) > 0
+        # One window spans the whole run: its one block ends with the run.
+        monkeypatch.setattr(engine_module, "_WINDOW_ROWS", 1)
+        monkeypatch.setattr(engine_module, "_WINDOW_PERIODS", cfg.duration)
+        trace, _ = Engine(cfg).run()
+        assert_columns_complete(trace)
+        for name in INT_COLUMNS:
+            col = getattr(trace, name)
+            assert len(col.blocks) == 1 and col.ends == [len(trace)], name
+            assert list(col) == list(getattr(reference, name)), name
+        for name in FLAG_COLUMNS:
+            assert getattr(trace, name) == getattr(reference, name), name
 
     def test_a_run_without_uplinks_has_empty_columns(self):
         trace, metrics = Engine(pure_config(duration=1)).run()
