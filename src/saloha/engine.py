@@ -11,28 +11,26 @@ follow the tie rule below, every node owns an RNG stream derived from
 
 Clock map: each node keeps ``base = initial_offset + corrections`` and
 its drift as an exact integer ratio; ``Engine._local_at`` and
-``Engine._true_at`` are the only true<->local conversions.  The tests
+``Engine._true_at`` are the one true<->local conversion.  The tests
 check them against ``local = base + t * (1 + ppm * 1e-6)`` and its
 inverse, evaluated as exact fractions (``tests/oracles.py``).  Every
 division in them, in the drift bound and in the gateway's microsecond
-quantization rounds half away from zero by one rule: with
-``q, r = divmod(x, den)``, the result is ``q + 1`` when
-``2*r + (x >= 0) > den`` and ``q`` otherwise (the drift bound, whose
-numerator is never negative, tests ``2*r >= den``).  ``Engine._uplinks``
-takes every clock map, and the drift bound of both its uncertainty
-checks, through a float pre-filter (``_FLOAT_EXACT``) that computes the
-drift term in doubles and calls these integer formulas only where a
-double could come out on the other side of a rounding or a threshold.
+quantization rounds half away from zero, and each is one floor
+division: ``x / den`` rounds to ``(2*x + den - 1 + (x >= 0)) // (2*den)``.
+``Engine._uplinks`` inlines the same maps and the drift bound of both
+its uncertainty checks with the sign term set once per schedule: every
+instant a schedule maps is at least 0, so the drift term has the sign
+of the node's drift and the inverse map's numerator is never negative.
+No clock map or bound of a schedule takes a double.
 
 The sync exchange runs inline in ``Engine._uplinks``: it keeps the
 checks of ``sync.gateway_record_rx_end`` (timestamp error within
 ±20 µs) and of ``sync.SyncAck`` (timestamp fits 8 bytes of µs), each
 raising ``SyncError``.  ``ScenarioConfig.validate`` keeps both out of
 reach of a run: it bounds the gateway error to 19 µs, and every uplink
-ends between one airtime and 2^63 ns.  The uncertainty bound
-(``Engine._uncertainty_at``) equals ``sync.current_uncertainty`` with
-the slope precomputed, and drives both the slot-use check and the
-on-demand resync decision.
+ends between one airtime and 2^63 ns.  The uncertainty bound,
+``sync.current_uncertainty`` with the slope as an exact ratio, drives
+both the slot-use check and the on-demand resync decision.
 
 Slot alignment: a node that may use the grid transmits at
 ``mac.slot_start(ready, T, phase)``, the one implementation of the
@@ -96,7 +94,6 @@ import os
 import random
 import threading
 import warnings
-from math import inf
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
@@ -153,24 +150,6 @@ _WINDOW_PERIODS = 8
 #: default run gained from about 2,500 uplinks slotted and from about
 #: 16,000 pure.
 _SPLIT_MIN_UPLINKS = 20_000
-
-#: Float pre-filter of the clock map and the drift bound fused into
-#: ``Engine._uplinks``.  The drift term of an instant, ``t * num / den``
-#: in ``_local_at``, ``(local - base) * num / (den + num)`` in
-#: ``_true_at`` and ``elapsed * num / den`` in ``_drift_bound``, is
-#: computed as ``v``, an int times the ratio in doubles.  Three roundings
-#: (the ratio, the int-to-float conversion, the product) leave ``v``
-#: within ``|v| * 2**-51`` of the exact term, under 5e-4 for
-#: ``|v| < 2**40``.  There, a ``v`` whose fractional part lies more than
-#: 0.001 from one half rounds to the same integer as the exact term, and
-#: a ``v`` more than 0.001 from a half-integer threshold lies on the same
-#: side of it as the exact term; any other ``v`` takes the integer
-#: formula.  A schedule checks once that every drift term it can reach
-#: stays below ``_FLOAT_EXACT`` (``Engine._float_margin``); if one may
-#: not, its margin is -inf and every map and bound takes the integer
-#: formula.  ``_FLOAT_EXACT = 0`` turns the pre-filter off everywhere.
-_FLOAT_EXACT = float(1 << 40)
-_FLOAT_MARGIN = 0.499
 
 _START, _LOCAL, _SLOT, _CHANNEL, _ACK, _NODE = map(itemgetter, range(6))
 
@@ -247,7 +226,7 @@ class ScenarioConfig:
             problems.append(f"unknown channel_selection {self.channel_selection!r}")
         lo, hi = self.drift_ppm_range
         # Checked here, not per node, so validity cannot depend on the
-        # drifts the seed happens to draw; NaN and inf fail it too.
+        # drifts the seed happens to draw; NaN and infinities fail it too.
         if not 0 <= lo <= hi <= MAX_ABS_DRIFT_PPM:
             problems.append(
                 "drift_ppm_range must satisfy "
@@ -619,7 +598,6 @@ class Engine:
         # Worst-case drift slope as an exact integer ratio, so that
         # drift over `elapsed` is elapsed * num / den, rounded once.
         self._bound_num, self._bound_den = ppm_ratio(config.drift_bound_ppm)
-        self._bound_ratio = self._bound_num / self._bound_den
         # An ACK lands exactly rx1_delay + ack airtime after its uplink
         # ends, so the drift folded into every sync's bound is constant.
         self._ack_lag = config.rx1_delay + self._ack_toa
@@ -653,25 +631,6 @@ class Engine:
                 self._max_phase,
                 config.app_period + 1,
             )
-        )
-        # Every instant a schedule maps, true or local past `base`, and
-        # every elapsed time its drift bound takes lie below this: the
-        # horizon; the initial offset and the sync slack, by which a
-        # sync can move `base`; the ACK lag and the resync look-ahead;
-        # twice the period, the jitter and the phase span, since a ready
-        # instant lies at most a period, a grid shift and two jitters
-        # past the node's last uplink, and an aligned start at most the
-        # phase span past its ready instant, before and after a
-        # deferral; and one duty window, the most a deferral adds.  All
-        # of it is stretched by 1 % for the drift of both clocks.
-        self._reach = 1.01 * (
-            config.duration
-            + config.initial_offset_max
-            + self._sync_slack
-            + self._ack_lag
-            + self._resync_lookahead
-            + 2 * (config.app_period + config.jitter + self._max_phase * self._slot_t)
-            + config.dc_window
         )
         # Every event of the run comes before this instant: no uplink
         # starts past the horizon, and an ACK lands at most the uplink's
@@ -708,44 +667,20 @@ class Engine:
     @staticmethod
     def _local_at(nd: _Node, t: int) -> int:
         """Node RTC reading at true instant ``t``."""
+        den = nd.drift_den
         x = t * nd.drift_num
-        q, r = divmod(x, nd.drift_den)
-        return nd.base + t + q + (2 * r + (x >= 0) > nd.drift_den)
+        return nd.base + t + (2 * x + den - 1 + (x >= 0)) // (2 * den)
 
     @staticmethod
     def _true_at(nd: _Node, local: int) -> int:
         """True instant at which the node RTC reads ``local``."""
+        inv_den = nd.inv_den
         x = (local - nd.base) * nd.drift_den
-        q, r = divmod(x, nd.inv_den)
-        # Return q itself unless rounding up: every uplink stores this
-        # value, and an int built by addition keeps a spare digit.
-        return q + 1 if 2 * r + (x >= 0) > nd.inv_den else q
+        return (2 * x + inv_den - 1 + (x >= 0)) // (2 * inv_den)
 
     def _drift_bound(self, elapsed: int) -> int:
         """Worst-case drift over ``elapsed >= 0`` ns at the configured bound."""
-        q, r = divmod(elapsed * self._bound_num, self._bound_den)
-        return q + (2 * r >= self._bound_den)
-
-    def _uncertainty_at(self, nd: _Node, local: int) -> int:
-        """Worst-case clock error bound at a future local instant."""
-        elapsed = local - nd.last_sync_local
-        if elapsed < 0:
-            elapsed = 0
-        return nd.uncertainty_at_sync + self._drift_bound(elapsed)
-
-    def _float_margin(self, nd: _Node) -> float:
-        """The float pre-filter's margin in ``nd``'s schedule (see
-        ``_FLOAT_EXACT``): ``_FLOAT_MARGIN`` if the drift terms of every
-        instant the schedule can reach (``_reach``), at the node's slope
-        either way and at the bound's, stay below ``_FLOAT_EXACT``, and
-        -inf otherwise, which leaves every clock map and bound of the
-        schedule to the integer formula."""
-        slope = max(
-            abs(nd.drift_num / nd.drift_den),
-            abs(nd.drift_num / nd.inv_den),
-            self._bound_ratio,
-        )
-        return _FLOAT_MARGIN if self._reach * slope < _FLOAT_EXACT else -inf
+        return (2 * elapsed * self._bound_num + self._bound_den) // (2 * self._bound_den)
 
     @staticmethod
     def _gateway_timestamp_us(uplink_end: int, ts_err: int) -> int:
@@ -757,8 +692,7 @@ class Engine:
                 f"timestamp error {ts_err} ns exceeds ±{MAX_TIMESTAMP_ERROR_NS} ns"
             )
         observed = uplink_end + ts_err
-        q, r = divmod(observed, NS_PER_US)
-        us = q + (2 * r + (observed >= 0) > NS_PER_US)
+        us = (2 * observed + NS_PER_US - 1 + (observed >= 0)) // (2 * NS_PER_US)
         if not 0 <= us < ACK_TIMESTAMP_LIMIT:
             raise SyncError(f"timestamp {us} not representable in 8 bytes")
         return us
@@ -800,19 +734,27 @@ class Engine:
         computes ``randrange(a, b)`` as ``a + _randbelow(b - a)``, which
         draws ``getrandbits((b - a).bit_length())`` until the value falls
         below ``b - a``.  The schedule runs that loop inline, so every
-        draw, and the stream after it, stays the same.  Every clock map,
-        the duty deferral's included, and both uncertainty checks take
-        the float pre-filter (see ``_FLOAT_EXACT``).  A check compares
-        ``_uncertainty_at``, ``u0 + drift_bound(e)``, with a guard ``g``;
-        the bound rounds half up, so it lies below ``g`` iff the exact
-        drift term of ``e`` lies below ``g - u0 - 1/2``, and only a term
-        within the band around that threshold takes ``_uncertainty_at``."""
-        ratio = nd.drift_num / nd.drift_den
-        inv_ratio = nd.drift_num / nd.inv_den
+        draw, and the stream after it, stays the same.
+
+        Every clock map, the duty deferral's included, is ``_local_at``
+        or ``_true_at`` written as one floor division (see the module
+        docstring), and both uncertainty checks compare the sync's bound
+        plus ``_drift_bound`` of the elapsed local time, 0 if negative,
+        with a guard.  A local map takes a true instant ``t >= 0``, so
+        its sign term is the drift's, ``half``, set once.  The true map
+        takes a local start at or past ``base``, since every start lies
+        at or past the clock's reading at ``now``, itself at least
+        ``base``, so its sign term is 1.  The clock's reading at ``now``
+        is worked out only where it may pass the ready instant."""
+        num, den, inv_den = nd.drift_num, nd.drift_den, nd.inv_den
+        # x * num / den rounds to (x * num2 + half) // den2 for x >= 0.
+        num2, den2, inv_den2 = 2 * num, 2 * den, 2 * inv_den
+        half = den - 1 + (num >= 0)
+        bound_num2, bound_den = 2 * self._bound_num, self._bound_den
+        bound_den2 = 2 * bound_den
         rng = nd.rng
         gauss, uniform, getrandbits = rng.gauss, rng.random, rng.getrandbits
-        local_at, true_at = self._local_at, self._true_at
-        uncertainty_at, gateway_us = self._uncertainty_at, self._gateway_timestamp_us
+        gateway_us = self._gateway_timestamp_us
         period = self._app_period
         jitter = self._jitter
         horizon = self._duration
@@ -820,7 +762,6 @@ class Engine:
         max_phase = self._max_phase
         confirm_all, on_demand = self._confirm_all, self._on_demand
         lookahead, resync_guard = self._resync_lookahead, self._resync_guard
-        bound_ratio = self._bound_ratio
         dur = self._uplink_toa
         ack_lag = self._ack_lag
         cfg = self.config
@@ -836,10 +777,6 @@ class Engine:
         duty = nd.duty
         trim = duty.popleft
         log_duty = duty.append
-        margin = self._float_margin(nd)
-        # The half-width of a bound's band around its threshold, and how
-        # far past the drift term a ready instant needs no clamp.
-        band, skip = 0.5 - margin, 1.0 - margin
         lag = dur + ack_lag
         next_ready = nd.next_ready_local
         node = nd.index
@@ -886,18 +823,8 @@ class Engine:
                 else:
                     base = nd.base
                     uplink_end = tx_true + dur
-                    v = uplink_end * ratio
-                    q = round(v)
-                    if -margin < v - q < margin:
-                        end_local = base + uplink_end + q
-                    else:
-                        end_local = local_at(nd, uplink_end)
-                    v = now * ratio
-                    q = round(v)
-                    if -margin < v - q < margin:
-                        now_local = base + now + q
-                    else:
-                        now_local = local_at(nd, now)
+                    end_local = base + uplink_end + (uplink_end * num2 + half) // den2
+                    now_local = base + now + (now * num2 + half) // den2
                     gw_us = gateway_us(uplink_end, ts_err)
                     offset = gw_us * NS_PER_US - (end_local + residual)
                     mis = abs(now_local - now)
@@ -929,16 +856,11 @@ class Engine:
                 # two nodes that booted in lockstep stay decorrelated.
                 ready += shift
                 next_ready += shift
-            v = now * ratio
-            # The clock reads base + now + v, rounded, at `now`: a ready
-            # instant more than `skip` past base + now + v needs no
+            # The clock reads base + now plus now * num / den, rounded, at
+            # `now`: a ready instant more than 1 past that term needs no
             # clamp, so the reading is worked out only for one that may.
-            if ready - base - now <= v + skip:
-                q = round(v)
-                if -margin < v - q < margin:
-                    now_local = base + now + q
-                else:
-                    now_local = local_at(nd, now)
+            if (ready - base - now - 1) * den <= now * num:
+                now_local = base + now + (now * num2 + half) // den2
                 if ready < now_local:
                     ready = now_local
             use_slots = slotted and nd.synced
@@ -946,21 +868,16 @@ class Engine:
                 # Use the slot grid while the bound at `ready` is under
                 # the guard.
                 elapsed = ready - nd.last_sync_local
-                v = elapsed * bound_ratio if elapsed > 0 else 0.0
-                v -= guard - nd.uncertainty_at_sync - 0.5
-                if -band <= v <= band:
-                    use_slots = uncertainty_at(nd, ready) < guard
-                else:
-                    use_slots = v < 0
+                if elapsed < 0:
+                    elapsed = 0
+                use_slots = (
+                    nd.uncertainty_at_sync
+                    + (elapsed * bound_num2 + bound_den) // bound_den2
+                    < guard
+                )
             while True:
                 tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready
-                elapsed = tx_local - base
-                v = elapsed * inv_ratio
-                q = round(v)
-                if -margin < v - q < margin:
-                    tx_true = elapsed - q
-                else:
-                    tx_true = true_at(nd, tx_local)
+                tx_true = ((tx_local - base) * den2 + inv_den) // inv_den2
                 if tx_true < now:
                     tx_true = now
                 # Every entry lasts `dur`, so the history's airtime is
@@ -976,24 +893,20 @@ class Engine:
                 )
                 if defer is None:
                     break
-                v = defer * ratio
-                q = round(v)
-                if -margin < v - q < margin:
-                    ready = base + defer + q
-                else:
-                    ready = local_at(nd, defer)
+                ready = base + defer + (defer * num2 + half) // den2
             if tx_true > horizon:
                 break
             if on_demand and nd.synced:
                 # Resync once the bound at the next opportunity reaches
                 # the guard (threshold inclusive).
                 elapsed = tx_local + lookahead - nd.last_sync_local
-                v = elapsed * bound_ratio if elapsed > 0 else 0.0
-                v -= resync_guard - nd.uncertainty_at_sync - 0.5
-                if -band <= v <= band:
-                    confirm = uncertainty_at(nd, tx_local + lookahead) >= resync_guard
-                else:
-                    confirm = v > 0
+                if elapsed < 0:
+                    elapsed = 0
+                confirm = (
+                    nd.uncertainty_at_sync
+                    + (elapsed * bound_num2 + bound_den) // bound_den2
+                    >= resync_guard
+                )
             else:
                 # Every uplink asks under "all", an unsynced node's
                 # under "on-demand".
@@ -1038,15 +951,14 @@ class Engine:
         next instant less the jitter, read on the clock as far ahead as
         the sync could set it (retry shifts, slot phases, clamps and
         duty deferrals only delay an uplink).  A sync sets ``base`` to
-        the gateway's reading of the uplink's end less the node's drift
-        term there, off by at most ``_sync_slack``.  The drift terms are
-        taken in doubles, within 4 ns for every instant an int64 holds,
-        and the bound gives up that much on each."""
+        the gateway's reading of the uplink's end less the node's, so to
+        at most ``_sync_slack`` less the drift term there; the bound is
+        ``_true_at`` under the larger of that and the present ``base``."""
         end = row[0] + self._uplink_toa
-        drift_at_end = int(end * (nd.drift_num / nd.drift_den))
-        base = max(nd.base, self._sync_slack + 4 - drift_at_end)
-        x = nd.next_ready_local - self._jitter - base
-        return max(row[4], x - int(x * (nd.drift_num / nd.inv_den)) - 8)
+        drift_at_end = self._local_at(nd, end) - nd.base - end
+        # How far past its own `base` a sync could set the clock's.
+        lift = max(0, self._sync_slack - drift_at_end - nd.base)
+        return max(row[4], self._true_at(nd, nd.next_ready_local - self._jitter - lift))
 
     # -- the driver ------------------------------------------------------
 

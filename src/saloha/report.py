@@ -21,6 +21,9 @@ from .engine import Metrics, ScenarioConfig, Trace
 from .mac import max_node_dc
 from .timebase import MAX_ABS_DRIFT_PPM, NS_PER_MS, NS_PER_SEC, drift_error
 
+#: The most rows a drift curve may hold, about 40 MB of CSV.
+MAX_DRIFT_CURVE_ROWS = 1_000_000
+
 
 def emit_conflict_series(trace: Trace, path: str) -> None:
     """One row per transmission, in event order: a 0/1 conflict series
@@ -72,6 +75,12 @@ def emit_drift_curve(
         raise ValueError(
             f"ppm values must be finite and within ±{MAX_ABS_DRIFT_PPM:g}, "
             f"got {list(ppm_values)}"
+        )
+    rows = (horizon // step + 1) * len(ppm_values)
+    if rows > MAX_DRIFT_CURVE_ROWS:
+        raise ValueError(
+            f"drift curve of {rows} rows exceeds {MAX_DRIFT_CURVE_ROWS}: "
+            "raise the step or shorten the horizon"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("elapsed_s,ppm,error_ms\n")

@@ -10,8 +10,9 @@ platforms and immune to floating-point accumulation.
 The drift multiplication is carried out exactly: ``ppm_ratio`` expands
 the ppm value to an integer ratio (floats are exact binary rationals)
 and the scaled elapsed time is rounded once, half away from zero
-(``round_half_away_div``, which the engine's hot paths inline).  The
-node clock map itself is ``engine.Engine._local_at``/``_true_at``.
+(``round_half_away_div``).  The engine writes the same rounding as one
+floor division in its clock map, ``engine.Engine._local_at``/
+``_true_at``, and in its drift bound, and never takes them in doubles.
 """
 
 from __future__ import annotations

@@ -38,6 +38,16 @@ def local_to_true(ppm: float, base: int, local: int) -> int:
     return _round_half_away((local - base) / (1 + Fraction(ppm) / 1_000_000))
 
 
+def uncertainty_at(engine: Engine, node, local: int) -> int:
+    """Worst-case clock error bound of an engine node at its local
+    instant ``local``: the bound at its last sync plus the drift at the
+    configured bound over the local time since, 0 if negative, evaluated
+    exactly and rounded half away from zero."""
+    elapsed = max(0, local - node.last_sync_local)
+    drift = elapsed * Fraction(engine.config.drift_bound_ppm) / 1_000_000
+    return node.uncertainty_at_sync + _round_half_away(drift)
+
+
 def node_misalignment(node, t: int) -> int:
     """Omniscient node-RTC minus gateway time at true instant ``t``, for
     an engine node: its base plus the drift ``t * drift_num / drift_den``
@@ -67,9 +77,10 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
     of ``saloha.engine``, not in the heap's pop order.
 
     It fills the engine's trace, nodes and ``gateway_airtime`` as a run
-    does, sharing the engine's clock maps, uncertainty bound, gateway
-    timestamp and duty check (looked up at call time, so that a patch
-    applies) and nothing of its schedule or driver.
+    does, sharing the engine's clock maps, gateway timestamp and duty
+    check (looked up at call time, so that a patch applies) and nothing
+    of its schedule or driver; its uncertainty bound is
+    ``uncertainty_at``.
     """
     cfg = engine.config
     nodes = engine.nodes
@@ -97,7 +108,7 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
         if not nd.synced:
             return True
         horizon_local = tx_local + engine._resync_lookahead
-        return engine._uncertainty_at(nd, horizon_local) >= engine._resync_guard
+        return uncertainty_at(engine, nd, horizon_local) >= engine._resync_guard
 
     def schedule(i: int, now: int) -> None:
         # The next instant of the node's grid, plus jitter and any shift,
@@ -114,7 +125,7 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
             shift[i] = 0
         ready = max(ready, Engine._local_at(nd, now))
         use_slots = (
-            engine._slotted and nd.synced and engine._uncertainty_at(nd, ready) < guard
+            engine._slotted and nd.synced and uncertainty_at(engine, nd, ready) < guard
         )
         while True:
             tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready

@@ -350,6 +350,17 @@ def test_drift_curve_beyond_the_drift_limit_is_config_error(tmp_path, capsys):
     assert out.read_text().count("\n") == 1 + 2 * 61
 
 
+def test_drift_curve_of_too_many_rows_is_config_error(tmp_path, capsys):
+    # A nanosecond step over a day asks for 8.64e13 rows per ppm value.
+    out = tmp_path / "drift.csv"
+    args = ["drift-curve", "--horizon", "1 d", "--step", "1 ns", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert "exceeds 1000000" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["drift-curve", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().count("\n") == 1 + 3 * 81
+
+
 def test_drift_curve_zero_step_is_config_error(tmp_path, capsys):
     out = tmp_path / "drift.csv"
     assert main(["drift-curve", "--step", "0 s", "--out", str(out)]) == EXIT_CONFIG

@@ -1,9 +1,10 @@
 """Event engine: collision semantics, duty enforcement, determinism,
 whole-run invariants against independent trace checks, the engine's
-fused clock and sync arithmetic against the oracles in ``oracles`` and
-``sync``, the channel ruling (``_Medium``) against the arbitration oracle, the window
-driver against the reference event loop in every mode, and the
-schedule's float pre-filter against the exact clock map."""
+clock map and sync arithmetic against the oracles in ``oracles`` and
+``sync``, the channel ruling (``_Medium``) against the arbitration
+oracle, the window driver against the reference event loop in every
+mode, and the schedule's fused clock map and drift bound at rounding
+ties."""
 
 import errno
 import gc
@@ -70,6 +71,7 @@ from oracles import (
     narrowest_typecode,
     run_event_loop,
     scan_duty_cycle_oracle,
+    uncertainty_at,
 )
 from test_golden import GOLDEN, run_digests
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
@@ -753,7 +755,8 @@ def first_uplink_wants_ack(engine: Engine, tx_local: int) -> bool:
 
 
 class TestSyncOracle:
-    """The engine's inline sync arithmetic against ``sync``."""
+    """The engine's inline sync arithmetic, and the uncertainty bound of
+    ``oracles``, against ``sync``."""
 
     @given(
         # Validation admits bounds in [0, MAX_ABS_DRIFT_PPM] only.
@@ -770,7 +773,7 @@ class TestSyncOracle:
         state = SyncState(
             drift_bound_ppm=ppm, synced=True, last_sync_local=last, uncertainty_at_sync=u0
         )
-        assert engine._uncertainty_at(nd, local) == current_uncertainty(state, local)
+        assert uncertainty_at(engine, nd, local) == current_uncertainty(state, local)
 
     @pytest.mark.parametrize("ppm,elapsed", [(80.0, 6250), (80.0, 18750), (20.0, 25_000)])
     def test_uncertainty_rounds_ties_up(self, ppm, elapsed):
@@ -779,7 +782,7 @@ class TestSyncOracle:
         nd = engine.nodes[0]
         nd.synced, nd.last_sync_local, nd.uncertainty_at_sync = True, 0, 0
         state = SyncState(drift_bound_ppm=ppm, synced=True)
-        got = engine._uncertainty_at(nd, elapsed)
+        got = uncertainty_at(engine, nd, elapsed)
         assert got == current_uncertainty(state, elapsed) == elapsed * int(ppm) // 10**6 + 1
 
     def test_on_demand_resync_threshold_is_inclusive(self):
@@ -980,9 +983,12 @@ class TestCompactTrace:
 
     @staticmethod
     def peak_bytes_per_uplink(path) -> float:
-        """The traced heap's peak per uplink of the 1-day default
-        slotted run, in this process, under the patches ``path``."""
-        cfg = load_scenario("", seed=1, duration=86_400 * NS_PER_SEC)
+        """The traced heap's peak per uplink of the 16-hour default
+        slotted run, in this process, under the patches ``path``.  Each
+        node's duty history holds an hour of its uplinks, about 280 KB of
+        the peak, so a shorter run reads more per uplink: 6 hours read
+        77 B in a fresh process, 16 hours 46 B and a day 40 B."""
+        cfg = load_scenario("", seed=1, duration=16 * 3600 * NS_PER_SEC)
         tracemalloc.start()
         try:
             with path:
@@ -1002,13 +1008,6 @@ class TestCompactTrace:
         forks: list = []
         assert self.peak_bytes_per_uplink(splitting(forks)) <= 50
         assert len(forks) == 1
-
-
-def run_exact_clock_map(engine: Engine):
-    """``engine.run()`` with the float pre-filter off, so that every
-    clock map of the schedule takes ``Engine._local_at``/``_true_at``."""
-    with mock.patch.object(engine_module, "_FLOAT_EXACT", 0.0):
-        return engine.run()
 
 
 def assert_same_run(got, want) -> None:
@@ -1264,6 +1263,83 @@ class TestEventLoopDifferential:
             later = starts[node][bisect_right(starts[node], start) :]
             assert not later or later[0] >= low
 
+    def test_next_start_bound_is_reached_by_the_latest_clock_a_sync_sets(self):
+        # The sync reads the residual at its maximum, subtracted, and the
+        # gateway's error at its maximum, on an uplink end whose reading
+        # rounds up by half a microsecond; the jitter draw is the least.
+        # The next uplink then starts exactly at the bound.
+        cfg = pure_config(
+            confirmed_mode="all", jitter=NS_PER_SEC, residual_mean=15 * NS_PER_MS
+        )
+        engine = Engine(cfg)
+        nd = engine.nodes[0]
+        ts_bits, jitter_bits = engine._draw_bits[:2]
+        assert ts_bits != jitter_bits
+
+        class LatestSync(random.Random):
+            def gauss(self, mu=0.0, sigma=1.0):
+                return mu
+
+            def random(self):
+                return 0.75  # the residual's sign: negative
+
+            def getrandbits(self, k):
+                return {ts_bits: 2 * cfg.timestamp_error_max_us, jitter_bits: 0}[k]
+
+        nd.rng = LatestSync(0)
+        nd.base = -NS_PER_SEC  # behind the clock a sync sets
+        toa = engine._uplink_toa
+        start = 600 * NS_PER_SEC + (500 - toa) % NS_PER_US
+        row = (start, 0, -1, 0, start + toa + engine._ack_lag)
+        nd.next_ready_local = start + cfg.app_period
+        bound = engine._next_start_bound(nd, row)
+        assert bound > row[4]
+        assert engine._resume(nd, row)(0)[0] == bound
+
+    def test_a_40_day_on_demand_run_at_the_drift_limit_equals_the_event_loop(self):
+        # At the 500 ppm limit, clock and bound alike, a clock drifts by
+        # 20 minutes by day 28.
+        cfg = load_scenario(
+            "[scenario]\nn_nodes = 3\napp_period = 6 h\ndrift_ppm = 500 .. 500\n"
+            "confirmed_uplinks = on-demand\nduration = 40 d\nwarmup = 0 s\n"
+            "[sync]\ndrift_bound_ppm = 500\n",
+            seed=1,
+        )
+        trace = assert_equals_the_event_loop(cfg).trace
+        assert len(trace) > 300 and max(trace.true_start) > 28 * DAY
+
+    @pytest.mark.parametrize("policy", ["slotted", "pure"])
+    def test_a_sync_that_moves_the_clock_past_its_grid_equals_the_event_loop(
+        self, policy
+    ):
+        # Initial offsets of up to ten periods: a node whose clock starts
+        # more than a period behind has its grid set back that far by its
+        # first sync, so its next ready instants lie before its clock's
+        # reading at the ACK and are clamped to it until the grid catches
+        # up.  Each node has a channel of its own, loses no uplink and
+        # draws no jitter, so only a clamp puts two of a node's uplinks
+        # less than half a period apart.
+        cfg = load_scenario(
+            "[scenario]\nn_nodes = 6\nn_channels = 6\nchannel_selection = round-robin\n"
+            "initial_offset = 5 min\nduration = 2 h\n"
+            f"[mac]\npolicy = {policy}\n",
+            seed=3,
+        )
+        nodes = Engine(cfg).nodes
+        trace = assert_equals_the_event_loop(cfg).trace
+        assert not any(trace.collided)
+        starts: dict[int, list[int]] = {}
+        for node, start in zip(trace.node_id, trace.true_start):
+            starts.setdefault(node, []).append(start)
+        clamped = {
+            node
+            for node, mine in starts.items()
+            if any(b - a < cfg.app_period // 2 for a, b in zip(mine, mine[1:]))
+        }
+        assert clamped == {nd.index for nd in nodes if nd.base < -cfg.app_period}
+        # Clocks drifting either way are clamped.
+        assert {nodes[i].drift_num > 0 for i in clamped} == {True, False}
+
 
 class TestNodeState:
     """``_node_state`` is the one record of a node's state: a window's
@@ -1300,8 +1376,7 @@ class TestNodeState:
 class TestFeedbackFreeRun:
     """A run without confirmed uplinks generates each node's schedule a
     window at a time, with no guess and no snapshot; the event loop is
-    its reference for every uplink and for the duty slow path, and the
-    exact clock map for the float pre-filter."""
+    its reference for every uplink and for the duty slow path."""
 
     # Derandomized: the same 150 scenarios run every time.
     @given(UNCONFIRMED)
@@ -1335,8 +1410,7 @@ class TestFeedbackFreeRun:
 
     def test_jitter_wider_than_the_period_clamps_and_ties(self):
         # A ready instant drawn before the node's clock reading is
-        # clamped to it, so a node sends twice at one instant.  The
-        # exact clock map checks the pre-filter that skips the reading.
+        # clamped to it, so a node sends twice at one instant.
         cfg = pure_config(
             n_nodes=6,
             app_period=2 * NS_PER_SEC,
@@ -1350,32 +1424,17 @@ class TestFeedbackFreeRun:
         rows = list(zip(trace.true_start, trace.node_id))
         assert len(set(rows)) < len(rows)
         assert_same_run((trace, metrics), run_event_loop(Engine(cfg)))
-        assert_same_run((trace, metrics), run_exact_clock_map(Engine(cfg)))
 
-    def test_instants_past_the_float_filter_take_the_integer_clock_map(
-        self, monkeypatch
-    ):
-        # At 500 ppm the drift term of an instant passes 2**40 ns after
-        # about 25 days, where the schedule's clock map falls back to
-        # Engine._true_at and Engine._local_at.
+    def test_a_40_day_run_at_the_drift_limit_equals_the_event_loop(self):
+        # At the 500 ppm limit a clock drifts by 20 minutes by day 28.
         cfg = pure_config(
             n_nodes=2,
             app_period=6 * 3600 * NS_PER_SEC,
             drift_ppm_range=(500.0, 500.0),
             duration=40 * DAY,
         )
-        late = []
-        true_at = Engine._true_at
-
-        def counted(nd, local):
-            if local > 25 * DAY:
-                late.append(local)
-            return true_at(nd, local)
-
-        reference = run_exact_clock_map(Engine(cfg))
-        monkeypatch.setattr(Engine, "_true_at", staticmethod(counted))
-        assert_same_run(Engine(cfg).run(), reference)
-        assert late
+        trace = assert_equals_the_event_loop(cfg).trace
+        assert max(trace.true_start) > 28 * DAY
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rounding_ties_of_the_fused_clock_map(self, seed):
@@ -1383,9 +1442,7 @@ class TestFeedbackFreeRun:
         # a/b = 3/15628 or -3/15622.  With the period a multiple of both
         # denominators and every ready instant on a residue where the
         # drift term is exactly half an integer, each uplink's true start
-        # is a tie, and the double product often lands off the half on
-        # either side: the pre-filter must leave all of them to the
-        # integer formula.
+        # is a tie, which the fused map must round as Engine._true_at.
         cfg = pure_config(
             n_nodes=4,
             app_period=15628 * 15622 * 123,
@@ -1404,12 +1461,13 @@ class TestFeedbackFreeRun:
 
         assert_same_run(
             tie_every_uplink(Engine(cfg)).run(),
-            run_exact_clock_map(tie_every_uplink(Engine(cfg))),
+            run_event_loop(tie_every_uplink(Engine(cfg))),
         )
 
     def test_trace_costs_at_most_50_bytes_per_uplink(self):
-        # As the slotted bound in TestCompactTrace; 35 B at the event loop.
-        cfg = pure_baseline(load_scenario("", seed=1, duration=DAY))
+        # As the slotted bound in TestCompactTrace: 12 hours read 41 B in
+        # a fresh process, a day 34 B.
+        cfg = pure_baseline(load_scenario("", seed=1, duration=12 * 3600 * NS_PER_SEC))
         tracemalloc.start()
         try:
             trace, _ = Engine(cfg).run()
@@ -1435,24 +1493,17 @@ def node_at(engine: Engine, ppm: float) -> _Node:
 
 #: At 13 ppm the drift over these instants is 2047.5 and 8388607.5 ns
 #: exactly, while their doubles come out 2**-42 and 2**-30 below the
-#: half: a margin of 0.5 would round them down, not away from zero.
+#: half: a clock map in doubles would round them down, not away from
+#: zero.
 TIE_13_PPM = (157_500_000, 645_277_500_000)
 
 
-class TestFloatPreFilter:
-    """The float pre-filter serves every run's schedule: confirmed runs
-    against the exact clock map (feedback-free ones are in
-    ``TestFeedbackFreeRun``); ties whose doubles land just inside the
-    margin, at a clamp, a sync or a deferral, where only the integer
-    formula rounds right, and drift bounds that reach a guard exactly,
-    where only the integer bound decides right; and the reach, past
-    which a schedule leaves every map and bound to the integer formula."""
-
-    # Derandomized: the same 150 scenarios run every time.
-    @given(short_scenarios().filter(lambda cfg: cfg.confirmed_mode != "none"))
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_confirmed_runs_equal_the_exact_clock_map(self, cfg):
-        assert_same_run(Engine(cfg).run(), run_exact_clock_map(Engine(cfg)))
+class TestClockMapAtTies:
+    """The schedule's fused clock map and drift bound where the exact
+    value lies on a rounding tie or a guard: ties whose doubles land
+    just off the half, at a clamp, a sync or a deferral, and drift
+    bounds that reach a guard exactly or start from a sync past the
+    checked instant."""
 
     @pytest.mark.parametrize("t", TIE_13_PPM)
     def test_the_tie_instants_round_the_other_way_in_doubles(self, t):
@@ -1462,47 +1513,57 @@ class TestFloatPreFilter:
         assert 0.499 < v - round(v) < 0.5
         assert round(v) != round_half_away_div(t * num, den)
 
+    @pytest.mark.parametrize("just_below", [False, True])
+    @pytest.mark.parametrize("ppm", [13.0, -13.0])
     @pytest.mark.parametrize("t", TIE_13_PPM)
-    def test_a_clamp_at_a_tie_reads_the_exact_clock(self, t):
+    def test_a_clamp_at_a_tie_reads_the_exact_clock(self, t, ppm, just_below):
         # After an unconfirmed uplink at t, the node's next grid instant,
-        # 0, lies before its clock's reading at t: the next uplink is
-        # clamped to that reading.
+        # 0 or 1 ns before its clock's reading at t, lies before that
+        # reading: the next uplink is clamped to it.
         engine = Engine(pure_config(duration=DAY))
-        nd = node_at(engine, 13.0)
-        nd.next_ready_local = 0
+        nd = node_at(engine, ppm)
+        reading = local_now(ppm, 0, t)
+        nd.next_ready_local = reading - 1 if just_below else 0
         row = engine._resume(nd, (t, 0, -1, 0, 0))(None)
-        assert row[1] == Engine._local_at(nd, t)
+        assert row[1] == reading
 
+    @pytest.mark.parametrize("ppm", [13.0, -13.0])
     @pytest.mark.parametrize("t", TIE_13_PPM)
-    def test_a_deferral_at_a_tie_reads_the_exact_clock(self, monkeypatch, t):
+    def test_a_deferral_at_a_tie_reads_the_exact_clock(self, monkeypatch, t, ppm):
         # The node's duty history is full at its first uplink, and the
         # duty check defers it to t: the uplink starts at the clock's
         # reading at t.
         engine = Engine(pure_config(duration=DAY))
-        nd = node_at(engine, 13.0)
+        nd = node_at(engine, ppm)
         nd.next_ready_local = 0
         dur = engine._uplink_toa
         nd.duty.extend([(0, dur)] * (engine._budget // dur))
         answers = iter([t, None])
         monkeypatch.setattr(engine_module, "enforce_duty_cycle", lambda *_: next(answers))
         row = engine._resume(nd, None)(None)
-        assert row[1] == Engine._local_at(nd, t)
+        assert row[1] == local_now(ppm, 0, t)
 
+    @pytest.mark.parametrize("ppm", [13.0, -13.0])
     @pytest.mark.parametrize("lands", ["ack", "end"])
-    def test_a_sync_at_a_tie_reads_the_exact_clock(self, lands):
+    def test_a_sync_at_a_tie_reads_the_exact_clock(self, lands, ppm):
         # The ACK of a delivered uplink lands at the tie instant, or the
-        # uplink ends there: the sync reads the clock at both instants.
-        def synced(engine):
-            nd = node_at(engine, 13.0)
-            t = TIE_13_PPM[1]
-            lag = engine._uplink_toa + engine._ack_lag
-            start = t - lag if lands == "ack" else t - engine._uplink_toa
-            engine._resume(nd, (start, 0, -1, 0, start + lag))(0)
-            return [getattr(nd, name) for name in NODE_STATE]
-
-        fast = synced(Engine(pure_config(duration=DAY)))
-        with mock.patch.object(engine_module, "_FLOAT_EXACT", 0.0):
-            assert fast == synced(Engine(pure_config(duration=DAY)))
+        # uplink ends there.  With no residual and no gateway error the
+        # sync sets `base` to the gateway's reading of the uplink's end
+        # less the clock's, and the sync instant to the clock's reading
+        # at the ACK on the corrected clock.
+        engine = Engine(
+            pure_config(
+                duration=DAY, residual_mean=0, residual_std=0, timestamp_error_max_us=0
+            )
+        )
+        nd = node_at(engine, ppm)
+        t = TIE_13_PPM[1]
+        lag = engine._uplink_toa + engine._ack_lag
+        start = t - lag if lands == "ack" else t - engine._uplink_toa
+        end, ack = start + engine._uplink_toa, start + lag
+        engine._resume(nd, (start, 0, -1, 0, ack))(0)
+        assert nd.base == gateway_record_rx_end(end, 0) - local_now(ppm, 0, end)
+        assert nd.last_sync_local - nd.base == local_now(ppm, 0, ack)
 
     @pytest.mark.parametrize("check", ["slot", "resync"])
     def test_a_bound_at_a_tie_reads_the_exact_bound(self, check):
@@ -1510,19 +1571,17 @@ class TestFloatPreFilter:
         # and rounds up to 2048, while its double lies 2**-42 below the
         # half.  With the guard 2048 ns past the bound at the sync, the
         # bound reaches the guard exactly: the node may not use the slot
-        # grid, and it resyncs (the threshold is inclusive).  Doubles
-        # without a band around the threshold decide both the other way.
+        # grid, and it resyncs (the threshold is inclusive).
         engine = on_demand_engine(drift_bound_ppm=13.0)
         nd = engine.nodes[0]
         elapsed = TIE_13_PPM[0]
-        assert 2047.5 - 2**-40 < elapsed * engine._bound_ratio < 2047.5
-        assert engine._float_margin(nd) == engine_module._FLOAT_MARGIN
+        assert elapsed * Fraction(13, 10**6) == Fraction(4095, 2)
         tx_local = 600 * engine._slot_t
         nd.synced = True
         if check == "slot":
             nd.last_sync_local = tx_local - elapsed
             nd.uncertainty_at_sync = engine._guard - 2048
-            assert engine._uncertainty_at(nd, tx_local) == engine._guard
+            assert uncertainty_at(engine, nd, tx_local) == engine._guard
             nd.next_ready_local = tx_local
             assert engine._resume(nd, None)(None)[2] == -1
         else:
@@ -1545,103 +1604,6 @@ class TestFloatPreFilter:
         nd.next_ready_local = tx_local
         row = engine._resume(nd, None)(None)
         assert row[2] == -1 and row[4]
-
-    def test_the_exact_switch_sends_both_checks_to_the_bound(self, monkeypatch):
-        # Far from either threshold the doubles decide both checks alone,
-        # until _FLOAT_EXACT = 0 (run_exact_clock_map) turns the
-        # pre-filter off.
-        calls = []
-        uncertainty_at = Engine._uncertainty_at
-
-        def counted(engine, nd, local):
-            calls.append(local)
-            return uncertainty_at(engine, nd, local)
-
-        def checks_of_a_first_uplink() -> int:
-            engine = on_demand_engine()
-            nd = engine.nodes[0]
-            tx_local = 600 * engine._slot_t
-            nd.synced, nd.last_sync_local, nd.uncertainty_at_sync = True, tx_local, 0
-            calls.clear()
-            assert not first_uplink_wants_ack(engine, tx_local)
-            return len(calls)
-
-        monkeypatch.setattr(Engine, "_uncertainty_at", counted)
-        assert checks_of_a_first_uplink() == 0
-        monkeypatch.setattr(engine_module, "_FLOAT_EXACT", 0.0)
-        assert checks_of_a_first_uplink() == 2
-
-    def test_default_week_runs_keep_the_pre_filter(self):
-        # Every node of the 7-day default runs, slotted and its pure
-        # baseline, at each of the benchmark's scenario seeds, stays
-        # within the reach: no clock map or bound of theirs goes to the
-        # integer formula for it.
-        for seed in range(1, 9):
-            slotted = load_scenario("", seed=seed, duration=7 * DAY)
-            for cfg in (slotted, pure_baseline(slotted)):
-                engine = Engine(cfg)
-                for nd in engine.nodes:
-                    assert engine._float_margin(nd) == engine_module._FLOAT_MARGIN
-
-    def test_a_run_past_the_reach_takes_the_integer_formula(self, monkeypatch):
-        # At 500 ppm a drift term passes 2**40 ns after about 25.5 days:
-        # a 40-day run may reach past that, so every clock map and bound
-        # of its schedules takes the integer formula from the start.
-        cfg = load_scenario(
-            "[scenario]\nn_nodes = 3\napp_period = 6 h\ndrift_ppm = 500 .. 500\n"
-            "confirmed_uplinks = on-demand\nduration = 40 d\nwarmup = 0 s\n"
-            "[sync]\ndrift_bound_ppm = 500\n",
-            seed=1,
-        )
-        engine = Engine(cfg)
-        assert {engine._float_margin(nd) for nd in engine.nodes} == {-math.inf}
-        reference = run_exact_clock_map(Engine(cfg))
-        maps = []
-        true_at = Engine._true_at
-
-        def counted(nd, local):
-            maps.append(local)
-            return true_at(nd, local)
-
-        monkeypatch.setattr(Engine, "_true_at", staticmethod(counted))
-        trace, metrics = engine.run()
-        assert_same_run((trace, metrics), reference)
-        assert len(maps) >= len(trace) > 300
-
-    @given(short_scenarios())
-    @example(DEFERRING[3])
-    @example(pure_config(n_nodes=4, app_period=2 * NS_PER_SEC, jitter=5 * NS_PER_SEC))
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_every_instant_a_schedule_maps_lies_within_the_reach(self, cfg):
-        # With the pre-filter off every map and bound goes through the
-        # engine's helpers: each true instant, each local one past
-        # `base` and each elapsed time of a bound stays within _reach.
-        engine = Engine(cfg)
-        seen = []
-        local_at, true_at = Engine._local_at, Engine._true_at
-        uncertainty_at = Engine._uncertainty_at
-
-        def local_at_seen(nd, t):
-            seen.append(t)
-            return local_at(nd, t)
-
-        def true_at_seen(nd, local):
-            seen.append(local - nd.base)
-            return true_at(nd, local)
-
-        def uncertainty_at_seen(engine, nd, local):
-            seen.append(local - nd.last_sync_local)
-            return uncertainty_at(engine, nd, local)
-
-        with mock.patch.multiple(
-            Engine,
-            _local_at=staticmethod(local_at_seen),
-            _true_at=staticmethod(true_at_seen),
-            _uncertainty_at=uncertainty_at_seen,
-        ):
-            trace, _ = run_exact_clock_map(engine)
-        assert len(seen) >= len(trace)
-        assert max(map(abs, seen)) < engine._reach
 
 
 #: Exact clocks and syncs, and three nodes on three channels (see
