@@ -285,8 +285,7 @@ class ScenarioConfig:
 
 
 def enforce_duty_cycle(
-    history: Iterable[tuple[int, int]],
-    airtime: int,
+    starts: Sequence[int],
     proposed_start: int,
     duration: int,
     budget: int,
@@ -294,14 +293,13 @@ def enforce_duty_cycle(
 ) -> Optional[int]:
     """Sliding-window duty-cycle check for one node.
 
-    ``history`` holds the node's past (start, duration) pairs sorted by
-    start, and ``airtime`` is the sum of their durations; ``budget`` is
-    the airtime the cap allows in one ``window``.  Precondition: every
-    entry ends after the window start ``proposed_start + duration -
-    window`` and no later than the window end ``proposed_start +
-    duration``.  Only the entries that start before the window start
-    then lie partly outside it, so the cost is O(entries leaving the
-    window), not O(len(history)).
+    ``starts`` holds the node's past uplink starts in order, each uplink
+    lasting ``duration`` as the proposal does; ``budget`` is the airtime
+    the cap allows in one ``window``.  Precondition: every entry ends
+    after the window start ``proposed_start + duration - window`` and no
+    later than the window end ``proposed_start + duration``.  Only the
+    entries that start before the window start then lie partly outside
+    it, so the cost is O(entries leaving the window), not O(len(starts)).
 
     Returns None when the proposal is legal, else the earliest start
     instant at which it becomes legal.
@@ -309,8 +307,8 @@ def enforce_duty_cycle(
     if budget < duration:
         raise ValueError("transmission longer than the duty-cycle budget")
     win_start = proposed_start + duration - window
-    excess = airtime + duration - budget
-    for s, _d in history:
+    excess = (len(starts) + 1) * duration - budget
+    for s in starts:
         if s >= win_start:
             break
         excess -= win_start - s
@@ -319,9 +317,9 @@ def enforce_duty_cycle(
     # Slide the window start forward until `excess` ns of old airtime
     # have left it; removal grows linearly while the window edge crosses
     # an entry and pauses in the gaps.
-    for s, d in history:
+    for s in starts:
         lo = s if s > win_start else win_start
-        avail = s + d - lo
+        avail = s + duration - lo
         if avail >= excess:
             return lo + excess + window - duration
         excess -= avail
@@ -434,7 +432,7 @@ class _Node:
         self.synced = False
         self.last_sync_local = 0
         self.uncertainty_at_sync = 0
-        self.duty: deque = deque()
+        self.duty: deque = deque()  # uplink starts in the cap's window
         self.n_syncs = 0
         self.max_mis_pre_sync = 0
         self.max_mis_post_sync = 0
@@ -448,7 +446,7 @@ _plain_slots = attrgetter(*_PLAIN_SLOTS)
 def _node_state(nd: _Node) -> tuple:
     """One record of ``nd``'s state: its generator's state, with the
     words as an ``array("I")`` (a tenth of the tuple's size), its duty
-    history by value, and every other slot."""
+    history's uplink starts as a tuple of ints, and every other slot."""
     version, words, gauss_next = nd.rng.getstate()
     return (version, array("I", words), gauss_next), tuple(nd.duty), _plain_slots(nd)
 
@@ -880,17 +878,15 @@ class Engine:
                 tx_true = ((tx_local - base) * den2 + inv_den) // inv_den2
                 if tx_true < now:
                     tx_true = now
-                # Every entry lasts `dur`, so the history's airtime is
-                # len(duty) * dur; the slow path clips only the head
+                # The history keeps each uplink's start, since every
+                # uplink lasts `dur`; the slow path clips only the head
                 # entries that straddle the window start.
                 cut = tx_true - window
-                while duty and duty[0][0] <= cut:
+                while duty and duty[0] <= cut:
                     trim()
                 if len(duty) < room:
                     break
-                defer = enforce_duty_cycle(
-                    duty, len(duty) * dur, tx_true, dur, budget, window
-                )
+                defer = enforce_duty_cycle(duty, tx_true, dur, budget, window)
                 if defer is None:
                     break
                 ready = base + defer + (defer * num2 + half) // den2
@@ -924,7 +920,7 @@ class Engine:
                 channel = getrandbits(channel_bits)
                 while channel >= n_channels:
                     channel = getrandbits(channel_bits)
-            log_duty((tx_true, dur))
+            log_duty(tx_true)
             bit = yield (
                 tx_true,
                 tx_local,

@@ -41,8 +41,9 @@ class RadioProfile:
             )
         if not 1 <= self.coding_rate_index <= 4:
             problems.append(f"coding_rate_index={self.coding_rate_index} not in 1..4")
-        if self.preamble_symbols < 1:
-            problems.append(f"preamble_symbols={self.preamble_symbols} < 1")
+        # The SX127x's PreambleLength register holds 16 bits.
+        if not 1 <= self.preamble_symbols <= 65535:
+            problems.append(f"preamble_symbols={self.preamble_symbols} not in 1..65535")
         if not 0 <= self.payload_bytes <= 255:
             problems.append(f"payload_bytes={self.payload_bytes} not in 0..255")
         if self.spreading_factor - 2 * self.low_data_rate_optimize <= 0:

@@ -130,12 +130,12 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
         while True:
             tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready
             tx_true = max(Engine._true_at(nd, tx_local), now)
-            while nd.duty and nd.duty[0][0] + window <= tx_true:
+            while nd.duty and nd.duty[0] + window <= tx_true:
                 nd.duty.popleft()
             if len(nd.duty) < budget // dur:  # room for one more in any window
                 break
             defer = engine_module.enforce_duty_cycle(
-                nd.duty, dur * len(nd.duty), tx_true, dur, budget, window
+                nd.duty, tx_true, dur, budget, window
             )
             if defer is None:
                 break
@@ -144,7 +144,7 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
             ready = Engine._local_at(nd, defer)
         if tx_true <= horizon:
             pending[i] = (tx_true, tx_local, use_slots)
-            nd.duty.append((tx_true, dur))
+            nd.duty.append(tx_true)
             heappush(heap, (tx_true, next(seq), tx_start, i))
 
     def on_tx_start(i: int, now: int) -> None:

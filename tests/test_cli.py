@@ -136,6 +136,14 @@ def test_invalid_profile_is_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_preamble_beyond_the_register_is_config_error(capsys):
+    # Used to exit 0 with an airtime of 1.0e20 ms, past every instant's
+    # 2^63 ns limit.
+    assert main(["airtime", "--preamble", "99999999999999999999"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "not in 1..65535" in err
+
+
 def test_missing_seed_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--out", str(tmp_path / "o"), "--duration", "60 s"])
     assert code == EXIT_CONFIG

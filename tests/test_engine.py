@@ -36,6 +36,7 @@ from saloha.engine import (
     ConfigError,
     Engine,
     ScenarioConfig,
+    Trace,
     _Medium,
     _Node,
     enforce_duty_cycle,
@@ -258,41 +259,42 @@ def duty_cases(draw):
 
 
 class TestEnforceDutyCycle:
-    """``enforce_duty_cycle`` takes the trimmed history, its airtime sum
-    and the budget; every history here meets its precondition."""
+    """``enforce_duty_cycle`` takes the trimmed history's uplink starts,
+    one airtime for them all and the budget; every history here meets its
+    precondition."""
 
     WINDOW = 3600 * NS_PER_SEC
     BUDGET = round(0.01 * WINDOW)  # 36 s per hour
 
-    def check(self, history, proposed, duration):
-        airtime = sum(d for _s, d in history)
+    def check(self, starts, proposed, duration):
         return enforce_duty_cycle(
-            deque(history), airtime, proposed, duration, self.BUDGET, self.WINDOW
+            deque(starts), proposed, duration, self.BUDGET, self.WINDOW
         )
 
     def test_legal_proposal_passes(self):
-        history = [(0, 10 * NS_PER_SEC)]
-        assert self.check(history, self.WINDOW // 2, NS_PER_SEC) is None
+        # Two 12 s uplinks and a third fill the 36 s budget exactly.
+        starts = [0, 12 * NS_PER_SEC]
+        assert self.check(starts, self.WINDOW // 2, 12 * NS_PER_SEC) is None
 
     def test_defers_to_earliest_legal_start(self):
-        # 36 s of budget per hour; 30 s already spent at t=0, so a 10 s
-        # transmission must wait until 4 s of the old airtime has left
-        # the window.
-        history = [(0, 30 * NS_PER_SEC)]
+        # 36 s of budget per hour; three 10 s uplinks from t=0 spent 30 s,
+        # so a fourth must wait until 4 s of the old airtime has left the
+        # window.
+        starts = [0, 10 * NS_PER_SEC, 20 * NS_PER_SEC]
         proposed = 30 * NS_PER_SEC
-        deferred = self.check(history, proposed, 10 * NS_PER_SEC)
-        assert deferred is not None and deferred > proposed
-        assert self.check(history, deferred, 10 * NS_PER_SEC) is None
-        assert self.check(history, deferred - 1, 10 * NS_PER_SEC) is not None
+        deferred = self.check(starts, proposed, 10 * NS_PER_SEC)
+        assert deferred == 4 * NS_PER_SEC + self.WINDOW - 10 * NS_PER_SEC
+        assert self.check(starts, deferred, 10 * NS_PER_SEC) is None
+        assert self.check(starts, deferred - 1, 10 * NS_PER_SEC) is not None
 
     def test_oversized_transmission_rejected(self):
         with pytest.raises(ValueError):
-            enforce_duty_cycle(deque(), 0, 0, self.WINDOW, self.BUDGET, self.WINDOW)
+            enforce_duty_cycle(deque(), 0, self.WINDOW, self.BUDGET, self.WINDOW)
         with pytest.raises(ValueError):
             enforce_duty_cycle_oracle([], 0, self.WINDOW, 0.01, self.WINDOW)
         # One nanosecond over a 20 ns budget, as the oracle also rules.
         with pytest.raises(ValueError):
-            enforce_duty_cycle(deque(), 0, 0, 21, 20, 100)
+            enforce_duty_cycle(deque(), 0, 21, 20, 100)
         with pytest.raises(ValueError):
             enforce_duty_cycle_oracle([], 0, 21, 0.2, 100)
 
@@ -313,13 +315,10 @@ class TestEnforceDutyCycle:
             # The engine's trim: only entries that end after the window
             # start are passed.
             win_start = at + duration - window
-            history = [(s, duration) for s in starts if s + duration > win_start]
-            airtime = duration * len(history)
-            got = enforce_duty_cycle(
-                deque(history), airtime, at, duration, budget, window
-            )
+            kept = [s for s in starts if s + duration > win_start]
+            got = enforce_duty_cycle(deque(kept), at, duration, budget, window)
             assert got == enforce_duty_cycle_oracle(
-                history, at, duration, cap, window
+                [(s, duration) for s in kept], at, duration, cap, window
             )
             return got
 
@@ -338,10 +337,10 @@ class TestEnforceDutyCycle:
         real = engine_module.enforce_duty_cycle
         deferrals = []
 
-        def checked(history, airtime, proposed_start, duration, budget, window):
-            entries = list(history)
-            assert airtime == sum(d for _s, d in entries)
-            got = real(history, airtime, proposed_start, duration, budget, window)
+        def checked(starts, proposed_start, duration, budget, window):
+            assert all(type(s) is int for s in starts)
+            entries = [(s, duration) for s in starts]
+            got = real(starts, proposed_start, duration, budget, window)
             assert got == enforce_duty_cycle_oracle(
                 entries, proposed_start, duration, cfg.duty_cycle_cap, window
             )
@@ -635,6 +634,18 @@ def dense_slotted(draw) -> ScenarioConfig:
     )
 
 
+def guard_misses(cfg: ScenarioConfig, trace: Trace) -> list[int]:
+    """How far each slotted uplink that left its guard lies from its
+    slot, ``|true_start - slot_index * T| >= T_b``: the sync service
+    promises none while every drift lies within ``drift_bound_ppm``."""
+    plan = cfg.policy.plan
+    return [
+        mis
+        for start, slot in zip(trace.true_start, trace.slot_index)
+        if slot >= 0 and (mis := abs(start - slot * plan.t)) >= plan.t_b
+    ]
+
+
 class TestWholeRunOracle:
     """Whole-run invariants of random short scenarios, each against an
     independent check of the finished trace."""
@@ -672,6 +683,23 @@ class TestWholeRunOracle:
                 assert trace.confirmed[i] and not trace.collided[i]
         assert sum(tx for tx, _ in metrics.per_node) == n
         assert metrics.transmissions == n
+        if cfg.policy.is_slotted and cfg.drift_ppm_range[1] <= cfg.drift_bound_ppm:
+            assert guard_misses(cfg, trace) == []
+
+    # A duty deferral moves the ready instant later, and the uplink keeps
+    # the slot chosen from the bound before it (ROADMAP item 18): 6 of
+    # 6,226 slotted uplinks leave the 400 ms guard, the worst at 1.37x.
+    # The fix moves the capped-dense bench digests, so it waits for
+    # their re-pin.
+    @pytest.mark.xfail(strict=True, reason="a duty-deferred uplink keeps its slot")
+    def test_a_duty_deferred_slotted_uplink_stays_in_its_guard(self):
+        cfg = load_scenario(
+            "[scenario]\nn_nodes = 10\napp_period = 5 s\n"
+            "confirmed_uplinks = on-demand\nduration = 150 min\n",
+            seed=1,
+        )
+        trace, _ = Engine(cfg).run()
+        assert guard_misses(cfg, trace) == []
 
 
 DAY = 86400 * NS_PER_SEC
@@ -983,12 +1011,14 @@ class TestCompactTrace:
 
     @staticmethod
     def peak_bytes_per_uplink(path) -> float:
-        """The traced heap's peak per uplink of the 16-hour default
+        """The traced heap's peak per uplink of the 11-hour default
         slotted run, in this process, under the patches ``path``.  Each
-        node's duty history holds an hour of its uplinks, about 280 KB of
-        the peak, so a shorter run reads more per uplink: 6 hours read
-        77 B in a fresh process, 16 hours 46 B and a day 40 B."""
-        cfg = load_scenario("", seed=1, duration=16 * 3600 * NS_PER_SEC)
+        node's duty history holds the starts of an hour of its uplinks,
+        about 110 KB of the peak, so a shorter run reads more per uplink.
+        In a fresh process on one CPU, 6 hours read 66 B, 10 hours 50.4 B,
+        11 hours 48 B and 16 hours 42 B; split, 11 hours read 44 B.  After
+        the suite's other runs, 11 hours read 43 B and 39.5 B split."""
+        cfg = load_scenario("", seed=1, duration=11 * 3600 * NS_PER_SEC)
         tracemalloc.start()
         try:
             with path:
@@ -1356,7 +1386,7 @@ class TestNodeState:
         names = [n for n in engine_module._Node.__slots__ if n not in ("rng", "duty")]
         slots = {name: getattr(nd, name) for name in names}
         rng, history, duty = nd.rng, nd.duty, list(nd.duty)
-        assert nd.synced and duty
+        assert nd.synced and duty and all(type(s) is int for s in state[1])
 
         def next_rows() -> list[tuple]:
             # Lost and delivered uplinks: phase redraws, syncs, draws.
@@ -1393,11 +1423,9 @@ class TestFeedbackFreeRun:
         real = engine_module.enforce_duty_cycle
         calls = []
 
-        def recorded(history, airtime, proposed_start, duration, budget, window):
-            got = real(history, airtime, proposed_start, duration, budget, window)
-            calls.append(
-                (tuple(history), airtime, proposed_start, duration, budget, window, got)
-            )
+        def recorded(starts, proposed_start, duration, budget, window):
+            got = real(starts, proposed_start, duration, budget, window)
+            calls.append((tuple(starts), proposed_start, duration, budget, window, got))
             return got
 
         monkeypatch.setattr(engine_module, "enforce_duty_cycle", recorded)
@@ -1465,8 +1493,9 @@ class TestFeedbackFreeRun:
         )
 
     def test_trace_costs_at_most_50_bytes_per_uplink(self):
-        # As the slotted bound in TestCompactTrace: 12 hours read 41 B in
-        # a fresh process, a day 34 B.
+        # As the slotted bound in TestCompactTrace: 12 hours read 37.5 B
+        # in a fresh process on one CPU and 39 B split over two, a day
+        # 33 B split.
         cfg = pure_baseline(load_scenario("", seed=1, duration=12 * 3600 * NS_PER_SEC))
         tracemalloc.start()
         try:
@@ -1537,7 +1566,7 @@ class TestClockMapAtTies:
         nd = node_at(engine, ppm)
         nd.next_ready_local = 0
         dur = engine._uplink_toa
-        nd.duty.extend([(0, dur)] * (engine._budget // dur))
+        nd.duty.extend([0] * (engine._budget // dur))
         answers = iter([t, None])
         monkeypatch.setattr(engine_module, "enforce_duty_cycle", lambda *_: next(answers))
         row = engine._resume(nd, None)(None)

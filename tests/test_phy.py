@@ -139,6 +139,17 @@ class TestValidation:
         ):
             assert fragment in msg
 
+    @pytest.mark.parametrize(
+        "symbols,legal",
+        [(0, False), (1, True), (65535, True), (65536, False), (10**20, False)],
+    )
+    def test_preamble_fits_the_16_bit_register(self, symbols, legal):
+        if legal:
+            RadioProfile(7, 125_000, preamble_symbols=symbols)
+        else:
+            with pytest.raises(ValueError, match=f"preamble_symbols={symbols} not in"):
+                RadioProfile(7, 125_000, preamble_symbols=symbols)
+
     def test_sf6_with_ldro_rejected(self):
         # SF 6 with DE would make the denominator non-positive at SF-2DE <= 0
         # only for SF <= 4, so SF 6 + LDRO is fine; check SF bound instead.
