@@ -10,18 +10,20 @@ follow the tie rule below, every node owns an RNG stream derived from
 (seed, node_id), and no wall clock or hash order is consulted anywhere.
 
 Clock map: each node keeps ``base = initial_offset + corrections`` and
-its drift as an exact integer ratio; ``Engine._local_at`` and
-``Engine._true_at`` are the one true<->local conversion.  The tests
-check them against ``local = base + t * (1 + ppm * 1e-6)`` and its
-inverse, evaluated as exact fractions (``tests/oracles.py``).  Every
-division in them, in the drift bound and in the gateway's microsecond
-quantization rounds half away from zero, and each is one floor
-division: ``x / den`` rounds to ``(2*x + den - 1 + (x >= 0)) // (2*den)``.
-``Engine._uplinks`` inlines the same maps and the drift bound of both
-its uncertainty checks with the sign term set once per schedule: every
-instant a schedule maps is at least 0, so the drift term has the sign
-of the node's drift and the inverse map's numerator is never negative.
-No clock map or bound of a schedule takes a double.
+its drift as an exact integer ratio.  ``Engine._local_at`` is the
+true->local map and ``Engine._uplinks`` holds the one local->true map,
+its inverse; the tests check both against ``local = base + t * (1 + ppm
+* 1e-6)`` and its inverse, evaluated as exact fractions, and the event
+loop of ``tests/oracles.py`` maps back with ``true_at``, the inverse
+written out as a function.  Every division in them, in the drift bound
+and in the gateway's microsecond quantization rounds half away from
+zero, and each is one floor division: ``x / den`` rounds to
+``(2*x + den - 1 + (x >= 0)) // (2*den)``.  ``Engine._uplinks`` inlines
+the maps and the drift bound of both its uncertainty checks with the
+sign term set once per schedule: every instant a schedule maps is at
+least 0, so the drift term has the sign of the node's drift and the
+inverse map's numerator is never negative.  No clock map or bound of a
+schedule takes a double.
 
 The sync exchange runs inline in ``Engine._uplinks``: it keeps the
 checks of ``sync.gateway_record_rx_end`` (timestamp error within
@@ -61,9 +63,9 @@ If a guess was wrong, the ruling is rewound, every node that guessed
 restarts from its snapshot (``_node_state``, its state just before it
 consumed its first bit that was not final), and the window is finished
 conservatively: each node stops at its next confirmed uplink until that
-uplink's bit is final.  One frontier runs over every stopped node: the
-medium rules on every uplink before the earliest instant at which a
-stopped node could send again (``Engine._next_start_bound``), which
+uplink's bit is final.  A stopped node sends nothing before that
+uplink's ACK lands, so one frontier runs over every stopped node, the
+earliest pending ACK: the medium rules on every uplink before it, which
 makes the bit of every stopped uplink that ends by then final.  A window
 whose predecessor had a lost confirmed uplink starts conservatively.  A
 window gets one optimistic pass: a second saved no time on any bench
@@ -98,6 +100,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
 from operator import attrgetter, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
@@ -603,14 +606,6 @@ class Engine:
             config.timestamp_error_max_us * NS_PER_US
             + self._drift_bound(self._ack_lag)
         )
-        # A sync moves a node's clock by the gateway's reading of the
-        # uplink's end less the node's: at most this much past the
-        # node's own clock error, the gateway's rounding to 1 us included.
-        self._sync_slack = (
-            config.timestamp_error_max_us * NS_PER_US
-            + NS_PER_US // 2
-            + config.residual_max
-        )
         self._budget = round(config.duty_cycle_cap * config.dc_window)
         self._app_period = config.app_period
         self._jitter = config.jitter
@@ -668,13 +663,6 @@ class Engine:
         den = nd.drift_den
         x = t * nd.drift_num
         return nd.base + t + (2 * x + den - 1 + (x >= 0)) // (2 * den)
-
-    @staticmethod
-    def _true_at(nd: _Node, local: int) -> int:
-        """True instant at which the node RTC reads ``local``."""
-        inv_den = nd.inv_den
-        x = (local - nd.base) * nd.drift_den
-        return (2 * x + inv_den - 1 + (x >= 0)) // (2 * inv_den)
 
     def _drift_bound(self, elapsed: int) -> int:
         """Worst-case drift over ``elapsed >= 0`` ns at the configured bound."""
@@ -735,7 +723,7 @@ class Engine:
         draw, and the stream after it, stays the same.
 
         Every clock map, the duty deferral's included, is ``_local_at``
-        or ``_true_at`` written as one floor division (see the module
+        or its inverse written as one floor division (see the module
         docstring), and both uncertainty checks compare the sync's bound
         plus ``_drift_bound`` of the elapsed local time, 0 if negative,
         with a guard.  A local map takes a true instant ``t >= 0``, so
@@ -909,8 +897,8 @@ class Engine:
                 confirm = confirm_all or on_demand
             if confirm:
                 ack = tx_true + lag
-                # A schedule resumes, and is bounded, only at a confirmed
-                # uplink: the node keeps the grid from there.
+                # A schedule resumes only at a confirmed uplink: the node
+                # keeps the grid from there.
                 nd.next_ready_local = next_ready
             else:
                 ack = 0
@@ -939,22 +927,6 @@ class Engine:
         schedule = self._uplinks(nd, row)
         next(schedule)
         return schedule.send
-
-    def _next_start_bound(self, nd: _Node, row: tuple) -> int:
-        """The earliest instant at which the node could start the uplink
-        after ``row``, a confirmed uplink whose ACK has not landed, for
-        either outcome: not before the ACK, and not before its grid's
-        next instant less the jitter, read on the clock as far ahead as
-        the sync could set it (retry shifts, slot phases, clamps and
-        duty deferrals only delay an uplink).  A sync sets ``base`` to
-        the gateway's reading of the uplink's end less the node's, so to
-        at most ``_sync_slack`` less the drift term there; the bound is
-        ``_true_at`` under the larger of that and the present ``base``."""
-        end = row[0] + self._uplink_toa
-        drift_at_end = self._local_at(nd, end) - nd.base - end
-        # How far past its own `base` a sync could set the clock's.
-        lift = max(0, self._sync_slack - drift_at_end - nd.base)
-        return max(row[4], self._true_at(nd, nd.next_ready_local - self._jitter - lift))
 
     # -- the driver ------------------------------------------------------
 
@@ -1123,6 +1095,7 @@ class Engine:
         driven = list(driven)
         put = put or self._append_rows
         dur = self._uplink_toa
+        ack_lag = self._ack_lag
         stop = self._end
         span = self._app_period * max(_WINDOW_PERIODS, _WINDOW_ROWS // n)
         collided, confirmed = self.trace.collided, self.trace.confirmed
@@ -1228,34 +1201,38 @@ class Engine:
                         sends[i] = self._resume(nodes[i], row)
                         heads[i] = row
                         waiting[i] = True
-                # Every uplink not yet in the trace waits for the channel.
+                # Every uplink not yet in the trace waits for the channel,
+                # in a heap by start.
                 out = list(chain.from_iterable(rows))
-                # Each node stops where its next bit is not final.  The
+                heapify(out)
+                # Each node stops where its next bit is not final, and
+                # sends nothing more before that uplink's ACK lands.  The
                 # channel rules on every uplink before the earliest
-                # instant at which a stopped node could send again, and
-                # releases every stopped node whose uplink ends by then.
-                bound = self._next_start_bound
-                waits: list[tuple] = []  # (bound, end, node) of each stopped node
+                # pending ACK, and releases every stopped node whose
+                # uplink ends by then.  Uplinks that start together may
+                # be ruled in any order: it changes no flag.
+                waits: list[tuple] = []  # a heap of (ACK, node), one per stopped node
                 todo: Iterable[int] = driven
                 while todo:
                     for i in todo:
                         mine = rows[i]
                         had = len(mine)
                         advance(i, hi, False)
-                        out += mine[had:]
-                        row = heads[i]
-                        if waiting[i] and row[4] < hi:
-                            waits.append((bound(nodes[i], row), row[0] + dur, i))
-                    cut = min(waits)[0] if waits else hi
-                    if cut > hi:
-                        cut = hi
-                    out.sort(key=_START)
-                    k = bisect_left(out, cut, key=_START)
-                    medium.rule(out[:k])
-                    del out[:k]
+                        for row in mine[had:]:
+                            heappush(out, row)
+                        ack = heads[i][4]
+                        if waiting[i] and ack < hi:
+                            heappush(waits, (ack, i))
+                    cut = waits[0][0] if waits else hi
+                    batch = []
+                    while out and out[0][0] < cut:
+                        batch.append(heappop(out))
+                    medium.rule(batch)
                     ruled_to = cut
-                    todo = [i for _, end, i in waits if end <= cut]
-                    waits = [w for w in waits if w[1] > cut]
+                    # An uplink ends `ack_lag` before its ACK lands.
+                    todo = []
+                    while waits and waits[0][0] - ack_lag <= cut:
+                        todo.append(heappop(waits)[1])
                 ordered = merge()
             # Put the window's uplinks, each ruled on, in the trace.
             medium.settle(ordered, heads)

@@ -11,8 +11,10 @@ The drift multiplication is carried out exactly: ``ppm_ratio`` expands
 the ppm value to an integer ratio (floats are exact binary rationals)
 and the scaled elapsed time is rounded once, half away from zero
 (``round_half_away_div``).  The engine writes the same rounding as one
-floor division in its clock map, ``engine.Engine._local_at``/
-``_true_at``, and in its drift bound, and never takes them in doubles.
+floor division in its clock map, ``engine.Engine._local_at`` and the
+inverse its schedule inlines, and in its drift bound, and never takes
+them in doubles.  The inverse as a function, ``true_at``, is a test
+oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations

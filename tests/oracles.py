@@ -38,6 +38,15 @@ def local_to_true(ppm: float, base: int, local: int) -> int:
     return _round_half_away((local - base) / (1 + Fraction(ppm) / 1_000_000))
 
 
+def true_at(nd, local: int) -> int:
+    """True instant at which an engine node's RTC reads ``local``: the
+    inverse of ``Engine._local_at`` as one floor division, rounded half
+    away from zero, as the schedule inlines it."""
+    inv_den = nd.inv_den
+    x = (local - nd.base) * nd.drift_den
+    return (2 * x + inv_den - 1 + (x >= 0)) // (2 * inv_den)
+
+
 def uncertainty_at(engine: Engine, node, local: int) -> int:
     """Worst-case clock error bound of an engine node at its local
     instant ``local``: the bound at its last sync plus the drift at the
@@ -72,7 +81,7 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
     against: a heap of ``(instant, seq, kind, node)`` events with one
     counter for every push, each node's next uplink decided when its
     previous event pops, the ACK's branch when the ACK lands, and every
-    clock map through ``Engine._local_at``/``_true_at``.  The trace
+    clock map through ``Engine._local_at`` or ``true_at``.  The trace
     takes the uplinks sorted by ``(true_start, node_id)``, the tie rule
     of ``saloha.engine``, not in the heap's pop order.
 
@@ -129,7 +138,7 @@ def run_event_loop(engine: Engine) -> tuple[Trace, Metrics]:
         )
         while True:
             tx_local = slot_start(ready, slot_t, nd.phase) if use_slots else ready
-            tx_true = max(Engine._true_at(nd, tx_local), now)
+            tx_true = max(true_at(nd, tx_local), now)
             while nd.duty and nd.duty[0] + window <= tx_true:
                 nd.duty.popleft()
             if len(nd.duty) < budget // dur:  # room for one more in any window

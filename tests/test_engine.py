@@ -17,7 +17,6 @@ import tracemalloc
 import warnings
 import weakref
 from array import array
-from bisect import bisect_right
 from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -72,6 +71,7 @@ from oracles import (
     narrowest_typecode,
     run_event_loop,
     scan_duty_cycle_oracle,
+    true_at,
     uncertainty_at,
 )
 from test_golden import GOLDEN, run_digests
@@ -685,6 +685,16 @@ class TestWholeRunOracle:
         assert metrics.transmissions == n
         if cfg.policy.is_slotted and cfg.drift_ppm_range[1] <= cfg.drift_bound_ppm:
             assert guard_misses(cfg, trace) == []
+        # A node sends nothing while it waits for an ACK: the uplink after
+        # a confirmed one starts no earlier than the ACK's instant, which
+        # the window driver's conservative step takes as its frontier.
+        ack_lag = cfg.rx1_delay + time_on_air(cfg.ack_profile)
+        last_ack = [0] * cfg.n_nodes
+        for node, start, dur, confirmed in zip(
+            trace.node_id, trace.true_start, trace.duration, trace.confirmed
+        ):
+            assert start >= last_ack[node]
+            last_ack[node] = start + dur + ack_lag if confirmed else 0
 
     # A duty deferral moves the ready instant later, and the uplink keeps
     # the slot chosen from the bound before it (ROADMAP item 18): 6 of
@@ -714,8 +724,8 @@ def clock_node(ppm: float, offset: int, corrections: int) -> _Node:
 
 
 class TestClockMapOracle:
-    """``Engine._local_at``/``_true_at`` against the exact-fraction
-    clock map in ``oracles``."""
+    """``Engine._local_at`` and its inverse, ``oracles.true_at``, against
+    the exact-fraction clock map in ``oracles``."""
 
     @given(PPM, OFFSET, OFFSET, st.integers(0, 30 * DAY))
     # 500 ppm over 1000 ns is a drift of exactly +-0.5 ns.
@@ -732,7 +742,7 @@ class TestClockMapOracle:
         nd = clock_node(ppm, offset, corrections)
         base = offset + corrections
         local = base + elapsed
-        assert Engine._true_at(nd, local) == local_to_true(ppm, base, local)
+        assert true_at(nd, local) == local_to_true(ppm, base, local)
 
     @given(PPM, OFFSET, st.integers(-30 * DAY, 30 * DAY))
     @example(500.0, 0, -1000)
@@ -747,7 +757,7 @@ class TestClockMapOracle:
         # sign of the rounded numerator.
         nd = clock_node(ppm, offset, 0)
         assert Engine._local_at(nd, x) == local_now(ppm, offset, x)
-        assert Engine._true_at(nd, offset + x) == local_to_true(ppm, offset, offset + x)
+        assert true_at(nd, offset + x) == local_to_true(ppm, offset, offset + x)
 
     @pytest.mark.parametrize("num,den", [(1, 2), (-1, 2), (3, 4), (-3, 4), (1, 3), (5, 10)])
     def test_rounding_ties_go_away_from_zero(self, num, den):
@@ -755,7 +765,7 @@ class TestClockMapOracle:
         nd.drift_num, nd.drift_den, nd.inv_den = num, den, den + num
         for x in range(-3 * den, 3 * den + 1):
             assert Engine._local_at(nd, x) == x + round_half_away_div(x * num, den)
-            assert Engine._true_at(nd, x) == round_half_away_div(x * den, den + num)
+            assert true_at(nd, x) == round_half_away_div(x * den, den + num)
 
 
 def on_demand_engine(**overrides) -> Engine:
@@ -1229,27 +1239,52 @@ class TestEventLoopDifferential:
         self, monkeypatch
     ):
         # Every node restarts from a snapshot (a fresh schedule), and the
-        # conservative step bounds stopped nodes in the first window.
-        resumed, bounded = [], []
-        resume, bound = Engine._resume, Engine._next_start_bound
+        # first window's guesses fail: its conservative step restores
+        # the nodes that guessed, each at a row of that window.
+        resumed = []
+        resume = Engine._resume
 
         def counted_resume(engine, nd, row):
             resumed.append(row)
             return resume(engine, nd, row)
 
-        def counted_bound(engine, nd, row):
-            bounded.append(row[0])
-            return bound(engine, nd, row)
-
         monkeypatch.setattr(Engine, "_resume", counted_resume)
-        monkeypatch.setattr(Engine, "_next_start_bound", counted_bound)
         cfg = lossy()
-        engine = assert_equals_the_event_loop(cfg)
+        assert_equals_the_event_loop(cfg)
         first_window = cfg.app_period * max(
             engine_module._WINDOW_PERIODS, engine_module._WINDOW_ROWS // cfg.n_nodes
         )
-        assert sum(row is not None for row in resumed) >= cfg.n_nodes
-        assert min(bounded) < first_window
+        restored = [row[0] for row in resumed if row is not None]
+        assert len(restored) >= cfg.n_nodes
+        assert min(restored) < first_window
+
+    def test_an_uplink_that_ends_1_ns_past_the_earliest_ack_waits_for_it(self):
+        # Node 0's period is shorter than its exchange, so its second
+        # uplink starts at its first ACK, the earliest pending one.  Node
+        # 1's uplink on the same channel ends 1 ns later and collides
+        # with that second uplink: its bit is not final at the frontier.
+        cfg = pure_config(
+            n_nodes=2,
+            confirmed_mode="all",
+            app_period=NS_PER_SEC,
+            drift_ppm_range=(0.0, 0.0),
+            initial_offset_max=0,
+            duration=60 * NS_PER_SEC,
+        )
+
+        def aimed(engine):
+            first, second = engine.nodes
+            first.next_ready_local = 0
+            second.next_ready_local = engine._ack_lag + 1
+            return engine
+
+        engine = aimed(Engine(cfg))
+        assert_same_run(engine.run(), run_event_loop(aimed(Engine(cfg))))
+        trace = engine.trace
+        ack = engine._uplink_toa + engine._ack_lag
+        assert list(trace.true_start)[:3] == [0, engine._ack_lag + 1, ack]
+        assert list(trace.node_id)[:3] == [0, 1, 0]
+        assert list(trace.collided[:3]) == [0, 1, 1]
 
     def test_no_node_resumes_twice_from_one_row(self, monkeypatch):
         # A window restores each guessing node once, and no row's bit is
@@ -1273,58 +1308,6 @@ class TestEventLoopDifferential:
         monkeypatch.setattr(engine_module, "_WINDOW_ROWS", window_rows)
         monkeypatch.setattr(engine_module, "_WINDOW_PERIODS", 1)
         assert_equals_the_event_loop(lossy(20, confirmed_mode=mode))
-
-    def test_next_start_bound_never_passes_the_next_uplink(self, monkeypatch):
-        bounds = []
-        bound = Engine._next_start_bound
-
-        def recorded(engine, nd, row):
-            bounds.append((engine.nodes.index(nd), row[0], bound(engine, nd, row)))
-            return bounds[-1][2]
-
-        monkeypatch.setattr(Engine, "_next_start_bound", recorded)
-        cfg = lossy(jitter=2 * NS_PER_SEC)
-        trace, _ = Engine(cfg).run()
-        starts: dict[int, list[int]] = {}
-        for node, start in zip(trace.node_id, trace.true_start):
-            starts.setdefault(node, []).append(start)
-        assert len(bounds) > 100
-        for node, start, low in bounds:
-            later = starts[node][bisect_right(starts[node], start) :]
-            assert not later or later[0] >= low
-
-    def test_next_start_bound_is_reached_by_the_latest_clock_a_sync_sets(self):
-        # The sync reads the residual at its maximum, subtracted, and the
-        # gateway's error at its maximum, on an uplink end whose reading
-        # rounds up by half a microsecond; the jitter draw is the least.
-        # The next uplink then starts exactly at the bound.
-        cfg = pure_config(
-            confirmed_mode="all", jitter=NS_PER_SEC, residual_mean=15 * NS_PER_MS
-        )
-        engine = Engine(cfg)
-        nd = engine.nodes[0]
-        ts_bits, jitter_bits = engine._draw_bits[:2]
-        assert ts_bits != jitter_bits
-
-        class LatestSync(random.Random):
-            def gauss(self, mu=0.0, sigma=1.0):
-                return mu
-
-            def random(self):
-                return 0.75  # the residual's sign: negative
-
-            def getrandbits(self, k):
-                return {ts_bits: 2 * cfg.timestamp_error_max_us, jitter_bits: 0}[k]
-
-        nd.rng = LatestSync(0)
-        nd.base = -NS_PER_SEC  # behind the clock a sync sets
-        toa = engine._uplink_toa
-        start = 600 * NS_PER_SEC + (500 - toa) % NS_PER_US
-        row = (start, 0, -1, 0, start + toa + engine._ack_lag)
-        nd.next_ready_local = start + cfg.app_period
-        bound = engine._next_start_bound(nd, row)
-        assert bound > row[4]
-        assert engine._resume(nd, row)(0)[0] == bound
 
     def test_a_40_day_on_demand_run_at_the_drift_limit_equals_the_event_loop(self):
         # At the 500 ppm limit, clock and bound alike, a clock drifts by
@@ -1470,7 +1453,7 @@ class TestFeedbackFreeRun:
         # a/b = 3/15628 or -3/15622.  With the period a multiple of both
         # denominators and every ready instant on a residue where the
         # drift term is exactly half an integer, each uplink's true start
-        # is a tie, which the fused map must round as Engine._true_at.
+        # is a tie, which the fused map must round as oracles.true_at.
         cfg = pure_config(
             n_nodes=4,
             app_period=15628 * 15622 * 123,
@@ -1493,13 +1476,14 @@ class TestFeedbackFreeRun:
         )
 
     def test_trace_costs_at_most_50_bytes_per_uplink(self):
-        # As the slotted bound in TestCompactTrace: 12 hours read 37.5 B
-        # in a fresh process on one CPU and 39 B split over two, a day
-        # 33 B split.
+        # As the slotted bound in TestCompactTrace, on one CPU, so that
+        # every host checks the whole run's heap, not a split parent's:
+        # 12 hours read 37.5 B in a fresh process.
         cfg = pure_baseline(load_scenario("", seed=1, duration=12 * 3600 * NS_PER_SEC))
         tracemalloc.start()
         try:
-            trace, _ = Engine(cfg).run()
+            with cpus(1):
+                trace, _ = Engine(cfg).run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1836,30 +1820,32 @@ class TestSplitRun:
         self, monkeypatch
     ):
         # Fifteen nodes crowd each of two channels, so windows end
-        # conservatively; the parent bounds only its own stopped nodes.
-        bounded = []
-        bound = Engine._next_start_bound
+        # conservatively; the parent's conservative step restores only
+        # its own nodes from their snapshots.
+        restored = []
+        resume = Engine._resume
 
         def counted(engine, nd, row):
-            bounded.append(nd.index)
-            return bound(engine, nd, row)
+            if row is not None:
+                restored.append(nd.index)
+            return resume(engine, nd, row)
 
         cfg = lossy(n_channels=2, channel_selection="round-robin")
         with splitting():
             parent, child = Engine(cfg)._split()
         assert len(parent) == len(child) == 15
-        monkeypatch.setattr(Engine, "_next_start_bound", counted)
+        monkeypatch.setattr(Engine, "_resume", counted)
         forks: list = []
         split = Engine(cfg)
         with splitting(forks):
             split.run()
-        assert len(forks) == 1 and bounded and set(bounded) <= set(parent)
+        assert len(forks) == 1 and restored and set(restored) <= set(parent)
         alone = Engine(cfg)
         with cpus(1):
             alone.run()
         assert_same_engine(split, alone)
-        # In one process the child's nodes are bounded too.
-        assert set(bounded) & set(child)
+        # In one process the child's nodes are restored too.
+        assert set(restored) & set(child)
 
     def test_tied_instants_across_the_halves_equal_the_event_loop(self):
         # Every uplink and ACK of the child's node shares its instant
