@@ -17,6 +17,7 @@ import tracemalloc
 import warnings
 import weakref
 from array import array
+from bisect import bisect_right
 from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -1301,6 +1302,39 @@ class TestEventLoopDifferential:
         Engine(lossy()).run()
         assert resumed
         assert max(Counter(resumed).values()) == 1
+
+    def test_a_stopped_node_sends_nothing_before_the_ack_it_waits_for(
+        self, monkeypatch
+    ):
+        # The conservative step's one premise, at every stop: the ACK a
+        # stopped node waits for lands the ACK delay after one of its
+        # confirmed uplinks ends, and its next uplink starts no earlier.
+        # A stop is the step's push of ``(ACK, node)`` on its heap.
+        stops = []
+        push = engine_module.heappush
+
+        def recorded(heap, item):
+            if len(item) == 2:
+                stops.append(item)
+            return push(heap, item)
+
+        monkeypatch.setattr(engine_module, "heappush", recorded)
+        engine = Engine(lossy(jitter=2 * NS_PER_SEC))
+        trace, _ = engine.run()
+        sent = engine._uplink_toa + engine._ack_lag  # from start to ACK
+        acks: dict[int, list[int]] = {}
+        starts: dict[int, list[int]] = {}
+        for node, start, confirmed in zip(
+            trace.node_id, trace.true_start, trace.confirmed
+        ):
+            starts.setdefault(node, []).append(start)
+            if confirmed:
+                acks.setdefault(node, []).append(start + sent)
+        assert len(stops) > 100
+        for ack, node in stops:
+            assert ack in acks[node]
+            later = starts[node][bisect_right(starts[node], ack - sent) :]
+            assert not later or later[0] >= ack
 
     @pytest.mark.parametrize("mode", ["on-demand", "all"])
     @pytest.mark.parametrize("window_rows", [1, 64])
