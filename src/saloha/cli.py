@@ -128,11 +128,11 @@ def _load_config(ns: argparse.Namespace, policy: Optional[str] = None) -> Scenar
     if not ns.config:
         config = load_scenario("", **overrides)
     else:
-        with open(ns.config, encoding="utf-8") as fh:
-            text = fh.read()
         try:
+            with open(ns.config, encoding="utf-8") as fh:
+                text = fh.read()
             config = load_scenario(text, **overrides)
-        except ConfigError as exc:
+        except (ConfigError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{ns.config}: {exc}") from exc
     # The engine accepts such a run, but its steady-state figures would
     # come from no uplinks at all.

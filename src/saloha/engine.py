@@ -49,14 +49,15 @@ every draw happens in the order an event queue would make it.
 
 ``Engine._run_windows`` drives the coroutines one time window at a time.
 A window is first generated optimistically, node by node: a confirmed
-uplink's bit is the one the medium has already ruled, or 0 (success)
-while it has not.  The window's uplinks go in the tie rule's order, and
+uplink's bit is the one the medium has already ruled or, while it has
+not, a guess of 0 (success), and the pass records each uplink whose bit
+it guessed.  The window's uplinks go in the tie rule's order, and
 ``_Medium``, which holds the whole channel ruling, rules on them.  A bit
 is final once every uplink that starts before that uplink's end has been
-ruled on.  If the ruling loses no uplink whose bit was guessed, every
-guess was right, and the window is the event queue's schedule, byte for
-byte: an uplink depends only on the bits of uplinks that ended an ACK
-delay before it starts.  A feedback-free run
+ruled on.  The pass is wrong iff the ruling lost a recorded uplink;
+otherwise every guess was right, and the window is the event queue's
+schedule, byte for byte: an uplink depends only on the bits of uplinks
+that ended an ACK delay before it starts.  A feedback-free run
 (``confirmed_mode = "none"``) consumes no bit and takes no snapshot.
 
 If a guess was wrong, the ruling is rewound, every node that guessed
@@ -101,7 +102,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import attrgetter, gt, itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
@@ -1107,9 +1108,13 @@ class Engine:
         for i in driven:
             send = sends[i] = self._resume(nodes[i], None)
             heads[i] = send(None)
-        waiting = [False] * n  # whether a node waits for its head's bit
+        waiting = [0] * n  # while a node waits for its head's bit, its ACK
         rows: list[list[tuple]] = [[] for _ in range(n)]  # not yet in the trace
-        snaps: list[Optional[tuple]] = [None] * n
+        # This window's guesses: each guessing node's (state, row, rows
+        # kept) just before its first guess, and the guessed rows' ids,
+        # each row held in `rows` or `snaps` until both are cleared.
+        snaps: dict[int, tuple] = {}
+        guessed: set[int] = set()
         feedback = self._confirm_all or self._on_demand  # any ACK at all
 
         def advance(i: int, end: int, speculate: bool) -> None:
@@ -1119,33 +1124,28 @@ class Engine:
             row = heads[i]
             send = sends[i]
             out = rows[i]
-            if waiting[i]:
-                if row[4] >= end:
-                    return
-                hit = id(row) in medium.lost
-                if hit or row[0] + dur <= ruled_to:
-                    bit = hit
-                elif speculate:
-                    if snaps[i] is None:
-                        snaps[i] = (_node_state(nodes[i]), row, len(out))
-                    bit = 0
-                else:
-                    return
-                waiting[i] = False
-                row = send(bit)
-            while row[0] < end:
-                out.append(row)
-                if not row[4]:
-                    row = send(None)
-                elif row[4] >= end or not speculate:
-                    waiting[i] = True
+            lost = medium.lost
+            wait = waiting[i]
+            while True:
+                if wait:
+                    if row[4] >= end:
+                        break
+                    bit = id(row) in lost
+                    if not bit and row[0] + dur > ruled_to:
+                        if not speculate:
+                            break
+                        if i not in snaps:
+                            snaps[i] = (_node_state(nodes[i]), row, len(out))
+                        guessed.add(id(row))
+                    wait = 0
+                    row = send(bit)
+                if row[0] >= end:
                     break
-                else:
-                    if snaps[i] is None:
-                        # The node's state just before it consumes its
-                        # first bit that is not final, the bit of `row`.
-                        snaps[i] = (_node_state(nodes[i]), row, len(out))
-                    row = send(0)
+                out.append(row)
+                wait = row[4]
+                if not wait:
+                    row = send(None)
+            waiting[i] = wait
             heads[i] = row
 
         def merge() -> list[tuple]:
@@ -1156,22 +1156,6 @@ class Engine:
             flat = list(chain.from_iterable(rows))
             flat.sort(key=_START)
             return flat
-
-        def guessed_wrong(end: int) -> bool:
-            # Whether the channel's ruling contradicts a guess: every
-            # guess is a success, so one is wrong iff the channel lost a
-            # confirmed uplink whose bit a node consumed since its
-            # snapshot.
-            lost = medium.lost
-            for i in {row[5] for row in lost.values()}:
-                snap = snaps[i]
-                if snap is not None:
-                    _, head, keep = snap
-                    if id(head) in lost or any(
-                        0 < r[4] < end and id(r) in lost for r in rows[i][keep:]
-                    ):
-                        return True
-            return False
 
         optimistic = True
         lo = 0  # every uplink before lo is in the trace
@@ -1188,19 +1172,19 @@ class Engine:
                 ordered = merge()
                 medium.rule(ordered)
                 ruled_to = hi
-                if guessed_wrong(hi):
+                # Every guess is a success: one is wrong iff the channel
+                # lost its uplink.
+                if not guessed.isdisjoint(medium.lost):
                     medium.rewind(mark)
                     ruled_to = lo
                     optimistic = False
             if not optimistic:
-                for i in range(n):
-                    if snaps[i] is not None:
-                        state, row, keep = snaps[i]
-                        _load_node_state(nodes[i], state)
-                        del rows[i][keep:]
-                        sends[i] = self._resume(nodes[i], row)
-                        heads[i] = row
-                        waiting[i] = True
+                for i, (state, row, keep) in snaps.items():
+                    _load_node_state(nodes[i], state)
+                    del rows[i][keep:]
+                    sends[i] = self._resume(nodes[i], row)
+                    heads[i] = row
+                    waiting[i] = row[4]
                 # Every uplink not yet in the trace waits for the channel,
                 # in a heap by start.
                 out = list(chain.from_iterable(rows))
@@ -1247,7 +1231,8 @@ class Engine:
                 confirmed[window_start:], "big"
             )
             optimistic = not missed
-            snaps[:] = repeat(None, n)
+            snaps.clear()
+            guessed.clear()
             lo = hi
 
     def _append_rows(self, ordered: list[tuple]) -> None:

@@ -131,6 +131,17 @@ def test_config_error_names_the_scenario_file(tmp_path, capsys, text, fragment):
     assert not out.exists()
 
 
+def test_a_file_that_is_not_utf8_is_config_error_naming_it(tmp_path, capsys):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_bytes(b"[scenario]\nn_nodes = 5\xff\n")
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(scenario), "--seed", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {scenario}: 'utf-8' codec can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 def test_invalid_profile_is_config_error(capsys):
     assert main(["airtime", "--sf", "42"]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err

@@ -1420,6 +1420,47 @@ class TestNodeState:
         assert next_rows() == expected
 
 
+class TestWindowMode:
+    """The rule that picks each window's mode: a window takes an
+    optimistic pass unless the one before it lost a confirmed uplink.
+    Every pass marks the channel ruling (``_Medium.mark``), a pass whose
+    guesses fail rewinds it (``_Medium.rewind``), and every window
+    settles it (``_Medium.settle``)."""
+
+    @pytest.mark.parametrize(
+        "scenario, windows, passes, rewinds",
+        [
+            # Few losses: all but the windows after a loss take a pass.
+            ("", 76, 73, 1),
+            # A loss in nearly every window: only the first takes a pass.
+            ("[scenario]\nn_nodes = 30\nn_channels = 1\nduration = 2 h\n", 10, 1, 1),
+            # Many unconfirmed uplinks lost in passes that stand: a guess
+            # kept from an earlier window would fail some of them.
+            (
+                "[scenario]\nn_nodes = 60\napp_period = 12 s\nn_channels = 6\n"
+                "channel_selection = uniform-random\njitter = 2 s\n"
+                "confirmed_uplinks = on-demand\nduration = 2 h\n",
+                51,
+                48,
+                2,
+            ),
+        ],
+        ids=["default-day", "30-nodes-on-one-channel", "capped-dense"],
+    )
+    def test_passes_and_rewinds(self, monkeypatch, scenario, windows, passes, rewinds):
+        calls: Counter = Counter()
+        for name in ("mark", "rewind", "settle"):
+
+            def counted(medium, *args, name=name, method=getattr(_Medium, name)):
+                calls[name] += 1
+                return method(medium, *args)
+
+            monkeypatch.setattr(_Medium, name, counted)
+        with cpus(1):
+            Engine(load_scenario(scenario, seed=1)).run()
+        assert calls == {"settle": windows, "mark": passes, "rewind": rewinds}
+
+
 class TestFeedbackFreeRun:
     """A run without confirmed uplinks generates each node's schedule a
     window at a time, with no guess and no snapshot; the event loop is
